@@ -1,9 +1,10 @@
 """conesemi: ordered vector spaces at desk scale.
 
 Polyhedral cones carry the order; half-norms and their subdifferentials are
-linear programs over the cone; dissipativity, positive off-diagonal
-structure, semigroup contractivity, and positivity are certified with
-explicit witnesses and honest sampled/exact labelling.
+evaluated exactly over the cone, in closed form or as linear programs;
+dissipativity, positive off-diagonal structure, semigroup contractivity, and
+positivity are certified with explicit witnesses and honest sampled/exact
+labelling.
 """
 
 from .cone import DualVector, PolyCone

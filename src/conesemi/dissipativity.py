@@ -1,7 +1,8 @@
 """Certificates for dissipativity, dispersivity, and the positive
 off-diagonal (POD) property of matrices with restricted domains.
 
-Pointwise checks are exact LPs over subdifferential descriptions.  The
+Pointwise checks are exact extrema over subdifferentials (closed form for
+the functional and order-unit gauges, LPs over descriptions otherwise).  The
 universal quantifier over a domain can only be sampled, so
 :func:`certify_dissipative` reports ``fails`` with a witness or an honest
 ``inconclusive`` pass; it never claims a proof.  The POD check, by contrast,

@@ -1,6 +1,7 @@
-"""Sublinear functions attached to a cone, evaluated as linear programs.
+"""Sublinear functions attached to a cone.
 
-Six variants share one interface (``value`` / ``subdifferential``):
+Six variants share one interface (``value`` / ``values`` /
+``subdifferential`` / ``pairing_extremum``):
 
 * ``CanonicalHalfNorm`` -- the distance from ``-x`` to the cone, i.e. the
   smallest norm of a majorant of ``x``;
@@ -15,21 +16,29 @@ Six variants share one interface (``value`` / ``subdifferential``):
 * ``EuclideanNorm``     -- the plain 2-norm with its analytic subdifferential,
   kept for the 2-d operator fixtures.
 
-Supported ambient norms are weighted l1/linf, which keeps every evaluation
-an exact LP.  Subdifferentials are returned as constraint descriptions
-(:class:`SubdiffDesc`) supporting linear optimization, built from the dual
-characterizations stated with each variant.  Values are clamped so that
-elements of ``-K`` evaluate to exactly 0; downstream positivity logic
-relies on that.
+The functional and order-unit gauges are support functions of a polytope
+``S``, the subdifferential at 0: ``p(x) = max_{v in S} <x, v>``.  They are
+evaluated in closed form (see each class) at ``x / ||x||_inf`` and batched
+over the rows of a matrix by ``values``; only a functional gauge on a cone
+above ``VERTEX_SUBSET_GUARD`` solves LPs.  The canonical and regularized
+gauges are linear programs; weighted l1/linf ambient norms keep every such
+evaluation an exact LP.  Subdifferentials are returned as constraint
+descriptions (:class:`SubdiffDesc`) supporting linear optimization, built
+from the dual characterizations stated with each variant; they are the
+oracle for the faster ``pairing_extremum``.  Values are clamped so that
+elements of ``-K`` evaluate to exactly 0; downstream positivity logic relies
+on that.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import DualVector, PolyCone
+from .cone import MEMBER_TOL, DualVector, PolyCone
 from .errors import (
     DimensionMismatch,
     EmptySubdifferential,
@@ -40,10 +49,27 @@ from .errors import (
     VariantPreconditionFailed,
     VariantUnsupported,
 )
-from .numerics import LpProblem, as_vector, enumerate_vertices, solve_lp
+from .numerics import (
+    LpProblem,
+    as_matrix,
+    as_vector,
+    enumerate_vertices,
+    linear_solve,
+    solve_lp,
+    vertex_table,
+)
 
 L1 = "l1"
 LINF = "linf"
+
+# Largest count of active sets, C(2k, n) for k rays in R^n, for which a
+# functional gauge on a non-simplicial cone builds its vertex table (about
+# 40 ms of batched solves on one x86-64 core, the time of some 200 LPs);
+# above it every evaluation is an LP.
+VERTEX_SUBSET_GUARD = 20_000
+# Pairing ties: <x, v> within this of the maximum, relative to the size of
+# the vertices (or facets), with x scaled to ||x||_inf = 1.
+TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +168,7 @@ class SubdiffDesc:
     def optimize(self, c, sense: str = "min") -> tuple[float, np.ndarray]:
         """Exact extremum of ``<c, u>`` over the set, with an attaining point."""
         c = as_vector(c, dim=self.n_primary)
-        if sense not in ("min", "max"):
-            raise MalformedProblem(f"sense must be 'min' or 'max', got {sense!r}")
+        _check_sense(sense)
         if self.kind == "singleton":
             return float(c @ self.point), self.point
         if self.kind == "ball":
@@ -210,6 +235,10 @@ class HalfNorm:
     def value(self, x) -> float:
         raise NotImplementedError
 
+    def values(self, X) -> np.ndarray:
+        """Values at the rows of ``X``; closed-form variants batch this."""
+        return np.array([self.value(x) for x in _as_rows(X, self.dim)])
+
     def subdifferential(self, x) -> SubdiffDesc:
         raise NotImplementedError
 
@@ -225,6 +254,40 @@ class HalfNorm:
         return self.value(x)
 
 
+def _as_rows(X, dim: int) -> np.ndarray:
+    X = as_matrix(X)
+    if X.shape[1] != dim:
+        raise DimensionMismatch(f"expected rows of dimension {dim}, got {X.shape[1]}")
+    return X
+
+
+def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to ``||x||_inf = 1``, and the scales; zero rows stay 0."""
+    scale = np.max(np.abs(X), axis=1)
+    return X / np.where(scale > 0, scale, 1.0)[:, None], scale
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    peak = float(np.max(np.abs(x)))
+    return x / peak if peak > 0 else x
+
+
+def _check_sense(sense: str) -> None:
+    if sense not in ("min", "max"):
+        raise MalformedProblem(f"sense must be 'min' or 'max', got {sense!r}")
+
+
+def _face_extremum(V: np.ndarray, x: np.ndarray, c: np.ndarray, sense: str):
+    """Extremum of ``<c, v>`` over the rows ``v`` of ``V`` that attain
+    ``max <x, v>``: over the face of ``conv(V)`` exposed by ``x``, which is
+    the subdifferential at ``x`` of the support function of ``V``."""
+    scores = V @ x
+    face = V[scores >= np.max(scores) - TIE_TOL * np.max(np.abs(V))]
+    pairing = face @ c
+    k = int(np.argmin(pairing) if sense == "min" else np.argmax(pairing))
+    return float(pairing[k]), face[k].copy()
+
+
 def _solve_bounded(problem: LpProblem, context: str) -> tuple[float, np.ndarray]:
     res = solve_lp(problem)
     if res.status == "infeasible":
@@ -237,12 +300,23 @@ def _solve_bounded(problem: LpProblem, context: str) -> tuple[float, np.ndarray]
 class FunctionalGauge(HalfNorm):
     """Half-norm ``inf { <y, phi> : y in K, y - x in K }`` for positive phi.
 
-    On the cone it equals ``<x, phi>``; on ``-K`` it vanishes.  The
-    subdifferential uses the dual characterization
-    ``{ u in K' : phi - u in K', <x, u> = value }``; LP duality collapses the
-    universal domination condition to the two cone memberships, an identity
-    the test-suite validates against a brute-force sampled oracle before
-    anything downstream relies on it.
+    On the cone it equals ``<x, phi>``; on ``-K`` it vanishes.  By LP
+    duality it is the support function of
+    ``S = { u in K' : phi - u in K' } = { u : 0 <= G u <= G phi }`` (G the
+    generators), ``p(x) = max_{v in S} <x, v>``, and the subdifferential at
+    ``x`` is the face of ``S`` where that maximum is attained.  The path is
+    chosen from the cone, once per gauge and on first use:
+
+    * simplicial cones, any dimension: ``phi = F^T c`` and
+      ``p(x) = <c, (F x)^+>``, the pairing extremum taken coordinate by
+      coordinate;
+    * other cones with ``C(2k, n)`` at most ``VERTEX_SUBSET_GUARD`` (k rays in
+      R^n): a vertex table of ``S`` from batched active-set solves;
+    * larger cones: one simplex LP per value and per pairing, the same LPs
+      that serve as the test oracle (``_lp_value`` / ``_lp_pairing``).
+
+    Every path evaluates at ``x / ||x||_inf`` and scales back, so the
+    membership short-cuts for ``K`` and ``-K`` are relative tolerances.
     """
 
     variant = "functional"
@@ -262,7 +336,46 @@ class FunctionalGauge(HalfNorm):
     def phi(self) -> np.ndarray:
         return self.functional.coords
 
+    @functools.cached_property
+    def _closed_form(self) -> tuple[str, np.ndarray | None]:
+        """``("simplicial", c)`` with ``phi = F^T c``, ``("vertices", V)``
+        with the vertex table of ``S``, or ``("lp", None)``."""
+        G, F = self.cone.generators, self.cone.facets
+        k, n = G.shape
+        if k == n and F.shape[0] == n:
+            return "simplicial", np.maximum(linear_solve(F.T, self.phi), 0.0)
+        if math.comb(2 * k, n) <= VERTEX_SUBSET_GUARD:
+            upper = np.concatenate([np.zeros(k), -(G @ self.phi)])
+            return "vertices", vertex_table((np.vstack([G, -G]), upper))
+        return "lp", None
+
     def value(self, x) -> float:
+        return float(self._values(as_vector(x, dim=self.dim)[None, :])[0])
+
+    def values(self, X) -> np.ndarray:
+        return self._values(_as_rows(X, self.dim))
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        U, scale = _unit_rows(X)
+        FU = U @ self.cone.facets.T
+        in_minus_k = np.max(FU, axis=1) <= MEMBER_TOL
+        in_k = ~in_minus_k & (np.min(FU, axis=1) >= -MEMBER_TOL)
+        rest = ~(in_minus_k | in_k)
+        out = np.zeros(X.shape[0])
+        out[in_k] = np.maximum(X[in_k] @ self.phi, 0.0)
+        if rest.any():
+            kind, table = self._closed_form
+            if kind == "simplicial":
+                unit_values = np.maximum(FU[rest], 0.0) @ table
+            elif kind == "vertices":
+                unit_values = np.max(U[rest] @ table.T, axis=1)
+            else:
+                unit_values = [self._lp_value(u) for u in U[rest]]
+            out[rest] = scale[rest] * unit_values
+        return out
+
+    def _lp_value(self, x) -> float:
+        """The LP evaluation: the fallback above the guard and the oracle."""
         x = as_vector(x, dim=self.dim)
         if self.cone.contains(-x):
             return 0.0
@@ -296,11 +409,28 @@ class FunctionalGauge(HalfNorm):
         )
 
     def pairing_extremum(self, x, c, sense: str = "min") -> tuple[float, np.ndarray]:
-        """Same extremum as optimizing over :meth:`subdifferential`, computed
-        in dual-ray coordinates ``u = F^T b, b >= 0`` (one equality row, no
-        free variables); the equivalence is property-tested."""
-        x = as_vector(x, dim=self.dim)
+        """Same extremum as optimizing over :meth:`subdifferential`; the
+        equivalence is property-tested on every path."""
+        x = _unit(as_vector(x, dim=self.dim))
         c = as_vector(c, dim=self.dim)
+        _check_sense(sense)
+        kind, table = self._closed_form
+        if kind == "vertices":
+            return _face_extremum(table, x, c, sense)
+        if kind == "lp":
+            return self._lp_pairing(x, c, sense)
+        # S = { F^T b : 0 <= b <= c }: b_i = c_i where <f_i, x> > 0, 0 where
+        # it is negative, and whichever end is extreme for <f_i, c> on a tie
+        F = self.cone.facets
+        fx, fc = F @ x, F @ c
+        tie = np.abs(fx) <= TIE_TOL * np.max(np.abs(F), axis=1)
+        top = fc < 0 if sense == "min" else fc > 0
+        b = np.where(np.where(tie, top, fx > 0), table, 0.0)
+        return float(fc @ b), F.T @ b
+
+    def _lp_pairing(self, x, c, sense: str) -> tuple[float, np.ndarray]:
+        """The pairing LP in dual-ray coordinates ``u = F^T b, b >= 0`` (one
+        equality row, no free variables): the fallback above the guard."""
         val = self.value(x)
         F = self.cone.facets
         G = self.cone.generators
@@ -410,8 +540,11 @@ class PositivePartNorm(HalfNorm):
 class OrderUnitGauge(HalfNorm):
     """Gauge of an interior unit: smallest ``lam >= 0`` with ``x <= lam u``.
 
-    Closed facet formula ``max(0, max_f <x,f>/<u,f>)``; subdifferential
-    ``{ u' in K' : <u', u> <= 1, <x, u'> = value }``.
+    Closed facet formula ``max(0, max_f <x,f>/<u,f>)``: the support function
+    of the vertex set ``{0} u { f/<f,u> }``, whose hull is the subdifferential
+    at 0, ``{ u' in K' : <u', u> <= 1 }``.  Values, batches and pairing
+    extrema all come from that table; no LP is solved.  Points of ``-K``
+    (relative to ``||x||_inf``) evaluate to exactly 0.
     """
 
     variant = "order_unit"
@@ -422,11 +555,20 @@ class OrderUnitGauge(HalfNorm):
         if not cone.is_order_unit(unit):
             raise NotOrderUnit("the gauge needs an interior point of the cone")
         self.unit = unit
+        F = cone.facets
+        self._vertices = np.vstack([np.zeros(cone.dim), F / (F @ unit)[:, None]])
 
     def value(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
-        F = self.cone.facets
-        return max(0.0, float(np.max((F @ x) / (F @ self.unit))))
+        return float(self._values(as_vector(x, dim=self.dim)[None, :])[0])
+
+    def values(self, X) -> np.ndarray:
+        return self._values(_as_rows(X, self.dim))
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        out = np.max(X @ self._vertices.T, axis=1)
+        scale = np.max(np.abs(X), axis=1)
+        out[np.max(X @ self.cone.facets.T, axis=1) <= MEMBER_TOL * scale] = 0.0
+        return out
 
     def subdifferential(self, x) -> SubdiffDesc:
         x = as_vector(x, dim=self.dim)
@@ -440,6 +582,14 @@ class OrderUnitGauge(HalfNorm):
             eq=(x.reshape(1, -1), np.array([val])),
             ineq=(ineq_G, ineq_h),
         )
+
+    def pairing_extremum(self, x, c, sense: str = "min") -> tuple[float, np.ndarray]:
+        """Same extremum as optimizing over :meth:`subdifferential`, taken
+        over the table vertices that attain the value at ``x``."""
+        x = _unit(as_vector(x, dim=self.dim))
+        c = as_vector(c, dim=self.dim)
+        _check_sense(sense)
+        return _face_extremum(self._vertices, x, c, sense)
 
 
 class RegularizedGauge(HalfNorm):

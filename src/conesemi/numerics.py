@@ -344,6 +344,56 @@ def enumerate_vertices(
     return vertices
 
 
+def vertex_table(
+    ineq: tuple[np.ndarray, np.ndarray], tol: float = FEAS_TOL, chunk: int = 4096
+) -> np.ndarray:
+    """The vertices of :func:`enumerate_vertices`, one per row, from batched
+    active-set solves.
+
+    All ``C(m, n)`` active sets are solved ``chunk`` at a time, so the cost
+    is a few stacked LAPACK calls rather than a Python loop; callers bound
+    ``C(m, n)`` themselves.  A set counts as singular when the determinant
+    of its rows, scaled to unit length, is at most 1e-10.  Feasibility,
+    de-duplication and order follow the loop oracle.
+    """
+    G, h = ineq
+    G = as_matrix(G)
+    h = as_vector(h, dim=G.shape[0])
+    m, n = G.shape
+    count = math.comb(m, n)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), n)),
+        dtype=np.intp,
+        count=count * n,
+    ).reshape(count, n)
+    unit = G / np.linalg.norm(G, axis=1, keepdims=True)
+    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
+    found = [np.zeros((0, n))]
+    for start in range(0, count, chunk):
+        idx = subsets[start : start + chunk]
+        idx = idx[np.abs(np.linalg.det(unit[idx])) > 1e-10]
+        M, rhs = G[idx], h[idx]
+        X = np.linalg.solve(M, rhs[..., None])[..., 0]
+        ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - rhs), axis=1, initial=0.0) <= 1e-8 * scale
+        ok &= np.min(X @ G.T - h, axis=1) >= -tol * (1.0 + np.max(np.abs(X), axis=1))
+        found.append(X[ok])
+    X = np.vstack(found)
+    # repeats to 12 decimals (degenerate vertices) first, then the oracle's
+    # tolerance against every earlier survivor
+    _, first = np.unique(np.round(X, 12) + 0.0, axis=0, return_index=True)
+    X = X[np.sort(first)]
+    close_tol = 1e-9 * (1.0 + np.max(np.abs(X), axis=1))
+    order = np.arange(len(X))
+    repeat = np.zeros(len(X), dtype=bool)
+    for start in range(0, len(X), 256):
+        rows = slice(start, start + 256)
+        dist = np.max(np.abs(X[rows, None, :] - X[None, :, :]), axis=2)
+        earlier = order[None, :] < order[rows, None]
+        repeat[rows] = np.any((dist <= close_tol) & earlier, axis=1)
+    X = X[~repeat]
+    return X[np.lexsort(np.round(X, 12).T[::-1])]
+
+
 def linear_solve(A, b) -> np.ndarray:
     """Solve ``A x = b`` by LU with partial pivoting (scipy backend).
 

@@ -2,13 +2,22 @@
 
 The brute-force oracle reassembles each variant's feasible region from
 scratch and minimizes over enumerated vertices, so it shares no code path
-with the simplex-backed evaluation it checks.  The dual characterization of
-the functional-gauge subdifferential is validated against the sampled
-universal definition before anything else relies on it.
+with the closed forms or the simplex-backed evaluation it checks.  The dual
+characterization of the functional-gauge subdifferential is validated
+against the sampled universal definition before anything else relies on it.
+The closed-form functional and order-unit gauges are checked against the
+retained LP path, the subdifferential descriptions, and (above the
+vertex-table guard) scipy's HiGHS; hypothesis drives their sublinearity
+properties across input scales 1e-12 to 1e12.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conesemi.cone import PolyCone
 from conesemi.errors import (
@@ -28,6 +37,8 @@ from conesemi.halfnorm import (
     regularized_norm,
 )
 from conesemi.numerics import enumerate_vertices
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @pytest.fixture
@@ -87,6 +98,52 @@ def brute_force_order_unit(cone, unit, x):
     return lam_min
 
 
+def pyramid(rng, n, k):
+    """k extreme rays (1, z) with z on the unit sphere of R^(n-1)."""
+    z = rng.standard_normal((k, n - 1))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return PolyCone.from_generators(np.hstack([np.ones((k, 1)), z]))
+
+
+def random_simplicial(rng, n):
+    return PolyCone.from_generators(np.eye(n) + 0.3 * rng.standard_normal((n, n)))
+
+
+@functools.cache
+def differential_cones():
+    """Orthants, the diamond, random simplicial cones, and 5-8-ray pyramids."""
+    rng = np.random.default_rng(114)
+    cones = [PolyCone.standard_orthant(n) for n in (2, 3, 5)]
+    cones.append(PolyCone.from_generators([[1, 1], [1, -1]]))
+    cones += [random_simplicial(rng, n) for n in (2, 3, 4)]
+    cones += [pyramid(rng, n, k) for n, k in ((3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 8))]
+    return cones
+
+
+def closed_form_gauges(K, rng):
+    phi = rng.uniform(0.3, 1.5, K.facets.shape[0]) @ K.facets
+    unit = rng.uniform(0.5, 1.5, K.generators.shape[0]) @ K.generators
+    return FunctionalGauge(K, phi), OrderUnitGauge(K, unit)
+
+
+def probe_points(K, rng, count):
+    """Zero, then per round: a random point, a point of K and its negative
+    (on a face when a drawn coefficient is 0), and a point on a facet's
+    hyperplane outside both K and -K (a tie for the pairing)."""
+    G = K.generators
+    points = [np.zeros(K.dim)]
+    for _ in range(count):
+        points.append(rng.standard_normal(K.dim) * 2)
+        a = rng.uniform(0.0, 1.0, G.shape[0]) * (rng.random(G.shape[0]) < 0.6)
+        points += [G.T @ a, -(G.T @ a)]
+        f = K.facets[rng.integers(K.facets.shape[0])]
+        on_facet = G[np.abs(G @ f) <= 1e-9]
+        if on_facet.shape[0] >= 2:
+            i, j = rng.choice(on_facet.shape[0], 2, replace=False)
+            points.append(on_facet[i] - rng.uniform(0.2, 2.0) * on_facet[j])
+    return points
+
+
 class TestWeightedNorm:
     def test_values(self):
         norm = WeightedNorm("l1", [2.0, 1.0])
@@ -142,6 +199,139 @@ class TestFunctionalGaugeValues:
                 x = rng.standard_normal(K.dim) * 2
                 expected = brute_force_functional_gauge(K, phi, x)
                 assert p.value(x) == pytest.approx(max(0.0, expected), abs=1e-8)
+
+
+class TestClosedFormValues:
+    def test_paths_follow_the_cone(self):
+        paths = [FunctionalGauge(K, K.facets.sum(axis=0))._closed_form[0] for K in differential_cones()]
+        assert paths == ["simplicial"] * 7 + ["vertices"] * 7
+
+    def test_against_lp_path_and_brute_force(self):
+        rng = np.random.default_rng(116)
+        for K in differential_cones():
+            p, q = closed_form_gauges(K, rng)
+            X = np.vstack(probe_points(K, rng, 6))
+            vals = p.values(X)
+            unit_vals = q.values(X)
+            for x, val, unit_val in zip(X, vals, unit_vals):
+                assert p.value(x) == pytest.approx(val, abs=1e-12)
+                assert val == pytest.approx(p._lp_value(x), abs=1e-9)
+                assert q.value(x) == pytest.approx(unit_val, abs=1e-12)
+                assert unit_val == pytest.approx(brute_force_order_unit(K, q.unit, x), abs=1e-12)
+            if K.dim <= 3:
+                for x, val in zip(X[:6], vals):
+                    expected = brute_force_functional_gauge(K, p.phi, x)
+                    assert val == pytest.approx(max(0.0, expected), abs=1e-8)
+
+    def test_default_values_loop(self, diamond):
+        p = CanonicalHalfNorm(diamond, WeightedNorm.sup(2))
+        X = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 0.0]])
+        assert p.values(X) == pytest.approx([p.value(x) for x in X], abs=0)
+
+    def test_seven_ray_cone_at_every_scale(self):
+        # with absolute membership short-cuts, an LP at the raw scale is
+        # wrong at ||x|| ~ 1e-8 and infeasible at 1e6 on this setup
+        rng = np.random.default_rng(117)
+        K = pyramid(rng, 3, 7)
+        p, q = closed_form_gauges(K, rng)
+        X = rng.standard_normal((100, 3))
+        for gauge in (p, q):
+            base = gauge.values(X)
+            for exponent in range(-12, 13, 2):
+                scale = 10.0**exponent
+                assert gauge.values(scale * X) == pytest.approx(scale * base, rel=1e-12)
+                assert gauge.value(scale * X[0]) == pytest.approx(scale * base[0], rel=1e-12)
+        lp = np.array([p._lp_value(x) for x in X])
+        assert p.values(X) == pytest.approx(lp, abs=1e-9)
+        # the subdifferential, and so the pairing, is scale-invariant: ties
+        # on faces must be judged the same at every scale
+        for x in probe_points(K, rng, 10):
+            c = rng.standard_normal(3)
+            for gauge in (p, q):
+                for sense in ("min", "max"):
+                    expected, _ = gauge.pairing_extremum(x, c, sense)
+                    for exponent in (-12, -6, 6, 12):
+                        got, _ = gauge.pairing_extremum(10.0**exponent * x, c, sense)
+                        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_exactly_zero_on_faces_of_minus_k(self):
+        for K in differential_cones():
+            G = K.generators
+            faces = [G[np.abs(G @ f) <= 1e-9].sum(axis=0) for f in K.facets]
+            X = -np.vstack([*G, *faces])
+            for p in closed_form_gauges(K, np.random.default_rng(119)):
+                assert np.all(p.values(X) == 0.0)
+                assert all(p.value(x) == 0.0 for x in X)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(-12, 12),
+        st.integers(0, len(differential_cones()) - 1),
+        st.floats(0.01, 100.0),
+    )
+    def test_sublinear_at_every_scale(self, seed, exponent, which, t):
+        rng = np.random.default_rng(seed)
+        K = differential_cones()[which]
+        scale = 10.0**exponent
+        x, y = rng.standard_normal((2, K.dim)) * scale
+        a = rng.uniform(0.0, 1.0, K.generators.shape[0]) * (rng.random(K.generators.shape[0]) < 0.7)
+        minus = -scale * (K.generators.T @ a)
+        for p in closed_form_gauges(K, rng):
+            bound = max(p.values(np.vstack([np.eye(K.dim), -np.eye(K.dim)])))
+            size = (np.abs(x).sum() + np.abs(y).sum()) * bound
+            px, py, pxy, pt = p.values(np.vstack([x, y, x + y, t * x]))
+            assert p.value(x) == pytest.approx(px, abs=1e-12 * size)
+            assert min(px, py, pxy, pt) >= 0.0
+            assert pt == pytest.approx(t * px, abs=1e-12 * t * size)
+            assert p.value(t * x) == pytest.approx(t * p.value(x), abs=1e-12 * t * size)
+            assert pxy <= px + py + 1e-12 * size
+            assert p.value(x + y) <= p.value(x) + p.value(y) + 1e-12 * size
+            assert p.value(minus) == 0.0
+            assert np.all(p.values(np.vstack([minus, 2.0 * minus])) == 0.0)
+
+
+class TestLpFallback:
+    """A cone above the vertex-table guard keeps the LP path."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        rng = np.random.default_rng(118)
+        K = pyramid(rng, 6, 16)
+        phi = rng.uniform(0.5, 1.5, K.facets.shape[0]) @ K.facets
+        return K, FunctionalGauge(K, phi), rng
+
+    def test_takes_the_lp_path(self, large):
+        K, p, _ = large
+        assert K.generators.shape == (16, 6)
+        assert p._closed_form == ("lp", None)
+
+    def test_values_against_highs(self, large):
+        K, p, rng = large
+        G = K.generators
+        X = rng.standard_normal((8, 6))
+        vals = p.values(X)
+        for x, val in zip(X, vals):
+            # the support function of S = {u : 0 <= G u <= G phi}, independently
+            res = linprog(
+                -x,
+                A_ub=np.vstack([-G, G]),
+                b_ub=np.concatenate([np.zeros(G.shape[0]), G @ p.phi]),
+                bounds=[(None, None)] * K.dim,
+                method="highs",
+            )
+            assert res.status == 0
+            assert val == pytest.approx(-res.fun, rel=1e-9, abs=1e-9)
+            assert p.value(1e6 * x) == pytest.approx(1e6 * val, rel=1e-9)
+
+    def test_pairing_against_description(self, large):
+        K, p, rng = large
+        for x in (rng.standard_normal(6), K.generators[0], -K.generators[1]):
+            c = rng.standard_normal(6)
+            for sense in ("min", "max"):
+                fast, _ = p.pairing_extremum(x, c, sense)
+                slow, _ = p.subdifferential(x).optimize(c, sense)
+                assert fast == pytest.approx(slow, abs=1e-8)
 
 
 class TestCanonicalValues:
@@ -430,15 +620,26 @@ class TestOptimizeOverSubdiff:
         val, _ = desc.optimize([-1, -1], "min")
         assert val == pytest.approx(-1.0, abs=1e-9)
 
-    def test_fast_pairing_agrees_with_description(self, orthant2, diamond):
+    def test_fast_pairing_agrees_with_description(self):
+        # both closed-form gauges on every path below the guard, at random
+        # points, points of K and -K, and facet ties
         rng = np.random.default_rng(113)
-        for K in (orthant2, diamond, PolyCone.standard_orthant(3)):
-            phi = K.dual_cone().generators.T @ rng.uniform(0.3, 1.5, K.facets.shape[0])
-            p = FunctionalGauge(K, phi)
-            for _ in range(25):
-                x = rng.standard_normal(K.dim) * 2
-                c = rng.standard_normal(K.dim)
-                for sense in ("min", "max"):
-                    fast, _ = p.pairing_extremum(x, c, sense)
-                    slow, _ = p.subdifferential(x).optimize(c, sense)
-                    assert fast == pytest.approx(slow, abs=1e-8)
+        for K in differential_cones():
+            for p in closed_form_gauges(K, rng):
+                for x in probe_points(K, rng, 5):
+                    c = rng.standard_normal(K.dim)
+                    desc = p.subdifferential(x)
+                    for sense in ("min", "max"):
+                        fast, u = p.pairing_extremum(x, c, sense)
+                        slow, _ = desc.optimize(c, sense)
+                        assert fast == pytest.approx(slow, abs=1e-8)
+                        assert float(c @ u) == pytest.approx(fast, abs=1e-12)
+                        assert float(x @ u) == pytest.approx(p.value(x), abs=1e-9)
+
+    def test_pairing_rejects_unknown_sense(self, orthant2, diamond):
+        from conesemi.errors import MalformedProblem
+
+        for K in (orthant2, diamond):
+            for p in closed_form_gauges(K, np.random.default_rng(0)):
+                with pytest.raises(MalformedProblem):
+                    p.pairing_extremum([1.0, 0.0], [1.0, 1.0], "sup")

@@ -16,6 +16,7 @@ from conesemi.numerics import (
     linear_solve,
     matrix_exp,
     solve_lp,
+    vertex_table,
 )
 
 
@@ -127,6 +128,37 @@ class TestEnumerateVertices:
         verts = enumerate_vertices((G, h))
         assert len(verts) == 1
         assert verts[0] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+class TestVertexTable:
+    """The batched enumeration against the loop oracle."""
+
+    def test_random_small_polytopes(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(1, 7))
+            G = np.vstack([rng.normal(size=(m, n)), np.eye(n), -np.eye(n)])
+            h = -rng.uniform(0.1, 2.0, G.shape[0])
+            expected = enumerate_vertices((G, h))
+            table = vertex_table((G, h))
+            assert table.shape == (len(expected), n)
+            for v in expected:  # same set; the order may differ on rounding ties
+                assert np.min(np.max(np.abs(table - v), axis=1)) <= 1e-9
+
+    def test_degenerate_vertex_deduplicated(self):
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+        h = np.array([0.0, 0.0, 0.0, -1.0])
+        table = vertex_table((G, h))
+        assert table == pytest.approx(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), abs=1e-12)
+
+    def test_halfspace_has_no_vertex(self):
+        assert vertex_table((np.array([[1.0, 0.0]]), np.array([0.0]))).shape == (0, 2)
+
+    def test_chunks_do_not_change_the_table(self):
+        G = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
+        h = np.array([0.0, 0.0, 0.0, -1.0, -1.0, -1.0, 0.5])
+        assert np.array_equal(vertex_table((G, h), chunk=3), vertex_table((G, h)))
 
 
 class TestLpAgainstVertexOracle:
