@@ -344,15 +344,12 @@ def enumerate_vertices(
     return vertices
 
 
-def vertex_table(
-    ineq: tuple[np.ndarray, np.ndarray], tol: float = FEAS_TOL, chunk: int = 4096
-) -> np.ndarray:
+def vertex_table(ineq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The vertices of :func:`enumerate_vertices`, one per row, from batched
     active-set solves.
 
-    All ``C(m, n)`` active sets are solved ``chunk`` at a time, so the cost
-    is a few stacked LAPACK calls rather than a Python loop; callers bound
-    ``C(m, n)`` themselves.  A set counts as singular when the determinant
+    All ``C(m, n)`` active sets are solved in one stacked LAPACK call rather
+    than a Python loop; callers bound ``C(m, n)`` themselves.  A set counts as singular when the determinant
     of its rows, scaled to unit length, is at most 1e-10.  Feasibility,
     de-duplication and order follow the loop oracle.
     """
@@ -368,16 +365,12 @@ def vertex_table(
     ).reshape(count, n)
     unit = G / np.linalg.norm(G, axis=1, keepdims=True)
     scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    found = [np.zeros((0, n))]
-    for start in range(0, count, chunk):
-        idx = subsets[start : start + chunk]
-        idx = idx[np.abs(np.linalg.det(unit[idx])) > 1e-10]
-        M, rhs = G[idx], h[idx]
-        X = np.linalg.solve(M, rhs[..., None])[..., 0]
-        ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - rhs), axis=1, initial=0.0) <= 1e-8 * scale
-        ok &= np.min(X @ G.T - h, axis=1) >= -tol * (1.0 + np.max(np.abs(X), axis=1))
-        found.append(X[ok])
-    X = np.vstack(found)
+    idx = subsets[np.abs(np.linalg.det(unit[subsets])) > 1e-10]
+    M, rhs = G[idx], h[idx]
+    X = np.linalg.solve(M, rhs[..., None])[..., 0].reshape(-1, n)
+    ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - rhs), axis=1, initial=0.0) <= 1e-8 * scale
+    ok &= np.min(X @ G.T - h, axis=1) >= -FEAS_TOL * (1.0 + np.max(np.abs(X), axis=1))
+    X = X[ok]
     # repeats to 12 decimals (degenerate vertices) first, then the oracle's
     # tolerance against every earlier survivor
     _, first = np.unique(np.round(X, 12) + 0.0, axis=0, return_index=True)

@@ -155,11 +155,6 @@ class TestVertexTable:
     def test_halfspace_has_no_vertex(self):
         assert vertex_table((np.array([[1.0, 0.0]]), np.array([0.0]))).shape == (0, 2)
 
-    def test_chunks_do_not_change_the_table(self):
-        G = np.vstack([np.eye(3), -np.eye(3), np.ones((1, 3))])
-        h = np.array([0.0, 0.0, 0.0, -1.0, -1.0, -1.0, 0.5])
-        assert np.array_equal(vertex_table((G, h), chunk=3), vertex_table((G, h)))
-
 
 class TestLpAgainstVertexOracle:
     def test_random_bounded_lps(self):
