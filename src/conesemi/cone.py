@@ -1,11 +1,14 @@
 """Polyhedral cone algebra: the order structure every other module builds on.
 
 A :class:`PolyCone` carries both descriptions of the same set -- generating
-rays and inward facet normals -- computed from each other by brute-force
-enumeration at construction.  Cones here are pointed and full-dimensional;
-pointedness makes the induced relation a partial order, full-dimensionality
-makes every vector majorizable and keeps the facet description exact.
-Both restrictions are validated, not assumed.
+rays and inward facet normals.  :meth:`PolyCone.from_generators` finds the
+facets by batched enumeration of hyperplanes through (dim-1)-subsets of
+rays.  Cones here are pointed and full-dimensional; pointedness makes the
+induced relation a partial order, full-dimensionality makes every vector
+majorizable and keeps the facet description exact.  Both restrictions are
+validated, not assumed: a full-dimensional cone is pointed exactly when its
+facet normals span the space, and only a cone that fails that test pays
+for the per-ray LPs that name the offending ray.
 
 Membership uses the tight tolerance 1e-10 since it is the primitive that all
 other checks compose.
@@ -27,11 +30,15 @@ from .errors import (
     NotLattice,
     NotPointed,
     NotPositiveFunctional,
+    NumericalFailure,
 )
 from .numerics import LpProblem, as_matrix, as_vector, linear_solve, solve_lp
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
+# (dim-1)-subsets of rays per batched determinant call in facet enumeration;
+# bounds its memory up to the dimension guard
+FACET_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +78,14 @@ class PolyCone:
         """Build the cone spanned by ``rays``; compute facets by enumeration.
 
         Facet normals come from (dim-1)-subsets of rays whose span is a
-        hyperplane with all rays on one side; the surviving rays are then
-        reduced to the extreme ones.  Guarded to dimension 10.
+        hyperplane with all rays on one side, enumerated in blocks of
+        ``FACET_BLOCK`` subsets by stacked determinants and one sign test per
+        block; the surviving rays are then reduced to the extreme ones.
+        Pointedness is read off the facets: a full-dimensional cone is pointed
+        exactly when its dual is, that is, when the facet normals span the
+        space.  Only when they do not (or when no facet exists) do the per-ray
+        LPs run, to name a ray whose negative lies in the cone.  Guarded to
+        dimension 10.
         """
         R = as_matrix(rays)
         k, n = R.shape
@@ -83,18 +96,24 @@ class PolyCone:
             raise MalformedProblem("zero ray among the generators")
 
         R = _dedup_directions(R)
-        _check_pointed(R)
         if np.linalg.matrix_rank(R, tol=1e-10) < n:
+            _check_pointed(R)
             raise NotGenerating(
                 "rays do not span the ambient space; the facet description of a "
                 "lower-dimensional cone needs equalities, which PolyCone does not carry"
             )
 
         if n == 1:
+            if R.shape[0] > 1:
+                _check_pointed(R)
             facets = np.array([[1.0 if R[0, 0] > 0 else -1.0]])
             return cls(R[:1], facets)
 
         facets = _enumerate_facets(R)
+        if np.linalg.matrix_rank(facets, tol=1e-10) < n:
+            _check_pointed(R)
+            if facets.shape[0] == 0:
+                raise NotGenerating("no facet found; rays do not describe a solid cone")
         gens = _extreme_rays(R, facets)
         return cls(gens, facets)
 
@@ -154,10 +173,19 @@ class PolyCone:
     def is_total(self, phis: list[DualVector], tol: float = 1e-9) -> Report:
         """Decide whether joint nonnegativity against ``phis`` implies membership.
 
-        For each facet f the LP ``min <x,f>`` over ``{<x,phi> >= 0,
-        ||x||_inf <= 1}`` is solved; the family is total exactly when every
-        optimum clears ``-tol``.  The box bound is lossless by homogeneity.
-        This is a complete check, not a sampled one.
+        Every member is certified, so ``cone(phis)`` lies in the dual cone K',
+        and by bipolarity the family is total exactly when ``cone(phis) = K'``,
+        that is, when it contains every facet normal f of K.  Such an f spans
+        an extreme ray of K', so it lies in ``cone(phis)`` only as a positive
+        multiple of a member.  Hence a facet passes at once when the member
+        phi most parallel to it satisfies ``||f - c phi||_1 <= tol`` with
+        ``c = max(<f,phi>, 0) / <phi,phi>``: on the box ``||x||_inf <= 1``
+        that gives ``<x,f> >= c <x,phi> - tol >= -tol``, the verdict the
+        facet's LP reaches.  Only the facets with no such member go to that
+        LP, ``min <x,f>`` over ``{<x,phi> >= 0, ||x||_inf <= 1}``; the family
+        is total exactly when every optimum clears ``-tol``, and the LP point
+        is the witness of a ``fails``.  The box bound is lossless by
+        homogeneity.  This is a complete check, not a sampled one.
         """
         if not phis:
             raise EmptyPhi("totality asked for an empty functional family")
@@ -167,24 +195,14 @@ class PolyCone:
                 raise NotPositiveFunctional(f"phi[{i}] lacks a positivity certificate")
             rows.append(as_vector(phi.coords, dim=self.dim))
         Phi = np.vstack(rows)
-        eye = np.eye(self.dim)
-        G = np.vstack([Phi, eye, -eye])
-        h = np.concatenate([np.zeros(len(rows)), -np.ones(2 * self.dim)])
-
-        witnesses = []
-        for f in self.facets:
-            res = solve_lp(LpProblem(objective=f, ineq_constraints=(G, h)))
-            if not res.optimal:  # pragma: no cover - box keeps the LP bounded
-                raise MalformedProblem(f"totality LP returned {res.status}")
-            if res.value < -tol:
-                witnesses.append(
-                    Witness(
-                        point=res.point,
-                        functional=f.copy(),
-                        margin=float(res.value),
-                        label="nonnegative on every phi yet outside the cone",
-                    )
-                )
+        F = self.facets
+        sq = np.sum(Phi * Phi, axis=1)
+        sq[sq == 0.0] = 1.0  # a zero member gets c = 0: its residual is ||f||_1
+        best = np.argmax((F @ Phi.T) / np.sqrt(sq), axis=1)
+        near = Phi[best]
+        c = np.maximum(np.sum(F * near, axis=1), 0.0) / sq[best]
+        matched = np.sum(np.abs(F - c[:, None] * near), axis=1) <= tol
+        witnesses = _facet_lp_witnesses(Phi, F[~matched], tol)
         verdict = FAILS if witnesses else HOLDS
         return Report(
             name="total_set",
@@ -227,42 +245,72 @@ def _check_pointed(R: np.ndarray) -> None:
 
 
 def _enumerate_facets(R: np.ndarray) -> np.ndarray:
+    """Facet normals of ``cone(R)``, scaled to a largest entry of +-1, sorted;
+    an empty (0, n) array when there is none.
+
+    The normal of the span of n-1 rays is their generalized cross product,
+    the signed minors of the (n-1) x n matrix: exact for small integer data,
+    and zero exactly when the rows span less than a hyperplane.  A block of
+    ``FACET_BLOCK`` subsets costs one stacked determinant per deleted column
+    and one matrix product for the sign test against every ray; facets are
+    kept in order of first occurrence and de-duplicated on rounded keys.
+    """
     k, n = R.shape
     found: list[np.ndarray] = []
     seen: set[tuple] = set()
     scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
-    for subset in itertools.combinations(range(k), n - 1):
-        M = R[list(subset)]
-        normal = _hyperplane_normal(M)
-        peak = float(np.max(np.abs(normal)))
-        if peak <= 1e-10 * scale:
-            continue  # subset spans less than a hyperplane
-        normal = normal / normal[int(np.argmax(np.abs(normal)))]
-        for cand in (normal, -normal):
-            if np.min(R @ cand) >= -1e-10:
-                key = tuple(np.round(cand + 0.0, 10))
-                if key not in seen:
-                    seen.add(key)
-                    found.append(cand + 0.0)
-    if not found:
-        raise NotGenerating("no facet found; rays do not describe a solid cone")
-    facets = np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
-    return facets
-
-
-def _hyperplane_normal(M: np.ndarray) -> np.ndarray:
-    """Generalized cross product: signed minors of the (n-1) x n matrix.
-
-    Exact for small integer data, and zero exactly when the rows span less
-    than a hyperplane.
-    """
-    n = M.shape[1]
     cols = np.arange(n)
-    normal = np.empty(n)
-    for i in range(n):
-        minor = M[:, cols != i]
-        normal[i] = (-1.0) ** i * (np.linalg.det(minor) if minor.size else 1.0)
-    return normal
+    signs = (-1.0) ** cols
+    subsets = itertools.combinations(range(k), n - 1)
+    while (block := np.fromiter(itertools.islice(subsets, FACET_BLOCK), (np.intp, n - 1))).size:
+        M = R[block]
+        normals = np.stack([np.linalg.det(M[:, :, cols != i]) for i in range(n)], axis=1) * signs
+        normals = normals[np.max(np.abs(normals), axis=1) > 1e-10 * scale]
+        pivots = normals[np.arange(normals.shape[0]), np.argmax(np.abs(normals), axis=1)]
+        normals = normals / pivots[:, None]
+        P = normals @ R.T
+        ok = np.stack([np.min(P, axis=1) >= -1e-10, np.max(P, axis=1) <= 1e-10], axis=1)
+        cands = np.stack([normals, -normals], axis=1)[ok] + 0.0
+        for cand, key in zip(cands, map(tuple, np.round(cands, 10))):
+            if key not in seen:
+                seen.add(key)
+                found.append(cand)
+    if not found:
+        return np.empty((0, n))
+    return np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
+
+
+def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list[Witness]:
+    """The totality LP per facet: ``min <x,f>`` over ``{Phi x >= 0, ||x||_inf <= 1}``.
+
+    Returns a witness for each facet whose optimum falls below ``-tol``.  The
+    LP point is re-checked at the verdict's scale first; a point that the
+    family refutes raises :class:`NumericalFailure` instead of a ``fails``
+    whose own witness contradicts it.
+    """
+    n = Phi.shape[1]
+    eye = np.eye(n)
+    G = np.vstack([Phi, eye, -eye])
+    h = np.concatenate([np.zeros(Phi.shape[0]), -np.ones(2 * n)])
+    witnesses = []
+    for f in facets:
+        res = solve_lp(LpProblem(objective=f, ineq_constraints=(G, h)))
+        if not res.optimal:  # pragma: no cover - box keeps the LP bounded
+            raise MalformedProblem(f"totality LP returned {res.status}")
+        if res.value < -tol:
+            x = res.point
+            slack = tol * (1.0 + float(np.max(np.abs(x))))
+            if np.min(Phi @ x) < -slack or not float(f @ x) < -tol:
+                raise NumericalFailure("totality LP point is refuted by the family it solved")
+            witnesses.append(
+                Witness(
+                    point=x,
+                    functional=f.copy(),
+                    margin=float(res.value),
+                    label="nonnegative on every phi yet outside the cone",
+                )
+            )
+    return witnesses
 
 
 def _extreme_rays(R: np.ndarray, facets: np.ndarray) -> np.ndarray:

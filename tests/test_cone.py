@@ -1,9 +1,19 @@
-"""Cone algebra: dual descriptions, order queries, positive parts, totality."""
+"""Cone algebra: dual descriptions, order queries, positive parts, totality.
+
+The batched facet enumeration is checked bit for bit against the loop it
+replaced, kept here as the oracle.  ``is_total`` is checked against its own
+per-facet LP run on every facet, and against scipy's HiGHS where that LP
+gives up.
+"""
+
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from conesemi.cone import PolyCone
+from conesemi import cone as cone_module
+from conesemi.cone import PolyCone, _enumerate_facets, _facet_lp_witnesses
 from conesemi.errors import (
     DimensionMismatch,
     EmptyPhi,
@@ -12,8 +22,12 @@ from conesemi.errors import (
     NotLattice,
     NotPointed,
     NotPositiveFunctional,
+    NumericalFailure,
 )
 from conesemi.numerics import LpProblem, solve_lp
+from conesemi.report import FAILS, HOLDS
+
+TOTALITY_TOL = 1e-9
 
 
 @pytest.fixture
@@ -31,6 +45,70 @@ def diamond():
 def pyramid():
     # four extreme rays over a square base: not simplicial
     return PolyCone.from_generators([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]])
+
+
+def sphere_rays(rng, n, k):
+    """The benchmark's cone construction: rays ``(1, rho z_i)``, z_i on the
+    unit sphere of R^(n-1) and one radius rho, so every ray is extreme."""
+    z = rng.standard_normal((k, n - 1))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return np.hstack([np.ones((k, 1)), z * rng.uniform(0.5, 1.0)])
+
+
+def random_cone(rng, n, k):
+    """A cone from ``sphere_rays``, redrawn until the rays span R^n (in R^2
+    all k rays can fall on one side)."""
+    while True:
+        rays = sphere_rays(rng, n, k)
+        if np.linalg.matrix_rank(rays) == n:
+            return PolyCone.from_generators(rays)
+
+
+def hyperplane_normal(M):
+    """Generalized cross product: signed minors of the (n-1) x n matrix."""
+    n = M.shape[1]
+    cols = np.arange(n)
+    normal = np.empty(n)
+    for i in range(n):
+        minor = M[:, cols != i]
+        normal[i] = (-1.0) ** i * (np.linalg.det(minor) if minor.size else 1.0)
+    return normal
+
+
+def loop_enumerate_facets(R):
+    """Facet enumeration one subset at a time: the oracle for the batched
+    ``_enumerate_facets``."""
+    k, n = R.shape
+    found = []
+    seen = set()
+    scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
+    for subset in itertools.combinations(range(k), n - 1):
+        M = R[list(subset)]
+        normal = hyperplane_normal(M)
+        peak = float(np.max(np.abs(normal)))
+        if peak <= 1e-10 * scale:
+            continue  # subset spans less than a hyperplane
+        normal = normal / normal[int(np.argmax(np.abs(normal)))]
+        for cand in (normal, -normal):
+            if np.min(R @ cand) >= -1e-10:
+                key = tuple(np.round(cand + 0.0, 10))
+                if key not in seen:
+                    seen.add(key)
+                    found.append(cand + 0.0)
+    if not found:
+        raise NotGenerating("no facet found; rays do not describe a solid cone")
+    return np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
+
+
+def count_lp_calls(monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(cone_module, "solve_lp", counted)
+    return calls
 
 
 def directions(rows):
@@ -69,6 +147,23 @@ class TestConstruction:
         with pytest.raises(NotGenerating):
             PolyCone.from_generators([[1, 1]])
 
+    def test_whole_space_not_pointed(self):
+        # no facet at all: the per-ray LPs name the line
+        with pytest.raises(NotPointed):
+            PolyCone.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
+
+    def test_half_space_not_pointed(self):
+        # one facet, e_3, whose normals cannot span R^3
+        with pytest.raises(NotPointed):
+            PolyCone.from_generators([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
+
+    def test_pointed_cones_build_without_lps(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        rng = np.random.default_rng(35)
+        for n, k in ((2, 2), (3, 9), (4, 7), (6, 10), (8, 9)):
+            assert random_cone(rng, n, k).generators.shape[0] == k
+        assert calls == []
+
     def test_enumeration_guard(self):
         from conesemi.errors import DimensionTooLarge
 
@@ -97,6 +192,39 @@ class TestConstruction:
     def test_pyramid_has_four_facets(self, pyramid):
         assert pyramid.facets.shape[0] == 4
         assert pyramid.generators.shape[0] == 4
+
+
+class TestFacetEnumeration:
+    @staticmethod
+    def ray_sets():
+        """Random cones in R^2..R^8: extreme rays only, extra non-extreme rays,
+        repeated directions, and small-integer rays with coplanar subsets."""
+        rng = np.random.default_rng(36)
+        sets = []
+        for n in range(2, 9):
+            for k in (n, n + 3):
+                rays = sphere_rays(rng, n, k)
+                sets.append(rays)
+                inner = rng.uniform(0.0, 1.0, (3, k)) @ rays
+                sets.append(np.vstack([rays, inner])[rng.permutation(k + 3)])
+                sets.append(np.vstack([rays, 2.5 * rays[:2], rays[:1]]))
+                grid = rng.integers(-2, 3, (k + 2, n - 1))
+                sets.append(np.hstack([np.ones((k + 2, 1)), grid]).astype(float))
+        square = [[1.0, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1], [0, 1, 1], [1, 0, 1]]
+        sets.append(np.array(square))
+        return sets
+
+    def test_batched_equals_loop_bit_for_bit(self, monkeypatch):
+        for R in self.ray_sets():
+            expected = loop_enumerate_facets(R)
+            for block in (7, cone_module.FACET_BLOCK):
+                monkeypatch.setattr(cone_module, "FACET_BLOCK", block)
+                got = _enumerate_facets(R)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_no_facet_is_an_empty_table(self):
+        assert _enumerate_facets(np.vstack([np.eye(3), -np.eye(3)])).shape == (0, 3)
 
 
 class TestMembershipAndOrder:
@@ -241,6 +369,116 @@ class TestTotality:
     def test_strict_subfamily_of_pyramid_facets_not_total(self, pyramid):
         phis = [pyramid.certify_functional(f) for f in pyramid.facets[:2]]
         assert pyramid.is_total(phis).verdict == "fails"
+
+    @staticmethod
+    def assert_valid_witness(Phi, witness, K=None):
+        x = witness.point
+        assert np.min(Phi @ x) >= -TOTALITY_TOL * (1.0 + np.max(np.abs(x)))
+        assert witness.functional @ x < -TOTALITY_TOL
+        if K is not None:
+            assert not K.contains(x, tol=TOTALITY_TOL)
+
+    @staticmethod
+    def highs_verdict(Phi, facets):
+        """Independent oracle: the per-facet totality LP solved by HiGHS."""
+        worst = np.inf
+        for f in facets:
+            res = linprog(
+                f,
+                A_ub=-Phi,
+                b_ub=np.zeros(Phi.shape[0]),
+                bounds=(-1, 1),
+                method="highs",
+                options={
+                    "primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10,
+                },
+            )
+            assert res.status == 0
+            worst = min(worst, res.fun)
+        return FAILS if worst < -TOTALITY_TOL else HOLDS
+
+    def test_matches_facet_lp_oracle(self):
+        """Families on random cones in R^2..R^8: the facets shuffled, scaled
+        and mixed with other positive functionals; strict subfamilies; one
+        facet moved into the interior of K' by ||delta||_1 just below and
+        well above the tolerance.  Where the per-facet LP over every facet
+        returns, the report equals its own; where the simplex gives up, the
+        report either gives up on the same LP or agrees with HiGHS."""
+        rng = np.random.default_rng(37)
+        compared = total = 0
+        for n in range(2, 9):
+            for _ in range(2):
+                K = random_cone(rng, n, n + int(rng.integers(0, 3)))
+                F = K.facets
+                m = F.shape[0]
+                scaled = F * rng.uniform(0.1, 10.0, (m, 1))
+                full = np.vstack([scaled, rng.uniform(0.0, 1.0, (3, m)) @ F])
+                families = [
+                    full[rng.permutation(full.shape[0])],
+                    np.delete(F, rng.integers(m), axis=0),
+                    F[rng.permutation(m)[: max(1, m // 2)]],
+                ]
+                inward = F.sum(axis=0) / np.sum(np.abs(F.sum(axis=0)))
+                for size in (0.9 * TOTALITY_TOL, 100 * TOTALITY_TOL):
+                    moved = F.copy()
+                    moved[rng.integers(m)] += size * inward
+                    families.append(moved)
+                for Phi in families:
+                    phis = [K.certify_functional(p) for p in Phi]
+                    try:
+                        expected = _facet_lp_witnesses(Phi, F, TOTALITY_TOL)
+                    except NumericalFailure:
+                        expected = None  # the simplex gave up on some facet
+                    try:
+                        report = K.is_total(phis)
+                    except NumericalFailure:
+                        assert expected is None  # only on an LP the oracle cannot solve
+                        continue
+                    total += 1
+                    if expected is None:
+                        assert report.verdict == self.highs_verdict(Phi, F)
+                    else:
+                        compared += 1
+                        assert report.verdict == (FAILS if expected else HOLDS)
+                        assert [w.point.tobytes() for w in report.witnesses] == [
+                            w.point.tobytes() for w in expected
+                        ]
+                        assert [w.margin for w in report.witnesses] == [w.margin for w in expected]
+                    for w in report.witnesses:
+                        self.assert_valid_witness(Phi, w, K)
+        assert compared >= total // 2
+
+    def test_lp_path_returns_no_refuted_witness(self):
+        """The per-facet LP run directly on a cone's own facets: each one is
+        in the family, so a returned witness must still satisfy it.  The
+        48-ray cone is one on which the LP's point violates a facet by
+        3e-9; that must raise rather than report ``fails``."""
+        rng = np.random.default_rng(38)
+        cones = [PolyCone.from_generators(sphere_rays(np.random.default_rng(18), 3, 48))]
+        cones += [random_cone(rng, n, n + 2) for n in range(3, 7)]
+        for K in cones:
+            F = K.facets
+            try:
+                witnesses = _facet_lp_witnesses(F, F, TOTALITY_TOL)
+            except NumericalFailure:
+                continue
+            for w in witnesses:
+                self.assert_valid_witness(F, w)
+        with pytest.raises(NumericalFailure):
+            _facet_lp_witnesses(cones[0].facets, cones[0].facets, TOTALITY_TOL)
+
+    @pytest.mark.parametrize("n, k, seed", [(6, 16, 0), (3, 48, 18)])
+    def test_benchmark_cones_total_without_lps(self, n, k, seed, monkeypatch):
+        """Cones on which the all-facet LP check raised ``NumericalFailure``
+        (16 rays in R^6) or returned a self-refuting ``fails`` (48 rays in
+        R^3): their own facets are total, decided with no LP at all."""
+        calls = count_lp_calls(monkeypatch)
+        K = PolyCone.from_generators(sphere_rays(np.random.default_rng(seed), n, k))
+        report = K.is_total([K.certify_functional(f) for f in K.facets])
+        assert report.verdict == HOLDS
+        assert report.notes == ["exact facet-LP check"]
+        assert calls == []
 
 
 class TestImmutability:
