@@ -62,6 +62,7 @@ from .semigroup import (
     euler_power,
     is_contractive,
     is_positive_operator,
+    propagators,
     resolvent_apply,
 )
 
@@ -113,6 +114,7 @@ __all__ = [
     "is_strictly_dissipative_at",
     "linear_solve",
     "matrix_exp",
+    "propagators",
     "regularized_norm",
     "represent_functional",
     "resolvent_apply",

@@ -6,7 +6,17 @@ The interior-node discretization is the tridiagonal stencil
 continuum resolvent ``(I - A)^-1`` has a variation-of-parameters closed
 form whose two integrals are evaluated by composite trapezoid quadrature --
 second order, matching the stencil, so the finite-difference/closed-form
-comparison displays a clean O(h^2) decay.
+comparison displays a clean O(h^2) decay.  :data:`RHS_CASES` and
+:func:`is_second_order` define that comparison for the checks here and for
+the ``dirichlet-demo`` command alike.
+
+:func:`run_dirichlet_checks` builds its propagators with
+:func:`~conesemi.semigroup.propagators` and checks their positivity with
+:func:`~conesemi.semigroup.is_positive_operator` on the orthant, so a
+``fails`` carries generator/facet witnesses.  The positive-part sup-norm
+check stays local: it costs one batched product per propagator, where the
+generic sampled contractivity check with a positive-part norm adds ``2n``
+generator points and several ``n x n`` products.
 """
 
 from __future__ import annotations
@@ -19,9 +29,15 @@ import numpy as np
 from .cone import PolyCone
 from .dissipativity import LinOp, has_positive_off_diagonal
 from .errors import MalformedProblem
-from .numerics import as_vector, linear_solve, matrix_exp
+from .numerics import as_vector, linear_solve
 from .report import FAILS, HOLDS, INCONCLUSIVE, Report, Witness
-from .semigroup import SemigroupConfig, euler_matrix
+from .semigroup import SemigroupConfig, is_positive_operator, propagators
+
+# right-hand sides of the resolvent cross-check, evaluated at the nodes
+RHS_CASES = {
+    "constant": lambda t: np.ones_like(t),
+    "sine": lambda t: np.sin(np.pi * t),
+}
 
 
 @dataclass(frozen=True)
@@ -139,8 +155,9 @@ def run_dirichlet_checks(
     seed: int = 0,
 ) -> Report:
     """Full pipeline on one grid: POD, maximum principle, resolvent
-    cross-check (against the refined grid for the order estimate),
-    semigroup positivity, and positive-part sup-norm contractivity."""
+    cross-check (against the refined grid for the order estimate), then per
+    propagator the exact positivity (``worst_margin`` is the smallest entry
+    of ``T(t)``) and the sampled positive-part sup-norm contractivity."""
     cfg = cfg or SemigroupConfig(method="expm")
     op = dirichlet_laplacian(grid)
     n = grid.n_interior
@@ -155,49 +172,28 @@ def run_dirichlet_checks(
     parts.append(_max_principle_report(op, n_samples, rng))
     parts.append(_cross_check_report(grid))
 
-    positivity_failed = False
-    contractivity_failed = False
     samples = rng.standard_normal((n_samples, n))
-    for t in cfg.t_grid:
-        for method in cfg.methods():
-            T = (
-                matrix_exp(op.matrix, t)
-                if method == "expm"
-                else euler_matrix(op, t, cfg.euler_steps)
-            )
-            worst_entry = float(np.min(T))
-            pos = Report(
-                name=f"positive[t={t:g},{method}]",
-                verdict=FAILS if worst_entry < -1e-12 else HOLDS,
-                tolerance=1e-12,
-                notes=["entrywise sign of the propagator (orthant facets)"],
-                data={"t": float(t), "method": method, "worst_entry": worst_entry},
-            )
-            positivity_failed = positivity_failed or pos.verdict == FAILS
-            parts.append(pos)
+    for t, method, T in propagators(op, cfg):
+        pos = is_positive_operator(T, orthant, tol=1e-12)
+        pos.name = f"positive[t={t:g},{method}]"
+        pos.data.update({"t": t, "method": method})
+        parts.append(pos)
 
-            margins = _positive_part_margins(T, samples)
-            worst = float(np.max(margins))
-            contr = Report(
+        worst = float(np.max(_positive_part_margins(T, samples)))
+        parts.append(
+            Report(
                 name=f"positive_part_contractive[t={t:g},{method}]",
                 verdict=FAILS if worst > 1e-8 else INCONCLUSIVE,
                 samples_used=n_samples,
                 tolerance=1e-8,
                 notes=["sup-norm of the positive part must not grow"],
-                data={"t": float(t), "method": method, "worst_margin": worst},
+                data={"t": t, "method": method, "worst_margin": worst},
             )
-            contractivity_failed = contractivity_failed or contr.verdict == FAILS
-            parts.append(contr)
+        )
 
-    failed = (
-        any(p.verdict == FAILS for p in parts[:3])
-        or positivity_failed
-        or contractivity_failed
-    )
-    verdict = FAILS if failed else INCONCLUSIVE
     return Report(
         name=f"dirichlet_checks[N={n}]",
-        verdict=verdict,
+        verdict=FAILS if any(p.verdict == FAILS for p in parts) else INCONCLUSIVE,
         samples_used=sum(p.samples_used for p in parts),
         tolerance=1e-8,
         notes=["maximum principle and contractivity are sampled; the rest is exact"],
@@ -234,13 +230,9 @@ def _max_principle_report(op: LinOp, n_samples: int, rng) -> Report:
 def _cross_check_report(grid: Grid) -> Report:
     """FD vs closed form on this grid and the once-refined grid."""
     fine = 2 * grid.n_interior + 1
-    cases = {
-        "constant": lambda t: np.ones_like(t),
-        "sine": lambda t: np.sin(np.pi * t),
-    }
     data = {}
     ok = True
-    for label, rhs in cases.items():
+    for label, rhs in RHS_CASES.items():
         rows = convergence_study([grid.n_interior, fine], rhs)
         ratio = rows[1]["ratio"]
         data[label] = {
@@ -248,7 +240,7 @@ def _cross_check_report(grid: Grid) -> Report:
             "refined_sup_error": rows[1]["sup_error"],
             "ratio": ratio,
         }
-        ok = ok and ratio is not None and 3.5 <= ratio <= 4.5
+        ok = ok and is_second_order(ratio)
     return Report(
         name="resolvent_cross_check",
         verdict=HOLDS if ok else FAILS,
@@ -256,6 +248,12 @@ def _cross_check_report(grid: Grid) -> Report:
         notes=["second-order agreement between stencil solve and closed form"],
         data=data,
     )
+
+
+def is_second_order(ratio: float | None) -> bool:
+    """An error ratio under halving ``h`` near 4, as a second-order scheme
+    gives; ``None`` (no coarser grid to compare with) is not."""
+    return ratio is not None and 3.5 <= ratio <= 4.5
 
 
 def _positive_part_margins(T: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -276,18 +276,15 @@ def has_positive_off_diagonal(
     facets = cone.facets
     pairing = gens @ facets.T               # <g, f> for every pair
     image = (A @ gens.T).T @ facets.T       # <A g, f>
-    witnesses = []
-    for i in range(gens.shape[0]):
-        for j in range(facets.shape[0]):
-            if pairing[i, j] <= pair_tol and image[i, j] < -tol:
-                witnesses.append(
-                    Witness(
-                        point=gens[i].copy(),
-                        functional=facets[j].copy(),
-                        margin=float(image[i, j]),
-                        label=f"pair(g[{i}], f[{j}])",
-                    )
-                )
+    witnesses = [
+        Witness(
+            point=gens[i].copy(),
+            functional=facets[j].copy(),
+            margin=float(image[i, j]),
+            label=f"pair(g[{i}], f[{j}])",
+        )
+        for i, j in zip(*np.nonzero((pairing <= pair_tol) & (image < -tol)))
+    ]
     verdict = FAILS if witnesses else HOLDS
     return Report(
         name="positive_off_diagonal",

@@ -473,33 +473,8 @@ class CanonicalHalfNorm(HalfNorm):
         if self.cone.contains(-x):
             return 0.0
         F = self.cone.facets
-        nf, n = F.shape
-        w = self.norm.weights
-        if self.norm.kind == LINF:
-            # variables (y, s): minimize s with +-w_i y_i <= s
-            n_vars = n + 1
-            G = np.zeros((nf + 2 * n, n_vars))
-            h = np.zeros(nf + 2 * n)
-            G[:nf, :n] = F
-            h[:nf] = F @ x
-            G[nf : nf + n, :n] = -np.diag(w)
-            G[nf : nf + n, n] = 1.0
-            G[nf + n :, :n] = np.diag(w)
-            G[nf + n :, n] = 1.0
-            obj = np.zeros(n_vars)
-            obj[n] = 1.0
-        else:
-            # variables (y, a): minimize w.a with -a <= y <= a
-            n_vars = 2 * n
-            G = np.zeros((nf + 2 * n, n_vars))
-            h = np.zeros(nf + 2 * n)
-            G[:nf, :n] = F
-            h[:nf] = F @ x
-            G[nf : nf + n, :n] = -np.eye(n)
-            G[nf : nf + n, n:] = np.eye(n)
-            G[nf + n :, :n] = np.eye(n)
-            G[nf + n :, n:] = np.eye(n)
-            obj = np.concatenate([np.zeros(n), w])
+        # variables (y, epigraph): y - x in K, minimize ||y||
+        obj, G, h, _ = _append_norm_objective(self.norm, F, F @ x, z_start=0)
         val, _ = _solve_bounded(
             LpProblem(objective=obj, ineq_constraints=(G, h)), "canonical half-norm"
         )

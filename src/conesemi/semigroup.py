@@ -2,11 +2,14 @@
 and the contractivity/positivity pipelines.
 
 The exponential formula is realized at finite ``n`` as ``(I - (t/n) A)^-n``,
-reusing one LU factorization across the ``n`` solves.  Positivity of a
-matrix against a cone is an exact generator/facet check; contractivity
-against a half-norm is sampled.  Pipeline verdicts are three-valued
-(holds / fails / vacuous): the hypotheses themselves can only be sampled,
-and the reports keep that asymmetry explicit rather than claiming proofs.
+reusing one LU factorization across the ``n`` solves.  :func:`propagators`
+is the one place that builds ``T(t)`` over a time grid, by backward Euler or
+the matrix exponential; the pipelines here and the Dirichlet checks all loop
+over it.  Positivity of a matrix against a cone is an exact generator/facet
+check; contractivity against a half-norm is sampled.  Pipeline verdicts are
+three-valued (holds / fails / vacuous): the hypotheses themselves can only be
+sampled, and the reports keep that asymmetry explicit rather than claiming
+proofs.
 """
 
 from __future__ import annotations
@@ -97,6 +100,19 @@ def euler_matrix(op, t: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(R, n)
 
 
+def propagators(op, cfg: SemigroupConfig):
+    """Yield ``(t, method, T(t))`` over the time grid of ``cfg``, t-major and
+    method-minor: the matrix exponential for ``expm``, the backward-Euler
+    power with ``cfg.euler_steps`` steps for ``euler``."""
+    A = _op_matrix(op)
+    for t in cfg.t_grid:
+        for method in cfg.methods():
+            if method == "expm":
+                yield t, method, matrix_exp(A, t)
+            else:
+                yield t, method, euler_matrix(A, t, cfg.euler_steps)
+
+
 def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     """Exact positivity: T must map every generator into the cone.
 
@@ -107,18 +123,17 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     if T.shape[0] != cone.dim:
         raise MalformedProblem("operator and cone dimensions differ")
     margins = cone.facets @ (T @ cone.generators.T)  # facet x generator
-    witnesses = []
-    for j in range(cone.generators.shape[0]):
-        worst = int(np.argmin(margins[:, j]))
-        if margins[worst, j] < -tol:
-            witnesses.append(
-                Witness(
-                    point=cone.generators[j].copy(),
-                    functional=cone.facets[worst].copy(),
-                    margin=float(margins[worst, j]),
-                    label=f"T(generator[{j}]) violates facet[{worst}]",
-                )
-            )
+    worst = np.argmin(margins, axis=0)
+    worst_margins = margins[worst, np.arange(margins.shape[1])]
+    witnesses = [
+        Witness(
+            point=cone.generators[j].copy(),
+            functional=cone.facets[worst[j]].copy(),
+            margin=float(worst_margins[j]),
+            label=f"T(generator[{j}]) violates facet[{worst[j]}]",
+        )
+        for j in np.nonzero(worst_margins < -tol)[0]
+    ]
     return Report(
         name="positive_operator",
         verdict=FAILS if witnesses else HOLDS,
@@ -139,27 +154,36 @@ def is_contractive(
     n = halfnorm.dim
     if T.shape[0] != n:
         raise MalformedProblem("operator and half-norm dimensions differ")
+    G = halfnorm.cone.generators.astype(float)
+    k = G.shape[0]
     rng = np.random.default_rng(seed)
-    points = [(f"generator[{i}]", g.astype(float)) for i, g in enumerate(halfnorm.cone.generators)]
-    points += [(f"-generator[{i}]", -g) for i, (_, g) in enumerate(points)]
-    points += [(f"sample[{k}]", rng.standard_normal(n)) for k in range(n_samples)]
-    X = np.vstack([x for _, x in points])
+    X = np.vstack([G, -G, rng.standard_normal((n_samples, n))])
     margins = halfnorm.values(X @ T.T) - halfnorm.values(X)
     worst = float(np.max(margins))
     witnesses = [
-        Witness(point=x, functional=None, margin=float(margin), label=label)
-        for (label, x), margin in zip(points, margins)
-        if margin > tol
+        Witness(point=X[i].copy(), functional=None, margin=float(margins[i]),
+                label=_point_label(i, k))
+        for i in np.nonzero(margins > tol)[0]
     ]
     return Report(
         name=f"contractive[{halfnorm.variant}]",
         verdict=FAILS if witnesses else INCONCLUSIVE,
         witnesses=witnesses,
-        samples_used=len(points),
+        samples_used=X.shape[0],
         tolerance=tol,
         notes=["sampled check: a pass is evidence, not a proof"],
         data={"worst_margin": worst},
     )
+
+
+def _point_label(i: int, k: int) -> str:
+    """Label of row ``i`` of the points of :func:`is_contractive`: ``k``
+    generators, then their negatives, then the samples."""
+    if i < k:
+        return f"generator[{i}]"
+    if i < 2 * k:
+        return f"-generator[{i - k}]"
+    return f"sample[{i - 2 * k}]"
 
 
 def check_resolvent_contractivity(
@@ -178,9 +202,7 @@ def check_resolvent_contractivity(
     sampling finds.
     """
     gauge = FunctionalGauge(cone, phi)
-    hypothesis = certify_dissipative(op, gauge, n_samples=n_samples, seed=seed)
-    hypothesis.name = "hypothesis:" + hypothesis.name
-    hypothesis.data["role"] = "hypothesis"
+    hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
     resolvent = _resolvent_matrix(op, lam)
     conclusion = is_contractive(resolvent, gauge, n_samples=n_samples, seed=seed)
     conclusion.name = f"conclusion:contractive[lam={lam:g}]"
@@ -205,6 +227,16 @@ def check_resolvent_contractivity(
     )
 
 
+def _dissipativity_hypothesis(
+    op: LinOp, gauge: HalfNorm, n_samples: int, seed: int, name: str | None = None
+) -> Report:
+    """Sampled dissipativity certificate, named and tagged as a hypothesis."""
+    rep = certify_dissipative(op, gauge, n_samples=n_samples, seed=seed)
+    rep.name = "hypothesis:" + (name or rep.name)
+    rep.data["role"] = "hypothesis"
+    return rep
+
+
 def _resolvent_matrix(op, lam: float) -> np.ndarray:
     A = _op_matrix(op)
     if lam <= 0:
@@ -224,26 +256,17 @@ def check_semigroup_contractivity(
     T(t) built by the configured methods on the whole time grid."""
     cfg = cfg or SemigroupConfig()
     gauge = FunctionalGauge(cone, phi)
-    hypothesis = certify_dissipative(op, gauge, n_samples=n_samples, seed=seed)
-    hypothesis.name = "hypothesis:" + hypothesis.name
-    hypothesis.data["role"] = "hypothesis"
-    parts = [hypothesis]
-    conclusion_failed = False
-    for t in cfg.t_grid:
-        for method in cfg.methods():
-            T = (
-                matrix_exp(op.matrix, t)
-                if method == "expm"
-                else euler_matrix(op, t, cfg.euler_steps)
-            )
-            rep = is_contractive(T, gauge, n_samples=n_samples, seed=seed)
-            rep.name = f"contractive[t={t:g},{method}]"
-            rep.data.update({"role": "conclusion", "t": float(t), "method": method})
-            parts.append(rep)
-            conclusion_failed = conclusion_failed or rep.verdict == FAILS
+    hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
+    conclusions = []
+    for t, method, T in propagators(op, cfg):
+        rep = is_contractive(T, gauge, n_samples=n_samples, seed=seed)
+        rep.name = f"contractive[t={t:g},{method}]"
+        rep.data.update({"role": "conclusion", "t": t, "method": method})
+        conclusions.append(rep)
+    parts = [hypothesis, *conclusions]
     if hypothesis.verdict == FAILS:
         verdict, notes = VACUOUS, ["dissipativity hypothesis failed on a sample"]
-    elif conclusion_failed:
+    elif any(p.verdict == FAILS for p in conclusions):
         verdict, notes = FAILS, ["T(t) contractivity violated despite sampled hypothesis"]
     else:
         verdict, notes = HOLDS, ["hypothesis sampled-pass; T(t) contractive on all test points"]
@@ -282,34 +305,24 @@ def check_semigroup_positivity(
             subreports=parts,
         )
 
-    hypothesis_failed = False
-    for i, phi in enumerate(phi_set):
-        rep = certify_dissipative(
-            op, FunctionalGauge(cone, phi), n_samples=n_samples, seed=seed + i
+    hypotheses = [
+        _dissipativity_hypothesis(
+            op, FunctionalGauge(cone, phi), n_samples, seed + i, name=f"dissipative[phi[{i}]]"
         )
-        rep.name = f"hypothesis:dissipative[phi[{i}]]"
-        rep.data["role"] = "hypothesis"
-        parts.append(rep)
-        hypothesis_failed = hypothesis_failed or rep.verdict == FAILS
+        for i, phi in enumerate(phi_set)
+    ]
+    conclusions = []
+    for t, method, T in propagators(op, cfg):
+        rep = is_positive_operator(T, cone)
+        rep.name = f"positive[t={t:g},{method}]"
+        rep.data.update({"role": "conclusion", "t": t, "method": method})
+        conclusions.append(rep)
+    parts += hypotheses + conclusions
 
-    conclusion_failed = False
-    for t in cfg.t_grid:
-        for method in cfg.methods():
-            T = (
-                matrix_exp(op.matrix, t)
-                if method == "expm"
-                else euler_matrix(op, t, cfg.euler_steps)
-            )
-            rep = is_positive_operator(T, cone)
-            rep.name = f"positive[t={t:g},{method}]"
-            rep.data.update({"role": "conclusion", "t": float(t), "method": method})
-            parts.append(rep)
-            conclusion_failed = conclusion_failed or rep.verdict == FAILS
-
-    if hypothesis_failed:
+    if any(p.verdict == FAILS for p in hypotheses):
         verdict = VACUOUS
         notes = ["a dissipativity hypothesis failed; positivity results are informational"]
-    elif conclusion_failed:
+    elif any(p.verdict == FAILS for p in conclusions):
         verdict = FAILS
         notes = ["T(t) left the cone on the grid despite sampled hypotheses"]
     else:

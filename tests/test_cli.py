@@ -201,6 +201,24 @@ class TestJsonReport:
             bodies.append(body)
         assert bodies[0] == bodies[1]
 
+    def test_dirichlet_demo_determinism_and_check_names(self, tmp_path):
+        bodies = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            code = run(["dirichlet-demo", "--grid-sizes", 7, 15, "--t-grid", 0.1, 1,
+                        "--samples", 20, "--json-out", out, "--quiet"])
+            assert code == 0
+            body = json.loads(out.read_text())
+            body.pop("wall_time_s")
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+        assert [c["name"] for c in bodies[0]["checks"]] == [
+            "convergence[constant]",
+            "convergence[sine]",
+            "dirichlet_checks[N=7]",
+            "dirichlet_checks[N=15]",
+        ]
+
 
 class TestSeedResolution:
     def test_env_seed_used(self, tmp_path, monkeypatch):

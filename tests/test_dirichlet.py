@@ -15,7 +15,7 @@ from conesemi.dirichlet import (
 from conesemi.dissipativity import is_metzler
 from conesemi.errors import MalformedProblem
 from conesemi.numerics import linear_solve, matrix_exp
-from conesemi.semigroup import SemigroupConfig
+from conesemi.semigroup import SemigroupConfig, euler_matrix
 
 
 class TestGrid:
@@ -175,6 +175,37 @@ class TestPipeline:
         cross = next(s for s in rep.subreports if s.name == "resolvent_cross_check")
         for label in ("constant", "sine"):
             assert 3.5 <= cross.data[label]["ratio"] <= 4.5
+
+    def test_positivity_margin_is_the_smallest_entry(self):
+        grid = Grid(15)
+        A = dirichlet_laplacian(grid)
+        cfg = SemigroupConfig(t_grid=(0.1, 1.0), euler_steps=8, method="both")
+        rep = run_dirichlet_checks(grid, cfg, n_samples=20, seed=3)
+        positivity = [s for s in rep.subreports if s.name.startswith("positive[")]
+        assert [s.name for s in positivity] == [
+            "positive[t=0.1,euler]", "positive[t=0.1,expm]",
+            "positive[t=1,euler]", "positive[t=1,expm]",
+        ]
+        for sub in positivity:
+            t, method = sub.data["t"], sub.data["method"]
+            T = matrix_exp(A.matrix, t) if method == "expm" else euler_matrix(A, t, 8)
+            assert sub.verdict == "holds"
+            assert sub.tolerance == 1e-12
+            assert sub.data["worst_margin"] == np.min(T)
+
+    def test_positivity_failure_carries_witnesses(self, monkeypatch):
+        """A propagator with a negative entry fails with a generator/facet
+        witness at that entry."""
+        import conesemi.dirichlet as dirichlet
+
+        bad = np.eye(7)
+        bad[2, 5] = -1e-6
+        monkeypatch.setattr(dirichlet, "propagators", lambda op, cfg: iter([(0.1, "expm", bad)]))
+        rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)), n_samples=10)
+        pos = next(s for s in rep.subreports if s.name == "positive[t=0.1,expm]")
+        assert rep.verdict == "fails" and pos.verdict == "fails"
+        assert [w.label for w in pos.witnesses] == ["T(generator[5]) violates facet[2]"]
+        assert pos.witnesses[0].margin == -1e-6
 
     def test_euler_method_also_positive(self):
         cfg = SemigroupConfig(t_grid=(0.5,), euler_steps=8, method="euler")

@@ -21,6 +21,7 @@ from conesemi.dissipativity import (
 from conesemi.errors import MalformedProblem, OutsideDomain
 from conesemi.halfnorm import EuclideanNorm, FunctionalGauge
 from conesemi.numerics import LpProblem, solve_lp
+from conesemi.report import Witness
 
 
 @pytest.fixture
@@ -213,6 +214,31 @@ class TestPod:
         rep = has_positive_off_diagonal(matrix_two_restricted, orthant2)
         assert any("partial" in n for n in rep.notes)
 
+    def test_witnesses_match_the_pair_loop(self):
+        """Same witnesses, in the same order, as the generator-major pair loop
+        the check used to run, on random failing operators."""
+        rng = np.random.default_rng(115)
+        cones = [
+            PolyCone.standard_orthant(3),
+            PolyCone.standard_orthant(6),
+            PolyCone.from_generators([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]]),
+            PolyCone.from_generators(np.hstack([np.ones((7, 1)), rng.standard_normal((7, 3))])),
+        ]
+        failing = 0
+        for K in cones:
+            for _ in range(8):
+                A = rng.standard_normal((K.dim, K.dim))
+                rep = has_positive_off_diagonal(LinOp(A), K)
+                expected = pod_pair_loop(A, K.generators, K.facets, 1e-9, 1e-10)
+                assert [w.label for w in rep.witnesses] == [w.label for w in expected]
+                for got, want in zip(rep.witnesses, expected):
+                    assert np.array_equal(got.point, want.point)
+                    assert np.array_equal(got.functional, want.functional)
+                    assert got.margin == want.margin
+                assert rep.verdict == ("fails" if expected else "holds")
+                failing += bool(expected)
+        assert failing >= 24
+
     def test_extreme_pair_reduction_against_sampled_oracle(self):
         """Validates the reduction the POD check rests on (dims <= 4)."""
         rng = np.random.default_rng(114)
@@ -238,6 +264,25 @@ class TestPod:
                     assert oracle_verdict
                 agreements += pair_verdict == oracle_verdict
         assert agreements >= 50  # sampling may miss a thin failing face
+
+
+def pod_pair_loop(A, gens, facets, tol, pair_tol):
+    """The per-pair loop the POD check replaced, kept as its witness oracle."""
+    pairing = gens @ facets.T
+    image = (A @ gens.T).T @ facets.T
+    witnesses = []
+    for i in range(gens.shape[0]):
+        for j in range(facets.shape[0]):
+            if pairing[i, j] <= pair_tol and image[i, j] < -tol:
+                witnesses.append(
+                    Witness(
+                        point=gens[i].copy(),
+                        functional=facets[j].copy(),
+                        margin=float(image[i, j]),
+                        label=f"pair(g[{i}], f[{j}])",
+                    )
+                )
+    return witnesses
 
 
 class TestMetzlerCharacterization:

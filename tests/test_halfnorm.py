@@ -341,7 +341,7 @@ class TestCanonicalValues:
 
     def test_against_brute_force(self, orthant2, diamond):
         rng = np.random.default_rng(102)
-        for K in (orthant2, diamond):
+        for K in (orthant2, diamond, pyramid(np.random.default_rng(104), 3, 6)):
             for kind in ("linf", "l1"):
                 w = rng.uniform(0.5, 2.0, K.dim)
                 norm = WeightedNorm(kind, w)

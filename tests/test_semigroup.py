@@ -19,8 +19,10 @@ from conesemi.semigroup import (
     euler_power,
     is_contractive,
     is_positive_operator,
+    propagators,
     resolvent_apply,
 )
+from conesemi.report import Witness
 
 
 def weighted_dominant_metzler(n, rng):
@@ -118,6 +120,85 @@ class TestEulerPower:
             assert T @ x == pytest.approx(euler_power(LinOp(A), 0.8, 16, x), abs=1e-10)
 
 
+def loop_is_positive_operator(T, cone, tol):
+    """The per-generator loop :func:`is_positive_operator` replaced, kept as
+    the oracle for its witnesses."""
+    margins = cone.facets @ (T @ cone.generators.T)
+    witnesses = []
+    for j in range(cone.generators.shape[0]):
+        worst = int(np.argmin(margins[:, j]))
+        if margins[worst, j] < -tol:
+            witnesses.append(
+                Witness(
+                    point=cone.generators[j].copy(),
+                    functional=cone.facets[worst].copy(),
+                    margin=float(margins[worst, j]),
+                    label=f"T(generator[{j}]) violates facet[{worst}]",
+                )
+            )
+    return witnesses
+
+
+def loop_is_contractive(T, halfnorm, n_samples, seed, tol):
+    """The labelled point list and per-point witness loop that
+    :func:`is_contractive` replaced, kept as the oracle for its witnesses."""
+    rng = np.random.default_rng(seed)
+    points = [(f"generator[{i}]", g.astype(float)) for i, g in enumerate(halfnorm.cone.generators)]
+    points += [(f"-generator[{i}]", -g) for i, (_, g) in enumerate(points)]
+    points += [(f"sample[{k}]", rng.standard_normal(halfnorm.dim)) for k in range(n_samples)]
+    X = np.vstack([x for _, x in points])
+    margins = halfnorm.values(X @ T.T) - halfnorm.values(X)
+    return [
+        Witness(point=x, functional=None, margin=float(margin), label=label)
+        for (label, x), margin in zip(points, margins)
+        if margin > tol
+    ], len(points)
+
+
+def assert_same_witnesses(got, expected):
+    assert [w.label for w in got] == [w.label for w in expected]
+    for g, e in zip(got, expected):
+        assert np.array_equal(g.point, e.point)
+        if e.functional is None:
+            assert g.functional is None
+        else:
+            assert np.array_equal(g.functional, e.functional)
+        assert g.margin == e.margin
+
+
+def oracle_cones(rng):
+    pyramid = np.hstack([np.ones((6, 1)), rng.standard_normal((6, 2))])
+    return [
+        PolyCone.standard_orthant(2),
+        PolyCone.standard_orthant(5),
+        PolyCone.from_generators([[1, 1], [1, -1]]),
+        PolyCone.from_generators(pyramid),
+    ]
+
+
+class TestPropagators:
+    def test_t_major_method_minor_with_the_library_matrices(self):
+        rng = np.random.default_rng(24)
+        A = rng.standard_normal((4, 4)) - 3 * np.eye(4)
+        cfg = SemigroupConfig(t_grid=(0.0, 0.3, 1.0), euler_steps=5, method="both")
+        got = list(propagators(LinOp(A), cfg))
+        assert [(t, m) for t, m, _ in got] == [
+            (0.0, "euler"), (0.0, "expm"),
+            (0.3, "euler"), (0.3, "expm"),
+            (1.0, "euler"), (1.0, "expm"),
+        ]
+        for t, method, T in got:
+            expected = matrix_exp(A, t) if method == "expm" else euler_matrix(LinOp(A), t, 5)
+            assert np.array_equal(T, expected)
+
+    def test_single_method_and_plain_matrix(self):
+        A = np.array([[-2.0, 1.0], [1.0, -2.0]])
+        for method in ("euler", "expm"):
+            cfg = SemigroupConfig(t_grid=(0.5, 2.0), method=method)
+            got = list(propagators(A, cfg))
+            assert [(t, m) for t, m, _ in got] == [(0.5, method), (2.0, method)]
+
+
 class TestPositiveOperator:
     def test_identity(self, orthant2):
         assert is_positive_operator(np.eye(2), orthant2).verdict == "holds"
@@ -145,6 +226,21 @@ class TestPositiveOperator:
         assert is_positive_operator(rot, diamond).verdict == "fails"
         assert is_positive_operator(np.eye(2) * 0.5, diamond).verdict == "holds"
 
+    def test_witnesses_match_the_loop_oracle(self):
+        rng = np.random.default_rng(25)
+        failing = 0
+        for cone in oracle_cones(rng):
+            for k in range(10):
+                # integer entries make facet ties, which must break to the first facet
+                shape = (cone.dim, cone.dim)
+                T = rng.integers(-2, 3, shape) if k % 2 else rng.standard_normal(shape)
+                rep = is_positive_operator(T, cone, tol=1e-9)
+                expected = loop_is_positive_operator(T, cone, 1e-9)
+                assert_same_witnesses(rep.witnesses, expected)
+                assert rep.verdict == ("fails" if expected else "holds")
+                failing += bool(expected)
+        assert failing >= 30
+
 
 class TestContractive:
     def test_identity_margins_zero(self, orthant2):
@@ -160,6 +256,22 @@ class TestContractive:
         rep = is_contractive(2.0 * np.eye(2), FunctionalGauge(orthant2, [1, 1]), 50, 0)
         assert rep.verdict == "fails"
         assert rep.witnesses
+
+    def test_witnesses_match_the_loop_oracle(self):
+        rng = np.random.default_rng(26)
+        kinds = set()
+        for cone in oracle_cones(rng):
+            phi = rng.uniform(0.5, 1.5, cone.facets.shape[0]) @ cone.facets
+            gauge = FunctionalGauge(cone, phi)
+            for seed in range(5):
+                T = 2.0 * rng.standard_normal((cone.dim, cone.dim))
+                rep = is_contractive(T, gauge, n_samples=30, seed=seed, tol=1e-8)
+                expected, n_points = loop_is_contractive(T, gauge, 30, seed, 1e-8)
+                assert expected
+                assert_same_witnesses(rep.witnesses, expected)
+                assert rep.samples_used == n_points
+                kinds.update(w.label.split("[")[0] for w in expected)
+        assert kinds == {"generator", "-generator", "sample"}
 
     def test_regular_contractive_positive_operator(self, orthant2):
         # positive operator contractive for the ambient norm stays
