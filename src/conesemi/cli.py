@@ -28,7 +28,7 @@ from .dirichlet import (
     Grid,
     convergence_study,
     format_convergence_table,
-    is_second_order,
+    order_witnesses,
     run_dirichlet_checks,
 )
 from .dissipativity import certify_dissipative, has_positive_off_diagonal
@@ -267,10 +267,12 @@ def _cmd_dirichlet_demo(args):
     for case, rhs in RHS_CASES.items():
         rows = convergence_study(args.grid_sizes, rhs)
         lines.append(format_convergence_table(rows, label=f"{case} right-hand side"))
+        witnesses = order_witnesses(case, rows)
         checks.append(
             Report(
                 name=f"convergence[{case}]",
-                verdict="holds" if all(is_second_order(r["ratio"]) for r in rows[1:]) else "fails",
+                verdict="fails" if witnesses else "holds",
+                witnesses=witnesses,
                 notes=["sup-error ratio between successive grids must sit near 4"],
                 data={"rows": rows},
             )

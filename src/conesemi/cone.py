@@ -221,11 +221,18 @@ class PolyCone:
 
 
 def _dedup_directions(R: np.ndarray) -> np.ndarray:
+    """The rays whose direction differs from every earlier kept ray's, unit
+    vectors compared in the max norm at 1e-10.  One pairwise comparison
+    settles every ray without an earlier near-duplicate; the greedy pass
+    runs only over the others, in order."""
     unit = R / np.linalg.norm(R, axis=1, keepdims=True)
-    kept: list[int] = []
-    for i in range(R.shape[0]):
-        if not any(np.max(np.abs(unit[i] - unit[j])) <= 1e-10 for j in kept):
-            kept.append(i)
+    near = np.ones((R.shape[0], R.shape[0]), dtype=bool)
+    for col in unit.T:
+        near &= np.abs(col[:, None] - col[None, :]) <= 1e-10
+    near = np.tril(near, k=-1)
+    kept = ~near.any(axis=1)
+    for i in np.flatnonzero(~kept):
+        kept[i] = not np.any(near[i] & kept)
     return R[kept]
 
 

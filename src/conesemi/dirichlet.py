@@ -7,8 +7,8 @@ continuum resolvent ``(I - A)^-1`` has a variation-of-parameters closed
 form whose two integrals are evaluated by composite trapezoid quadrature --
 second order, matching the stencil, so the finite-difference/closed-form
 comparison displays a clean O(h^2) decay.  :data:`RHS_CASES` and
-:func:`is_second_order` define that comparison for the checks here and for
-the ``dirichlet-demo`` command alike.
+:func:`order_witnesses` define that comparison, and the witness of its
+failure, for the checks here and for the ``dirichlet-demo`` command alike.
 
 :func:`run_dirichlet_checks` builds its propagators with
 :func:`~conesemi.semigroup.propagators` and checks their positivity with
@@ -179,11 +179,17 @@ def run_dirichlet_checks(
         pos.data.update({"t": t, "method": method})
         parts.append(pos)
 
-        worst = float(np.max(_positive_part_margins(T, samples)))
+        margins = _positive_part_margins(T, samples)
+        worst = float(np.max(margins))
         parts.append(
             Report(
                 name=f"positive_part_contractive[t={t:g},{method}]",
                 verdict=FAILS if worst > 1e-8 else INCONCLUSIVE,
+                witnesses=[
+                    Witness(point=samples[i], functional=None, margin=float(margins[i]),
+                            label=f"sample[{i}]")
+                    for i in np.flatnonzero(margins > 1e-8)
+                ],
                 samples_used=n_samples,
                 tolerance=1e-8,
                 notes=["sup-norm of the positive part must not grow"],
@@ -231,29 +237,49 @@ def _cross_check_report(grid: Grid) -> Report:
     """FD vs closed form on this grid and the once-refined grid."""
     fine = 2 * grid.n_interior + 1
     data = {}
-    ok = True
+    witnesses = []
     for label, rhs in RHS_CASES.items():
         rows = convergence_study([grid.n_interior, fine], rhs)
-        ratio = rows[1]["ratio"]
         data[label] = {
             "sup_error": rows[0]["sup_error"],
             "refined_sup_error": rows[1]["sup_error"],
-            "ratio": ratio,
+            "ratio": rows[1]["ratio"],
         }
-        ok = ok and is_second_order(ratio)
+        witnesses += order_witnesses(label, rows)
     return Report(
         name="resolvent_cross_check",
-        verdict=HOLDS if ok else FAILS,
+        verdict=FAILS if witnesses else HOLDS,
+        witnesses=witnesses,
         tolerance=0.0,
         notes=["second-order agreement between stencil solve and closed form"],
         data=data,
     )
 
 
-def is_second_order(ratio: float | None) -> bool:
-    """An error ratio under halving ``h`` near 4, as a second-order scheme
-    gives; ``None`` (no coarser grid to compare with) is not."""
-    return ratio is not None and 3.5 <= ratio <= 4.5
+def _order_gap(ratio: float | None) -> float:
+    """How far an error ratio under halving ``h`` lies outside
+    ``[3.5, 4.5]``, the window of a second-order scheme: positive outside.
+    A missing ratio (no coarser grid, or an exact finer one) counts as 0."""
+    return abs((0.0 if ratio is None else ratio) - 4.0) - 0.5
+
+
+def order_witnesses(case: str, rows: list[dict]) -> list[Witness]:
+    """The witness of a convergence study that is not second order: the row
+    whose ratio lies furthest outside the window, with :func:`_order_gap` as
+    its margin.  Empty when every ratio after the first row is near 4."""
+    gaps = [_order_gap(r["ratio"]) for r in rows[1:]]
+    if not gaps or max(gaps) <= 0.0:
+        return []
+    k = int(np.argmax(gaps))
+    row = rows[k + 1]
+    return [
+        Witness(
+            point=None,
+            functional=None,
+            margin=gaps[k],
+            label=f"{case}: error ratio {row['ratio']} at N={row['n_interior']} is not near 4",
+        )
+    ]
 
 
 def _positive_part_margins(T: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -16,18 +16,28 @@ Six variants share one interface (``value`` / ``values`` /
 * ``EuclideanNorm``     -- the plain 2-norm with its analytic subdifferential,
   kept for the 2-d operator fixtures.
 
-The functional and order-unit gauges are support functions of a polytope
-``S``, the subdifferential at 0: ``p(x) = max_{v in S} <x, v>``.  They are
-evaluated in closed form (see each class) at ``x / ||x||_inf`` and batched
-over the rows of a matrix by ``values``; only a functional gauge on a cone
-above ``VERTEX_SUBSET_GUARD`` solves LPs.  The canonical and regularized
-gauges are linear programs; weighted l1/linf ambient norms keep every such
-evaluation an exact LP.  Subdifferentials are returned as constraint
-descriptions (:class:`SubdiffDesc`) supporting linear optimization, built
-from the dual characterizations stated with each variant; they are the
-oracle for the faster ``pairing_extremum``.  Values are clamped so that
-elements of ``-K`` evaluate to exactly 0; downstream positivity logic relies
-on that.
+All but the Euclidean norm are positively homogeneous and zero on ``-K``,
+and each is the support function of a polytope ``S``, its subdifferential
+at 0: ``p(x) = max_{u in S} <x, u>``, a half-norm in the sense of Arendt,
+Chernoff and Kato (J. Operator Theory 8, 1982).  The positive-part norm is
+one only where its ambient norm is monotone for the order.  :class:`HalfNorm` keeps these rules in
+one place.  ``values`` is the one evaluation path: it scales each row by a
+power of two to ``||x||_inf`` in ``[1/2, 1)`` (exact both ways), gives
+exactly 0 on ``-K`` (membership ``MEMBER_TOL`` at that scale; downstream
+positivity logic relies on it), lets the variant evaluate the other rows,
+clamps at 0 and scales back; ``value`` is one row of it.  Each variant
+states ``S`` once as ``{u : G u >= h}``, auxiliary coordinates after the
+first ``dim``.  The subdifferential at ``x`` is the face of ``S`` where
+``<x, u>`` attains ``p(x)``; ``subdifferential`` describes it as a
+:class:`SubdiffDesc`, the oracle for the faster ``pairing_extremum``, which
+takes ``x`` to unit scale first.
+
+The functional and order-unit gauges are closed forms (see each class), the
+positive-part norm is one LU solve per batch.  The canonical and
+regularized gauges, and a functional gauge on a cone above
+``VERTEX_SUBSET_GUARD``, solve one LP per value: ``max <x, u>`` over ``S``.
+Weighted l1/linf ambient norms keep that LP exact, and since ``S`` contains
+0, phase 1 starts at a feasible point.
 """
 
 from __future__ import annotations
@@ -43,8 +53,8 @@ from .errors import (
     DimensionMismatch,
     EmptySubdifferential,
     MalformedProblem,
-    NotGenerating,
     NotOrderUnit,
+    NumericalFailure,
     Unbounded,
     VariantPreconditionFailed,
     VariantUnsupported,
@@ -54,6 +64,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     enumerate_vertices,
+    factorized_solver,
     linear_solve,
     solve_lp,
     vertex_table,
@@ -70,7 +81,7 @@ LINF = "linf"
 # after 10-18 evaluations; a certify gauge gets a median of 131.
 VERTEX_SUBSET_GUARD = 20_000
 # Pairing ties: <x, v> within this of the maximum, relative to the size of
-# the vertices (or facets), with x scaled to ||x||_inf = 1.
+# the vertices (or facets), with x at unit scale.
 TIE_TOL = 1e-9
 
 
@@ -95,10 +106,13 @@ class WeightedNorm:
         return self.weights.size
 
     def value(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
+        return float(self._rows(as_vector(x, dim=self.dim)[None, :])[0])
+
+    def _rows(self, X: np.ndarray) -> np.ndarray:
+        """The norm of each row of a validated matrix."""
         if self.kind == L1:
-            return float(self.weights @ np.abs(x))
-        return float(np.max(self.weights * np.abs(x)))
+            return np.abs(X) @ self.weights
+        return np.max(self.weights * np.abs(X), axis=1)
 
     def dual_value(self, u) -> float:
         u = as_vector(u, dim=self.dim)
@@ -223,7 +237,14 @@ class SubdiffDesc:
 
 
 class HalfNorm:
-    """Common interface: a cone, a value, and a subdifferential description."""
+    """Common interface, and the rules that every half-norm shares.
+
+    A variant states ``_polar``, the set ``S = {u : G u >= h}`` whose
+    support function it is, and may override ``_unit_values`` (its values
+    at unit-scale rows outside ``-K``; by default one LP over ``S`` per row)
+    and ``_pairing`` (the pairing extremum at a unit-scale ``x``; by default
+    an LP over the subdifferential's description).
+    """
 
     variant = "abstract"
 
@@ -234,22 +255,58 @@ class HalfNorm:
     def dim(self) -> int:
         return self.cone.dim
 
-    def value(self, x) -> float:
+    @property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def value(self, x) -> float:
+        """One row of :meth:`values`."""
+        return float(self._values(as_vector(x, dim=self.dim)[None, :])[0])
 
     def values(self, X) -> np.ndarray:
-        """Values at the rows of ``X``; closed-form variants batch this."""
-        return np.array([self.value(x) for x in _as_rows(X, self.dim)])
+        """Values at the rows of ``X`` in one batch."""
+        return self._values(_as_rows(X, self.dim))
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        U, exponent = _unit_rows(X)
+        outside = np.max(U @ self.cone.facets.T, axis=1) > MEMBER_TOL
+        if outside.all():
+            unit_values = self._unit_values(U)
+        else:
+            unit_values = np.zeros(X.shape[0])
+            if outside.any():
+                unit_values[outside] = self._unit_values(U[outside])
+        return np.ldexp(np.maximum(unit_values, 0.0), exponent)
+
+    def _unit_values(self, U: np.ndarray) -> np.ndarray:
+        return np.array([_support(self._polar, u, self.variant) for u in U])
 
     def subdifferential(self, x) -> SubdiffDesc:
-        raise NotImplementedError
+        """The face of ``S`` on which ``<x, u> = p(x)``."""
+        x = as_vector(x, dim=self.dim)
+        G, h = self._polar
+        at_x = np.zeros((1, G.shape[1]))
+        at_x[0, : self.dim] = x
+        return SubdiffDesc(
+            "polyhedral",
+            self.dim,
+            eq=(at_x, np.array([self.value(x)])),
+            ineq=(G, h),
+            n_vars=G.shape[1],
+        )
 
     def pairing_extremum(self, x, c, sense: str = "min") -> tuple[float, np.ndarray]:
         """Extremum of ``<c, u>`` over the subdifferential at ``x``.
 
-        Subclasses may override with an equivalent faster formulation; the
-        default routes through the explicit description.
+        The subdifferential is the same at every positive multiple of ``x``,
+        so ``x`` goes to unit scale first.
         """
+        x = as_vector(x, dim=self.dim)
+        c = as_vector(c, dim=self.dim)
+        _check_sense(sense)
+        return self._pairing(_unit_rows(x[None, :])[0][0], c, sense)
+
+    def _pairing(self, x: np.ndarray, c: np.ndarray, sense: str) -> tuple[float, np.ndarray]:
         return self.subdifferential(x).optimize(c, sense)
 
     def __call__(self, x) -> float:
@@ -263,15 +320,15 @@ def _as_rows(X, dim: int) -> np.ndarray:
     return X
 
 
-def _unit_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to ``||x||_inf = 1``, and the scales; zero rows stay 0."""
-    scale = np.max(np.abs(X), axis=1)
-    return X / np.where(scale > 0, scale, 1.0)[:, None], scale
-
-
-def _unit(x: np.ndarray) -> np.ndarray:
-    peak = float(np.max(np.abs(x)))
-    return x / peak if peak > 0 else x
+def _unit_rows(X: np.ndarray):
+    """Rows times the powers of two that bring ``||x||_inf`` into
+    ``[1/2, 1)``, and the exponents that undo it; zero rows stay 0.  One
+    row takes the scalar ``frexp``, which is the cheap path."""
+    if X.shape[0] == 1:
+        exponent = math.frexp(float(np.max(np.abs(X))))[1]
+        return np.ldexp(X, -exponent), exponent
+    exponent = np.frexp(np.max(np.abs(X), axis=1))[1]
+    return np.ldexp(X, -exponent[:, None]), exponent
 
 
 def _check_sense(sense: str) -> None:
@@ -290,13 +347,42 @@ def _face_extremum(V: np.ndarray, x: np.ndarray, c: np.ndarray, sense: str):
     return float(pairing[k]), face[k].copy()
 
 
-def _solve_bounded(problem: LpProblem, context: str) -> tuple[float, np.ndarray]:
-    res = solve_lp(problem)
-    if res.status == "infeasible":
-        raise NotGenerating(f"{context}: majorant problem infeasible")
-    if res.status == "unbounded":
-        raise Unbounded(f"{context}: unexpectedly unbounded")
-    return float(res.value), res.point
+def _support(polar: tuple[np.ndarray, np.ndarray], c: np.ndarray, context: str) -> float:
+    """``max <c, w>`` over ``{w : G w >= h}``, ``c`` padded with zeros."""
+    G, h = polar
+    objective = np.zeros(G.shape[1])
+    objective[: c.size] = c
+    res = solve_lp(LpProblem(objective=objective, ineq_constraints=(G, h), sense="max"))
+    if not res.optimal:
+        raise NumericalFailure(f"{context}: support LP reported {res.status}")
+    return float(res.value)
+
+
+def _dual_ball(cone: PolyCone, norm: WeightedNorm, blocks: int = 1):
+    """``{(u_1, .., u_b, v) : u_j in K', dual-norm(u_1 + .. + u_b) <= 1}``
+    as ``G w >= h``.
+
+    The dual of weighted l1 is a box (pure rows); the dual of weighted linf
+    is a weighted l1 ball, which needs the split ``v >= |u_1 + .. + u_b|``.
+    """
+    n, w = cone.dim, norm.weights
+    split = norm.kind == LINF
+    width = (blocks + split) * n
+    in_dual_cone = np.zeros((blocks * cone.generators.shape[0], width))
+    in_dual_cone[:, : blocks * n] = np.kron(np.eye(blocks), cone.generators)
+    total = np.zeros((n, width))
+    total[:, : blocks * n] = np.tile(np.eye(n), blocks)
+    zeros = np.zeros(in_dual_cone.shape[0])
+    if not split:
+        return np.vstack([in_dual_cone, -total, total]), np.concatenate([zeros, -w, -w])
+    v = np.zeros((n, width))
+    v[:, blocks * n :] = np.eye(n)
+    mass = np.zeros((1, width))
+    mass[0, blocks * n :] = -1.0 / w
+    return (
+        np.vstack([in_dual_cone, v - total, v + total, mass]),
+        np.concatenate([zeros, np.zeros(2 * n), [-1.0]]),
+    )
 
 
 class FunctionalGauge(HalfNorm):
@@ -305,20 +391,17 @@ class FunctionalGauge(HalfNorm):
     On the cone it equals ``<x, phi>``; on ``-K`` it vanishes.  By LP
     duality it is the support function of
     ``S = { u in K' : phi - u in K' } = { u : 0 <= G u <= G phi }`` (G the
-    generators), ``p(x) = max_{v in S} <x, v>``, and the subdifferential at
-    ``x`` is the face of ``S`` where that maximum is attained.  The path is
-    chosen from the cone, once per gauge and on first use:
+    generators).  The path is chosen from the cone, once per gauge and on
+    first use:
 
     * simplicial cones, any dimension: ``phi = F^T c`` and
       ``p(x) = <c, (F x)^+>``, the pairing extremum taken coordinate by
       coordinate;
     * other cones with ``C(2k, n)`` at most ``VERTEX_SUBSET_GUARD`` (k rays in
       R^n): a vertex table of ``S`` from batched active-set solves;
-    * larger cones: one simplex LP per value and per pairing, the same LPs
-      that serve as the test oracle (``_lp_value`` / ``_lp_pairing``).
+    * larger cones: one simplex LP per value and per pairing.
 
-    Every path evaluates at ``x / ||x||_inf`` and scales back, so the
-    membership short-cuts for ``K`` and ``-K`` are relative tolerances.
+    On ``K`` (at unit scale) the value is ``<x, phi>`` itself.
     """
 
     variant = "functional"
@@ -339,6 +422,11 @@ class FunctionalGauge(HalfNorm):
         return self.functional.coords
 
     @functools.cached_property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
+        G = self.cone.generators
+        return np.vstack([G, -G]), np.concatenate([np.zeros(G.shape[0]), -(G @ self.phi)])
+
+    @functools.cached_property
     def _closed_form(self) -> tuple[str, np.ndarray | None]:
         """``("simplicial", c)`` with ``phi = F^T c``, ``("vertices", V)``
         with the vertex table of ``S``, or ``("lp", None)``."""
@@ -347,76 +435,26 @@ class FunctionalGauge(HalfNorm):
         if k == n and F.shape[0] == n:
             return "simplicial", np.maximum(linear_solve(F.T, self.phi), 0.0)
         if math.comb(2 * k, n) <= VERTEX_SUBSET_GUARD:
-            upper = np.concatenate([np.zeros(k), -(G @ self.phi)])
-            return "vertices", vertex_table((np.vstack([G, -G]), upper))
+            return "vertices", vertex_table(self._polar)
         return "lp", None
 
-    def value(self, x) -> float:
-        return float(self._values(as_vector(x, dim=self.dim)[None, :])[0])
-
-    def values(self, X) -> np.ndarray:
-        return self._values(_as_rows(X, self.dim))
-
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        U, scale = _unit_rows(X)
+    def _unit_values(self, U: np.ndarray) -> np.ndarray:
         FU = U @ self.cone.facets.T
-        in_minus_k = np.max(FU, axis=1) <= MEMBER_TOL
-        # on K the value is <x, phi> exactly, not the closed form's round-off
-        in_k = ~in_minus_k & (np.min(FU, axis=1) >= -MEMBER_TOL)
-        rest = ~(in_minus_k | in_k)
-        out = np.zeros(X.shape[0])
-        out[in_k] = np.maximum(X[in_k] @ self.phi, 0.0)
+        out = U @ self.phi  # exact on K; the closed forms would add round-off
+        rest = np.min(FU, axis=1) < -MEMBER_TOL
         if rest.any():
             kind, table = self._closed_form
             if kind == "simplicial":
-                unit_values = np.maximum(FU[rest], 0.0) @ table
+                out[rest] = np.maximum(FU[rest], 0.0) @ table
             elif kind == "vertices":
-                unit_values = np.max(U[rest] @ table.T, axis=1)
+                out[rest] = np.max(U[rest] @ table.T, axis=1)
             else:
-                unit_values = [self._lp_value(u) for u in U[rest]]
-            out[rest] = scale[rest] * unit_values
+                out[rest] = super()._unit_values(U[rest])
         return out
 
-    def _lp_value(self, x) -> float:
-        """The LP evaluation: the fallback above the guard and the oracle."""
-        x = as_vector(x, dim=self.dim)
-        if self.cone.contains(-x):
-            return 0.0
-        if self.cone.contains(x):
-            return max(0.0, float(self.phi @ x))
-        # majorants written in ray coordinates y = R^T a, a >= 0, which makes
-        # every LP variable sign-constrained and keeps phase 1 minimal
-        R = self.cone.generators
-        F = self.cone.facets
-        val, _ = _solve_bounded(
-            LpProblem(
-                objective=R @ self.phi,
-                ineq_constraints=(F @ R.T, F @ x),
-                nonneg=True,
-            ),
-            "functional gauge",
-        )
-        return max(0.0, val)
-
-    def subdifferential(self, x) -> SubdiffDesc:
-        x = as_vector(x, dim=self.dim)
-        val = self.value(x)
-        G = self.cone.generators
-        ineq_G = np.vstack([G, -G])
-        ineq_h = np.concatenate([np.zeros(G.shape[0]), -(G @ self.phi)])
-        return SubdiffDesc(
-            "polyhedral",
-            self.dim,
-            eq=(x.reshape(1, -1), np.array([val])),
-            ineq=(ineq_G, ineq_h),
-        )
-
-    def pairing_extremum(self, x, c, sense: str = "min") -> tuple[float, np.ndarray]:
+    def _pairing(self, x: np.ndarray, c: np.ndarray, sense: str) -> tuple[float, np.ndarray]:
         """Same extremum as optimizing over :meth:`subdifferential`; the
         equivalence is property-tested on every path."""
-        x = _unit(as_vector(x, dim=self.dim))
-        c = as_vector(c, dim=self.dim)
-        _check_sense(sense)
         kind, table = self._closed_form
         if kind == "vertices":
             return _face_extremum(table, x, c, sense)
@@ -456,8 +494,8 @@ class FunctionalGauge(HalfNorm):
 class CanonicalHalfNorm(HalfNorm):
     """Smallest ambient norm of a majorant: ``inf { ||y|| : y - x in K }``.
 
-    Subdifferential: positive functionals in the dual-norm unit ball that
-    attain the value at ``x``.
+    By LP duality the support function of ``S = { u in K' : dual-norm(u)
+    <= 1 }``, the positive functionals in the dual unit ball.
     """
 
     variant = "canonical"
@@ -468,28 +506,19 @@ class CanonicalHalfNorm(HalfNorm):
             raise DimensionMismatch("norm weights dimension differs from cone")
         self.norm = norm
 
-    def value(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
-        if self.cone.contains(-x):
-            return 0.0
-        F = self.cone.facets
-        # variables (y, epigraph): y - x in K, minimize ||y||
-        obj, G, h, _ = _append_norm_objective(self.norm, F, F @ x, z_start=0)
-        val, _ = _solve_bounded(
-            LpProblem(objective=obj, ineq_constraints=(G, h)), "canonical half-norm"
-        )
-        return max(0.0, val)
-
-    def subdifferential(self, x) -> SubdiffDesc:
-        x = as_vector(x, dim=self.dim)
-        return _dual_ball_subdiff(self.cone, self.norm, x, self.value(x))
+    @functools.cached_property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
+        return _dual_ball(self.cone, self.norm)
 
 
 class PositivePartNorm(HalfNorm):
     """Norm of the positive part; simplicial cones only.
 
-    Subdifferential follows the same dual-ball description as the canonical
-    half-norm, with the value replaced by ``||x^+||``.
+    Evaluated as ``||G^T a^+||`` with ``G^T a = x`` (G the generators), from
+    one cached LU factorization for a whole batch.  Subdifferentials use the
+    canonical half-norm's ``S``, which is this norm's own where the ambient
+    norm is monotone for the order (on orthants, say); elsewhere ``||x^+||``
+    need not be subadditive.
     """
 
     variant = "positive_part"
@@ -504,25 +533,26 @@ class PositivePartNorm(HalfNorm):
             raise DimensionMismatch("norm weights dimension differs from cone")
         self.norm = norm
 
-    def value(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
-        if self.cone.contains(-x):
-            return 0.0
-        return self.norm.value(self.cone.positive_part(x))
+    @functools.cached_property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
+        return _dual_ball(self.cone, self.norm)
 
-    def subdifferential(self, x) -> SubdiffDesc:
-        x = as_vector(x, dim=self.dim)
-        return _dual_ball_subdiff(self.cone, self.norm, x, self.value(x))
+    @functools.cached_property
+    def _ray_coordinates(self):
+        return factorized_solver(self.cone.generators.T)
+
+    def _unit_values(self, U: np.ndarray) -> np.ndarray:
+        coords = self._ray_coordinates(U.T)
+        return self.norm._rows(np.maximum(coords, 0.0).T @ self.cone.generators)
 
 
 class OrderUnitGauge(HalfNorm):
     """Gauge of an interior unit: smallest ``lam >= 0`` with ``x <= lam u``.
 
     Closed facet formula ``max(0, max_f <x,f>/<u,f>)``: the support function
-    of the vertex set ``{0} u { f/<f,u> }``, whose hull is the subdifferential
-    at 0, ``{ u' in K' : <u', u> <= 1 }``.  Values, batches and pairing
-    extrema all come from that table; no LP is solved.  Points of ``-K``
-    (relative to ``||x||_inf``) evaluate to exactly 0.
+    of the vertex set ``{0} u { f/<f,u> }``, whose hull is
+    ``S = { u' in K' : <u', u> <= 1 }``.  Values, batches and pairing
+    extrema all come from that table; no LP is solved.
     """
 
     variant = "order_unit"
@@ -536,46 +566,27 @@ class OrderUnitGauge(HalfNorm):
         F = cone.facets
         self._vertices = np.vstack([np.zeros(cone.dim), F / (F @ unit)[:, None]])
 
-    def value(self, x) -> float:
-        return float(self._values(as_vector(x, dim=self.dim)[None, :])[0])
-
-    def values(self, X) -> np.ndarray:
-        return self._values(_as_rows(X, self.dim))
-
-    def _values(self, X: np.ndarray) -> np.ndarray:
-        out = np.max(X @ self._vertices.T, axis=1)
-        scale = np.max(np.abs(X), axis=1)
-        out[np.max(X @ self.cone.facets.T, axis=1) <= MEMBER_TOL * scale] = 0.0
-        return out
-
-    def subdifferential(self, x) -> SubdiffDesc:
-        x = as_vector(x, dim=self.dim)
-        val = self.value(x)
+    @functools.cached_property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         G = self.cone.generators
-        ineq_G = np.vstack([G, -self.unit.reshape(1, -1)])
-        ineq_h = np.concatenate([np.zeros(G.shape[0]), [-1.0]])
-        return SubdiffDesc(
-            "polyhedral",
-            self.dim,
-            eq=(x.reshape(1, -1), np.array([val])),
-            ineq=(ineq_G, ineq_h),
-        )
+        return np.vstack([G, -self.unit[None, :]]), np.concatenate([np.zeros(G.shape[0]), [-1.0]])
 
-    def pairing_extremum(self, x, c, sense: str = "min") -> tuple[float, np.ndarray]:
-        """Same extremum as optimizing over :meth:`subdifferential`, taken
-        over the table vertices that attain the value at ``x``."""
-        x = _unit(as_vector(x, dim=self.dim))
-        c = as_vector(c, dim=self.dim)
-        _check_sense(sense)
+    def _unit_values(self, U: np.ndarray) -> np.ndarray:
+        return np.max(U @ self._vertices.T, axis=1)
+
+    def _pairing(self, x: np.ndarray, c: np.ndarray, sense: str) -> tuple[float, np.ndarray]:
         return _face_extremum(self._vertices, x, c, sense)
 
 
 class RegularizedGauge(HalfNorm):
-    """Majorant gauge of the regularized norm, flattened into one LP.
+    """Majorant gauge of the regularized norm.
 
-    ``inf { ||z|| : -z <= y <= z, y >= 0, y >= x }`` with all inequalities in
-    the cone order.  A strict half-norm; no closed dual form is implemented,
-    so subdifferentials raise.
+    ``inf { ||z|| : -z <= y <= z, y >= 0, y >= x }`` with all inequalities
+    in the cone order; a strict half-norm.  Taking ``y = z`` shows it is
+    ``inf { ||z|| : z >= 0, z >= x }``, and by LP duality the support
+    function of ``S = { u in K' : u + v in the dual unit ball for some
+    v in K' }``.  Subdifferentials, faces of that projection, are not
+    offered.
     """
 
     variant = "regular_gauge"
@@ -586,47 +597,28 @@ class RegularizedGauge(HalfNorm):
             raise DimensionMismatch("norm weights dimension differs from cone")
         self.norm = norm
 
-    def value(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
-        if self.cone.contains(-x):
-            return 0.0
-        F = self.cone.facets
-        nf, n = F.shape
-        # variables (y, z, aux); cone rows then norm epigraph rows
-        rows = []
-        rhs = []
-        zero = np.zeros((nf, n))
-        rows.append(np.hstack([F, zero]))  # y in K
-        rhs.append(np.zeros(nf))
-        rows.append(np.hstack([F, zero]))  # y - x in K
-        rhs.append(F @ x)
-        rows.append(np.hstack([-F, F]))  # z - y in K
-        rhs.append(np.zeros(nf))
-        rows.append(np.hstack([F, F]))  # z + y in K
-        rhs.append(np.zeros(nf))
-        G0 = np.vstack(rows)
-        h0 = np.concatenate(rhs)
-        obj, G, h, n_vars = _append_norm_objective(self.norm, G0, h0, z_start=n)
-        val, _ = _solve_bounded(
-            LpProblem(objective=obj, ineq_constraints=(G, h)), "regularized gauge"
-        )
-        return max(0.0, val)
+    @functools.cached_property
+    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
+        return _dual_ball(self.cone, self.norm, blocks=2)
 
     def subdifferential(self, x) -> SubdiffDesc:
         raise VariantUnsupported(
-            "no dual description implemented for the regularized gauge"
+            "no subdifferential description is offered for the regularized gauge"
         )
 
 
 class EuclideanNorm(HalfNorm):
     """Plain 2-norm; subdifferential is the normalized point, or the unit
-    ball at the origin."""
+    ball at the origin.  Not zero on ``-K``, so it keeps its own values."""
 
     variant = "euclidean"
 
     def value(self, x) -> float:
         x = as_vector(x, dim=self.dim)
         return float(np.linalg.norm(x))
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(X, axis=1)
 
     def subdifferential(self, x) -> SubdiffDesc:
         x = as_vector(x, dim=self.dim)
@@ -637,95 +629,11 @@ class EuclideanNorm(HalfNorm):
 
 
 def regularized_norm(cone: PolyCone, norm: WeightedNorm, x) -> float:
-    """Regularization of the ambient norm: ``inf { ||z|| : -z <= x <= z }``."""
-    x = as_vector(x, dim=cone.dim)
-    F = cone.facets
-    nf, n = F.shape
-    G0 = np.vstack([F, F])  # z - x in K and z + x in K
-    h0 = np.concatenate([F @ x, -(F @ x)])
-    obj, G, h, _ = _append_norm_objective(norm, G0, h0, z_start=0)
-    val, _ = _solve_bounded(
-        LpProblem(objective=obj, ineq_constraints=(G, h)), "regularized norm"
-    )
-    return max(0.0, val)
+    """Regularization of the ambient norm: ``inf { ||z|| : -z <= x <= z }``.
 
-
-def _append_norm_objective(norm, G0, h0, z_start):
-    """Extend an inequality system with epigraph rows so that minimizing the
-    returned objective computes ``||z||`` for the block starting at z_start."""
-    n = norm.dim
-    m0, width = G0.shape
-    if norm.kind == LINF:
-        n_vars = width + 1
-        G = np.zeros((m0 + 2 * n, n_vars))
-        G[:m0, :width] = G0
-        h = np.concatenate([h0, np.zeros(2 * n)])
-        for i in range(n):
-            G[m0 + 2 * i, z_start + i] = -norm.weights[i]
-            G[m0 + 2 * i, width] = 1.0
-            G[m0 + 2 * i + 1, z_start + i] = norm.weights[i]
-            G[m0 + 2 * i + 1, width] = 1.0
-        obj = np.zeros(n_vars)
-        obj[width] = 1.0
-        return obj, G, h, n_vars
-    n_vars = width + n
-    G = np.zeros((m0 + 2 * n, n_vars))
-    G[:m0, :width] = G0
-    h = np.concatenate([h0, np.zeros(2 * n)])
-    for i in range(n):
-        G[m0 + 2 * i, z_start + i] = -1.0
-        G[m0 + 2 * i, width + i] = 1.0
-        G[m0 + 2 * i + 1, z_start + i] = 1.0
-        G[m0 + 2 * i + 1, width + i] = 1.0
-    obj = np.concatenate([np.zeros(width), norm.weights])
-    return obj, G, h, n_vars
-
-
-def _dual_ball_subdiff(cone, norm, x, val) -> SubdiffDesc:
-    """``{ u in K' : dual-norm(u) <= 1, <x,u> = val }`` as a SubdiffDesc.
-
-    The dual of weighted-linf is a weighted l1 ball (needs split variables);
-    the dual of weighted-l1 is a box (pure rows).
+    By LP duality ``max <x, u - v>`` over ``u, v in K'`` with ``u + v`` in
+    the dual unit ball.
     """
-    G = cone.generators
-    n = cone.dim
-    ng = G.shape[0]
-    w = norm.weights
-    if norm.kind == L1:
-        ineq_G = np.vstack([G, -np.eye(n), np.eye(n)])
-        ineq_h = np.concatenate([np.zeros(ng), -w, -w])
-        return SubdiffDesc(
-            "polyhedral",
-            n,
-            eq=(x.reshape(1, -1), np.array([val])),
-            ineq=(ineq_G, ineq_h),
-        )
-    # linf primal: dual ball sum_i |u_i| / w_i <= 1 with split v >= |u|
-    n_vars = 2 * n
-    rows = []
-    rhs = []
-    block = np.zeros((ng, n_vars))
-    block[:, :n] = G
-    rows.append(block)
-    rhs.append(np.zeros(ng))
-    split = np.zeros((2 * n, n_vars))
-    for i in range(n):
-        split[2 * i, i] = -1.0
-        split[2 * i, n + i] = 1.0
-        split[2 * i + 1, i] = 1.0
-        split[2 * i + 1, n + i] = 1.0
-    rows.append(split)
-    rhs.append(np.zeros(2 * n))
-    mass = np.zeros((1, n_vars))
-    mass[0, n:] = -1.0 / w
-    rows.append(mass)
-    rhs.append(np.array([-1.0]))
-    eq_row = np.zeros((1, n_vars))
-    eq_row[0, :n] = x
-    return SubdiffDesc(
-        "polyhedral",
-        n,
-        eq=(eq_row, np.array([val])),
-        ineq=(np.vstack(rows), np.concatenate(rhs)),
-        n_vars=n_vars,
-    )
+    x = as_vector(x, dim=cone.dim)
+    return max(0.0, _support(_dual_ball(cone, norm, blocks=2), np.concatenate([x, -x]),
+                             "regularized norm"))

@@ -65,14 +65,6 @@ class Report:
         """True when no violation was found (holds or sampled-pass)."""
         return self.verdict in (HOLDS, INCONCLUSIVE)
 
-    def worst_margin(self) -> float | None:
-        margins = [w.margin for w in self.witnesses]
-        for sub in self.subreports:
-            m = sub.worst_margin()
-            if m is not None:
-                margins.append(m)
-        return max(margins) if margins else None
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

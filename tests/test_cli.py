@@ -144,6 +144,22 @@ class TestDirichletDemo:
         assert run(["dirichlet-demo", "--grid-sizes", 2, "--t-grid", 0.1,
                     "--samples", 10, "--quiet"]) == 0
 
+    def test_failed_convergence_carries_a_witness(self, tmp_path, monkeypatch):
+        import conesemi.cli as cli
+
+        rows = [{"n_interior": 7, "h": 0.125, "sup_error": 1e-3, "ratio": None},
+                {"n_interior": 15, "h": 0.0625, "sup_error": 5e-4, "ratio": 2.0}]
+        monkeypatch.setattr(cli, "convergence_study", lambda n_values, rhs: rows)
+        out = tmp_path / "report.json"
+        assert run(["dirichlet-demo", "--grid-sizes", 7, 15, "--t-grid", 0.1,
+                    "--samples", 10, "--json-out", out, "--quiet"]) == 1
+        convergence = json.loads(out.read_text())["checks"][:2]
+        for check in convergence:
+            assert check["verdict"] == "fails"
+            assert [(w["margin"], w["label"].split(":")[1]) for w in check["witnesses"]] == [
+                (1.5, " error ratio 2.0 at N=15 is not near 4")
+            ]
+
     def test_negative_time_exits_2(self):
         assert run(["dirichlet-demo", "--grid-sizes", 7, "--t-grid", -1.0,
                     "--quiet"]) == 2

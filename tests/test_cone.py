@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conesemi import cone as cone_module
-from conesemi.cone import PolyCone, _enumerate_facets, _facet_lp_witnesses
+from conesemi.cone import PolyCone, _dedup_directions, _enumerate_facets, _facet_lp_witnesses
 from conesemi.errors import (
     DimensionMismatch,
     EmptyPhi,
@@ -98,6 +98,17 @@ def loop_enumerate_facets(R):
     if not found:
         raise NotGenerating("no facet found; rays do not describe a solid cone")
     return np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
+
+
+def loop_dedup_directions(R):
+    """Greedy de-duplication one ray at a time: the oracle for the pairwise
+    ``_dedup_directions``."""
+    unit = R / np.linalg.norm(R, axis=1, keepdims=True)
+    kept = []
+    for i in range(R.shape[0]):
+        if not any(np.max(np.abs(unit[i] - unit[j])) <= 1e-10 for j in kept):
+            kept.append(i)
+    return R[kept]
 
 
 def count_lp_calls(monkeypatch):
@@ -225,6 +236,29 @@ class TestFacetEnumeration:
 
     def test_no_facet_is_an_empty_table(self):
         assert _enumerate_facets(np.vstack([np.eye(3), -np.eye(3)])).shape == (0, 3)
+
+
+class TestDedupDirections:
+    def test_matches_the_greedy_loop(self):
+        rng = np.random.default_rng(37)
+        sets = []
+        for n in (2, 3, 6):
+            rays = sphere_rays(rng, n, 3 * n)
+            picks = rng.integers(0, 3 * n, 2 * n)
+            sets.append(np.vstack([rays, rays[picks]])[rng.permutation(5 * n)])
+            sets.append(np.vstack([rays, rays[picks] * rng.uniform(0.5, 3.0, (2 * n, 1))]))
+            sets.append(np.vstack([rays, rays[picks] + 1e-12 * rng.standard_normal((2 * n, n))]))
+        for R in sets:
+            assert _dedup_directions(R).tobytes() == loop_dedup_directions(R).tobytes()
+
+    def test_chain_of_near_duplicates(self):
+        # each ray within the tolerance of the next, every second one apart:
+        # the greedy pass keeps rays 0, 2 and 4, and e1 repeats ray 0
+        chain = [np.array([1.0, j * 0.6e-10, 0.0]) for j in range(5)]
+        R = np.vstack([*chain, np.eye(3)])
+        got = _dedup_directions(R)
+        assert got.tobytes() == loop_dedup_directions(R).tobytes()
+        assert got.tobytes() == R[[0, 2, 4, 6, 7]].tobytes()
 
 
 class TestMembershipAndOrder:

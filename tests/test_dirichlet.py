@@ -207,6 +207,31 @@ class TestPipeline:
         assert [w.label for w in pos.witnesses] == ["T(generator[5]) violates facet[2]"]
         assert pos.witnesses[0].margin == -1e-6
 
+    def test_every_failure_carries_witnesses(self, monkeypatch):
+        """A propagator that grows positive parts and a refined grid whose
+        error ratio is 2: each failing check names its witnesses."""
+        import conesemi.dirichlet as dirichlet
+
+        study = dirichlet.convergence_study
+        monkeypatch.setattr(
+            dirichlet, "convergence_study",
+            lambda n_values, rhs: [r if r["ratio"] is None else {**r, "ratio": 2.0}
+                                   for r in study(n_values, rhs)],
+        )
+        monkeypatch.setattr(dirichlet, "propagators",
+                            lambda op, cfg: iter([(0.1, "expm", 1.5 * np.eye(7))]))
+        rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)), n_samples=10)
+        failing = {s.name: s for s in rep.subreports if s.verdict == "fails"}
+        assert rep.verdict == "fails"
+        assert sorted(failing) == ["positive_part_contractive[t=0.1,expm]", "resolvent_cross_check"]
+        for sub in failing.values():
+            assert sub.witnesses
+            assert all(np.isfinite(w.margin) and w.margin > sub.tolerance for w in sub.witnesses)
+        growth = failing["positive_part_contractive[t=0.1,expm]"]
+        for w in growth.witnesses:
+            assert w.margin == pytest.approx(0.5 * np.max(np.maximum(w.point, 0.0)), rel=1e-12)
+        assert [w.margin for w in failing["resolvent_cross_check"].witnesses] == [1.5, 1.5]
+
     def test_euler_method_also_positive(self):
         cfg = SemigroupConfig(t_grid=(0.5,), euler_steps=8, method="euler")
         rep = run_dirichlet_checks(Grid(7), cfg, n_samples=30, seed=2)

@@ -6,9 +6,10 @@ with the closed forms or the simplex-backed evaluation it checks.  The dual
 characterization of the functional-gauge subdifferential is validated
 against the sampled universal definition before anything else relies on it.
 The closed-form functional and order-unit gauges are checked against the
-retained LP path, the subdifferential descriptions, and (above the
-vertex-table guard) scipy's HiGHS; hypothesis drives their sublinearity
-properties across input scales 1e-12 to 1e12.
+functional gauge's primal LP (an oracle kept here), the subdifferential
+descriptions, and (above the vertex-table guard) scipy's HiGHS; hypothesis
+drives the sublinearity properties of every half-norm across input scales
+1e-12 to 1e12.
 """
 
 import functools
@@ -36,7 +37,7 @@ from conesemi.halfnorm import (
     WeightedNorm,
     regularized_norm,
 )
-from conesemi.numerics import enumerate_vertices
+from conesemi.numerics import LpProblem, enumerate_vertices, solve_lp
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -59,6 +60,15 @@ def brute_force_functional_gauge(cone, phi, x):
     verts = enumerate_vertices((G, h))
     assert verts, "majorant region must have a vertex"
     return min(float(np.dot(v, phi)) for v in verts)
+
+
+def lp_functional_gauge(cone, phi, x):
+    """min <y, phi> over majorants y = R^T a, a >= 0, with y - x in K: the
+    primal LP in ray coordinates, independent of the description of S."""
+    R, F = cone.generators, cone.facets
+    res = solve_lp(LpProblem(objective=R @ phi, ineq_constraints=(F @ R.T, F @ x), nonneg=True))
+    assert res.optimal
+    return max(0.0, res.value)
 
 
 def brute_force_canonical(cone, norm, x):
@@ -124,6 +134,16 @@ def closed_form_gauges(K, rng):
     phi = rng.uniform(0.3, 1.5, K.facets.shape[0]) @ K.facets
     unit = rng.uniform(0.5, 1.5, K.generators.shape[0]) @ K.generators
     return FunctionalGauge(K, phi), OrderUnitGauge(K, unit)
+
+
+def lp_gauges(K, rng):
+    """The canonical (l1 and linf) and regularized gauges, random weights."""
+    w = rng.uniform(0.5, 2.0, (3, K.dim))
+    return (
+        CanonicalHalfNorm(K, WeightedNorm("l1", w[0])),
+        CanonicalHalfNorm(K, WeightedNorm("linf", w[1])),
+        RegularizedGauge(K, WeightedNorm("linf", w[2])),
+    )
 
 
 def probe_points(K, rng, count):
@@ -215,7 +235,7 @@ class TestClosedFormValues:
             unit_vals = q.values(X)
             for x, val, unit_val in zip(X, vals, unit_vals):
                 assert p.value(x) == pytest.approx(val, abs=1e-12)
-                assert val == pytest.approx(p._lp_value(x), abs=1e-9)
+                assert val == pytest.approx(lp_functional_gauge(K, p.phi, x), abs=1e-9)
                 assert q.value(x) == pytest.approx(unit_val, abs=1e-12)
                 assert unit_val == pytest.approx(brute_force_order_unit(K, q.unit, x), abs=1e-12)
             if K.dim <= 3:
@@ -235,24 +255,32 @@ class TestClosedFormValues:
         K = pyramid(rng, 3, 7)
         p, q = closed_form_gauges(K, rng)
         X = rng.standard_normal((100, 3))
-        for gauge in (p, q):
+        canonical_l1, canonical_linf, regularized = lp_gauges(K, rng)
+        # one LP per value: the LP gauges take every third scale
+        for gauge, step in ((p, 2), (q, 2), (canonical_l1, 6), (canonical_linf, 6), (regularized, 6)):
             base = gauge.values(X)
-            for exponent in range(-12, 13, 2):
+            for exponent in range(-12, 13, step):
                 scale = 10.0**exponent
                 assert gauge.values(scale * X) == pytest.approx(scale * base, rel=1e-12)
                 assert gauge.value(scale * X[0]) == pytest.approx(scale * base[0], rel=1e-12)
-        lp = np.array([p._lp_value(x) for x in X])
+        lp = np.array([lp_functional_gauge(K, p.phi, x) for x in X])
         assert p.values(X) == pytest.approx(lp, abs=1e-9)
         # the subdifferential, and so the pairing, is scale-invariant: ties
-        # on faces must be judged the same at every scale
+        # on faces must be judged the same at every scale (the canonical
+        # gauges' pairing is three LPs, exact to their tolerance, and takes
+        # the extreme scales only)
+        closed, extreme = (-12, -6, 6, 12), (-12, 12)
         for x in probe_points(K, rng, 10):
             c = rng.standard_normal(3)
-            for gauge in (p, q):
+            for gauge, tol, exponents in (
+                (p, 1e-12, closed), (q, 1e-12, closed),
+                (canonical_l1, 1e-8, extreme), (canonical_linf, 1e-8, extreme),
+            ):
                 for sense in ("min", "max"):
                     expected, _ = gauge.pairing_extremum(x, c, sense)
-                    for exponent in (-12, -6, 6, 12):
+                    for exponent in exponents:
                         got, _ = gauge.pairing_extremum(10.0**exponent * x, c, sense)
-                        assert got == pytest.approx(expected, abs=1e-12)
+                        assert got == pytest.approx(expected, abs=tol)
 
     def test_exactly_zero_on_faces_of_minus_k(self):
         for K in differential_cones():
@@ -277,7 +305,10 @@ class TestClosedFormValues:
         x, y = rng.standard_normal((2, K.dim)) * scale
         a = rng.uniform(0.0, 1.0, K.generators.shape[0]) * (rng.random(K.generators.shape[0]) < 0.7)
         minus = -scale * (K.generators.T @ a)
-        for p in closed_form_gauges(K, rng):
+        gauges = [*closed_form_gauges(K, rng), *lp_gauges(K, rng)]
+        if K.is_lattice():
+            gauges.append(PositivePartNorm(K, WeightedNorm("linf", rng.uniform(0.5, 2.0, K.dim))))
+        for p in gauges:
             bound = max(p.values(np.vstack([np.eye(K.dim), -np.eye(K.dim)])))
             size = (np.abs(x).sum() + np.abs(y).sum()) * bound
             px, py, pxy, pt = p.values(np.vstack([x, y, x + y, t * x]))
@@ -285,8 +316,12 @@ class TestClosedFormValues:
             assert min(px, py, pxy, pt) >= 0.0
             assert pt == pytest.approx(t * px, abs=1e-12 * t * size)
             assert p.value(t * x) == pytest.approx(t * p.value(x), abs=1e-12 * t * size)
-            assert pxy <= px + py + 1e-12 * size
-            assert p.value(x + y) <= p.value(x) + p.value(y) + 1e-12 * size
+            # ||x^+|| is subadditive where the norm is monotone for the
+            # order: on the orthants and the diamond (the first four cones),
+            # not on the random simplicial cones
+            if not isinstance(p, PositivePartNorm) or which < 4:
+                assert pxy <= px + py + 1e-12 * size
+                assert p.value(x + y) <= p.value(x) + p.value(y) + 1e-12 * size
             assert p.value(minus) == 0.0
             assert np.all(p.values(np.vstack([minus, 2.0 * minus])) == 0.0)
 
@@ -377,6 +412,18 @@ class TestPositivePartValues:
     def test_example(self, orthant2):
         p = PositivePartNorm(orthant2, WeightedNorm.sup(2))
         assert p.value([1, -2]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_batch_matches_per_row_oracle(self):
+        rng = np.random.default_rng(120)
+        for K in differential_cones()[:7]:
+            a = rng.uniform(0.0, 1.0, (10, K.dim))
+            X = np.vstack([rng.standard_normal((30, K.dim)), a @ K.generators, -(a @ K.generators)])
+            for kind in ("l1", "linf"):
+                norm = WeightedNorm(kind, rng.uniform(0.5, 2.0, K.dim))
+                p = PositivePartNorm(K, norm)
+                for scale in (1e-12, 1.0, 1e12):
+                    expected = [norm.value(K.positive_part(x)) for x in scale * X]
+                    assert p.values(scale * X) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_needs_lattice(self):
         pyramid = PolyCone.from_generators(
