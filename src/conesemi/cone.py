@@ -70,6 +70,7 @@ class PolyCone:
             raise MalformedProblem("a generator violates a facet inequality")
         self.generators.flags.writeable = False
         self.facets.flags.writeable = False
+        self._memo_slot: tuple[bytes, object] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -126,6 +127,18 @@ class PolyCone:
     def dual_cone(self) -> "PolyCone":
         """Functionals nonnegative on the cone: generators and facets swap."""
         return PolyCone(self.facets.copy(), self.generators.copy())
+
+    def memo(self, key: bytes, build):
+        """``build()``, kept in one slot under ``key``.
+
+        For a table derived from this cone and one more input, such as a
+        functional gauge's vertex table keyed by the functional.  Generators
+        and facets are read-only, so the slot stays valid; another key
+        replaces it.
+        """
+        if self._memo_slot is None or self._memo_slot[0] != key:
+            self._memo_slot = (key, build())
+        return self._memo_slot[1]
 
     # -- order queries -----------------------------------------------------
 

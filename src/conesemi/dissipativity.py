@@ -5,10 +5,12 @@ Pointwise checks are exact extrema over subdifferentials (closed form for
 the functional and order-unit gauges, LPs over descriptions otherwise).  The
 universal quantifier over a domain can only be sampled, so
 :func:`certify_dissipative` reports ``fails`` with a witness or an honest
-``inconclusive`` pass; it never claims a proof.  The POD check, by contrast,
-is exact: for fixed boundary point the orthogonal positive functionals form
-a face of the dual cone, so checking extreme ray pairs suffices (a reduction
-the test-suite validates against a sampled face-LP oracle).
+``inconclusive`` pass; it never claims a proof.  It stacks its test points
+and takes all their margins from one ``pairing_extrema`` call.  The POD
+check, by contrast, is exact: for fixed boundary point the orthogonal
+positive functionals form a face of the dual cone, so checking extreme ray
+pairs suffices (a reduction the test-suite validates against a sampled
+face-LP oracle).
 """
 
 from __future__ import annotations
@@ -76,16 +78,21 @@ class PolyhedralSet:
         return None
 
     def contains(self, x, tol: float = POINT_TOL) -> bool:
-        x = as_vector(x)
+        """One row of :meth:`contains_rows`."""
+        return bool(self.contains_rows(as_vector(x)[None, :], tol)[0])
+
+    def contains_rows(self, X, tol: float = POINT_TOL) -> np.ndarray:
+        """Membership of each row of ``X``, at ``tol`` times ``1 + ||x||_inf``."""
+        X = as_matrix(X)
+        slack = tol * (1.0 + np.max(np.abs(X), axis=1))
+        inside = np.ones(X.shape[0], dtype=bool)
         if self.ineq is not None:
             G, h = self.ineq
-            if np.min(G @ x - h) < -tol * (1.0 + float(np.max(np.abs(x)))):
-                return False
+            inside &= np.min(X @ G.T - h, axis=1) >= -slack
         if self.eq is not None:
             E, d = self.eq
-            if np.max(np.abs(E @ x - d)) > tol * (1.0 + float(np.max(np.abs(x)))):
-                return False
-        return True
+            inside &= np.max(np.abs(X @ E.T - d), axis=1) <= slack
+        return inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +146,8 @@ def is_strictly_dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float = PO
 
 
 def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
-    """Structural points plus seeded samples, all inside the domain.
+    """Structural points plus seeded samples, all inside the domain: their
+    labels, and a matrix with one point per row.
 
     Structural: cone generators that lie in the domain, and the vertices of
     the domain clipped to the unit box (for conic domains these are exactly
@@ -151,15 +159,17 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
     rng = np.random.default_rng(seed)
     n = op.dim
     notes: list[str] = []
-    points: list[tuple[str, np.ndarray]] = []
-    for i, g in enumerate(cone.generators):
-        if op.in_domain(g):
-            points.append((f"generator[{i}]", np.asarray(g, dtype=float)))
+    G = cone.generators
+    inside = np.arange(G.shape[0])
+    if op.domain is not None:
+        inside = inside[op.domain.contains_rows(G)]
+    labels = [f"generator[{i}]" for i in inside]
+    blocks = [G[inside]]
 
     if op.domain is None or (op.domain.ineq is None and op.domain.eq is None):
-        for k in range(n_samples):
-            points.append((f"sample[{k}]", rng.standard_normal(n)))
-        return points, notes
+        labels += [f"sample[{k}]" for k in range(n_samples)]
+        blocks.append(rng.standard_normal((n_samples, n)))
+        return labels, np.vstack(blocks), notes
 
     if n > 10:
         accepted = 0
@@ -168,13 +178,14 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
                 break
             x = rng.standard_normal(n)
             if op.in_domain(x):
-                points.append((f"sample[{accepted}]", x))
+                labels.append(f"sample[{accepted}]")
+                blocks.append(x)
                 accepted += 1
         notes.append(
             "domain vertices skipped above the dim-10 enumeration guard; "
             f"rejection sampling accepted {accepted} of {n_samples} requested points"
         )
-        return points, notes
+        return labels, np.vstack(blocks), notes
 
     rows = [np.eye(n), -np.eye(n)]
     rhs = [-np.ones(n), -np.ones(n)]
@@ -186,15 +197,16 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
         rows.extend([E, -E])
         rhs.extend([d, -d])
     verts = enumerate_vertices((np.vstack(rows), np.concatenate(rhs)))
-    for i, v in enumerate(verts):
-        points.append((f"domain_vertex[{i}]", v))
+    labels += [f"domain_vertex[{i}]" for i in range(len(verts))]
+    blocks += verts
     if verts:
         V = np.vstack(verts)
         for k in range(n_samples):
             weights = rng.dirichlet(np.ones(V.shape[0]))
             scale = rng.uniform(0.1, 3.0)
-            points.append((f"sample[{k}]", scale * (weights @ V)))
-    return points, notes
+            labels.append(f"sample[{k}]")
+            blocks.append(scale * (weights @ V))
+    return labels, np.vstack(blocks), notes
 
 
 def certify_dissipative(
@@ -207,17 +219,21 @@ def certify_dissipative(
     """Sampled certificate of dissipativity over the operator domain.
 
     Checks every structural point (cone generators in the domain, clipped
-    domain vertices) plus ``n_samples`` seeded pseudo-random domain points.
-    A violation yields ``fails`` with the point, the minimizing functional,
-    and the margin; otherwise the verdict is an inconclusive pass, since
-    sampling cannot prove the universal claim.
+    domain vertices) plus ``n_samples`` seeded pseudo-random domain points,
+    all in one batched ``pairing_extrema`` call.  A violation yields
+    ``fails`` with the point, the minimizing functional, and the margin;
+    otherwise the verdict is an inconclusive pass, since sampling cannot
+    prove the universal claim.
     """
-    points, sampler_notes = _domain_test_points(op, halfnorm.cone, n_samples, seed)
+    labels, X, sampler_notes = _domain_test_points(op, halfnorm.cone, n_samples, seed)
     witnesses = []
-    for label, x in points:
-        m, u = _margin(op, halfnorm, x, "min")
-        if m > tol:
-            witnesses.append(Witness(point=x, functional=u, margin=float(m), label=label))
+    if labels:
+        margins, functionals = halfnorm.pairing_extrema(X, X @ op.matrix.T, "min")
+        witnesses = [
+            Witness(point=X[i], functional=functionals[i], margin=float(margins[i]),
+                    label=labels[i])
+            for i in np.flatnonzero(margins > tol)
+        ]
     verdict = FAILS if witnesses else INCONCLUSIVE
     if witnesses:
         notes = ["a witness point admits no subgradient pairing nonpositively"]
@@ -227,7 +243,7 @@ def certify_dissipative(
         name=f"dissipative[{halfnorm.variant}]",
         verdict=verdict,
         witnesses=witnesses,
-        samples_used=len(points),
+        samples_used=len(labels),
         tolerance=tol,
         notes=notes + sampler_notes,
     )
@@ -267,7 +283,7 @@ def has_positive_off_diagonal(
     notes = []
     gens = cone.generators
     if op.domain is not None and not _cone_inside_domain(op.domain, cone):
-        inside = [i for i, g in enumerate(gens) if op.domain.contains(g)]
+        inside = np.flatnonzero(op.domain.contains_rows(gens))
         gens = gens[inside]
         notes.append(
             "partial: domain does not contain the cone; restricted to "

@@ -1,7 +1,7 @@
 """Sublinear functions attached to a cone.
 
 Six variants share one interface (``value`` / ``values`` /
-``subdifferential`` / ``pairing_extremum``):
+``subdifferential`` / ``pairing_extremum`` / ``pairing_extrema``):
 
 * ``CanonicalHalfNorm`` -- the distance from ``-x`` to the cone, i.e. the
   smallest norm of a majorant of ``x``;
@@ -29,15 +29,19 @@ clamps at 0 and scales back; ``value`` is one row of it.  Each variant
 states ``S`` once as ``{u : G u >= h}``, auxiliary coordinates after the
 first ``dim``.  The subdifferential at ``x`` is the face of ``S`` where
 ``<x, u>`` attains ``p(x)``; ``subdifferential`` describes it as a
-:class:`SubdiffDesc`, the oracle for the faster ``pairing_extremum``, which
-takes ``x`` to unit scale first.
+:class:`SubdiffDesc`.  ``pairing_extrema`` is the one pairing path, the
+extremum of ``<c, u>`` over that face for paired rows ``x``, ``c``: it takes
+each ``x`` to unit scale and lets the variant answer the whole batch;
+``pairing_extremum`` is one row of it.
 
-The functional and order-unit gauges are closed forms (see each class), the
-positive-part norm is one LU solve per batch.  The canonical and
-regularized gauges, and a functional gauge on a cone above
-``VERTEX_SUBSET_GUARD``, solve one LP per value: ``max <x, u>`` over ``S``.
-Weighted l1/linf ambient norms keep that LP exact, and since ``S`` contains
-0, phase 1 starts at a feasible point.
+The functional and order-unit gauges are closed forms (see each class),
+values and pairings alike, one matrix product per batch; the positive-part
+norm is one LU solve per batch of values.  The canonical and regularized
+gauges, and a functional gauge on a cone above ``VERTEX_SUBSET_GUARD``,
+solve one LP per value: ``max <x, u>`` over ``S``.  Weighted l1/linf ambient
+norms keep that LP exact, and since ``S`` contains 0, phase 1 starts at a
+feasible point.  Their pairings (and the positive-part and Euclidean
+norms') optimize over ``subdifferential(x)`` row by row.
 """
 
 from __future__ import annotations
@@ -242,8 +246,8 @@ class HalfNorm:
     A variant states ``_polar``, the set ``S = {u : G u >= h}`` whose
     support function it is, and may override ``_unit_values`` (its values
     at unit-scale rows outside ``-K``; by default one LP over ``S`` per row)
-    and ``_pairing`` (the pairing extremum at a unit-scale ``x``; by default
-    an LP over the subdifferential's description).
+    and ``_pairings`` (the pairing extrema at unit-scale rows; by default
+    one optimization over the subdifferential's description per row).
     """
 
     variant = "abstract"
@@ -296,18 +300,33 @@ class HalfNorm:
         )
 
     def pairing_extremum(self, x, c, sense: str = "min") -> tuple[float, np.ndarray]:
-        """Extremum of ``<c, u>`` over the subdifferential at ``x``.
-
-        The subdifferential is the same at every positive multiple of ``x``,
-        so ``x`` goes to unit scale first.
-        """
+        """One row of :meth:`pairing_extrema`."""
         x = as_vector(x, dim=self.dim)
         c = as_vector(c, dim=self.dim)
-        _check_sense(sense)
-        return self._pairing(_unit_rows(x[None, :])[0][0], c, sense)
+        extrema, functionals = self._pairing_extrema(x[None, :], c[None, :], sense)
+        return float(extrema[0]), functionals[0]
 
-    def _pairing(self, x: np.ndarray, c: np.ndarray, sense: str) -> tuple[float, np.ndarray]:
-        return self.subdifferential(x).optimize(c, sense)
+    def pairing_extrema(self, X, C, sense: str = "min") -> tuple[np.ndarray, np.ndarray]:
+        """Extremum of ``<c, u>`` over the subdifferential at ``x``, for each
+        pair of rows ``x`` of ``X`` and ``c`` of ``C``: the vector of extrema
+        and the matrix of attaining functionals, one row each.
+
+        The subdifferential is the same at every positive multiple of ``x``,
+        so each ``x`` goes to unit scale first.
+        """
+        X = _as_rows(X, self.dim)
+        C = _as_rows(C, self.dim)
+        if C.shape[0] != X.shape[0]:
+            raise DimensionMismatch(f"{X.shape[0]} points but {C.shape[0]} directions")
+        return self._pairing_extrema(X, C, sense)
+
+    def _pairing_extrema(self, X: np.ndarray, C: np.ndarray, sense: str):
+        _check_sense(sense)
+        return self._pairings(_unit_rows(X)[0], C, sense)
+
+    def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
+        rows = [self.subdifferential(u).optimize(c, sense) for u, c in zip(U, C)]
+        return np.array([m for m, _ in rows]), np.vstack([u for _, u in rows])
 
     def __call__(self, x) -> float:
         return self.value(x)
@@ -336,15 +355,20 @@ def _check_sense(sense: str) -> None:
         raise MalformedProblem(f"sense must be 'min' or 'max', got {sense!r}")
 
 
-def _face_extremum(V: np.ndarray, x: np.ndarray, c: np.ndarray, sense: str):
+def _face_extrema(V: np.ndarray, U: np.ndarray, C: np.ndarray, sense: str):
     """Extremum of ``<c, v>`` over the rows ``v`` of ``V`` that attain
-    ``max <x, v>``: over the face of ``conv(V)`` exposed by ``x``, which is
-    the subdifferential at ``x`` of the support function of ``V``."""
-    scores = V @ x
-    face = V[scores >= np.max(scores) - TIE_TOL * np.max(np.abs(V))]
-    pairing = face @ c
-    k = int(np.argmin(pairing) if sense == "min" else np.argmax(pairing))
-    return float(pairing[k]), face[k].copy()
+    ``max <x, v>``, for each pair of rows ``x`` of ``U`` and ``c`` of ``C``:
+    over the face of ``conv(V)`` exposed by ``x``, which is the
+    subdifferential at ``x`` of the support function of ``V``.  A tie keeps
+    the first vertex in table order."""
+    scores = U @ V.T
+    face = scores >= np.max(scores, axis=1, keepdims=True) - TIE_TOL * np.max(np.abs(V))
+    pairing = C @ V.T
+    if sense == "min":
+        k = np.argmin(np.where(face, pairing, np.inf), axis=1)
+    else:
+        k = np.argmax(np.where(face, pairing, -np.inf), axis=1)
+    return pairing[np.arange(k.size), k], V[k]
 
 
 def _support(polar: tuple[np.ndarray, np.ndarray], c: np.ndarray, context: str) -> float:
@@ -399,8 +423,11 @@ class FunctionalGauge(HalfNorm):
       coordinate;
     * other cones with ``C(2k, n)`` at most ``VERTEX_SUBSET_GUARD`` (k rays in
       R^n): a vertex table of ``S`` from batched active-set solves;
-    * larger cones: one simplex LP per value and per pairing.
+    * larger cones: one simplex LP per value, and pairings over
+      :meth:`subdifferential` row by row.
 
+    The choice and its table live in a one-slot memo on the cone, keyed by
+    ``phi``, so a later gauge on the same cone and functional reuses them.
     On ``K`` (at unit scale) the value is ``<x, phi>`` itself.
     """
 
@@ -430,13 +457,19 @@ class FunctionalGauge(HalfNorm):
     def _closed_form(self) -> tuple[str, np.ndarray | None]:
         """``("simplicial", c)`` with ``phi = F^T c``, ``("vertices", V)``
         with the vertex table of ``S``, or ``("lp", None)``."""
+        return self.cone.memo(self.phi.tobytes(), self._build_closed_form)
+
+    def _build_closed_form(self) -> tuple[str, np.ndarray | None]:
         G, F = self.cone.generators, self.cone.facets
         k, n = G.shape
         if k == n and F.shape[0] == n:
-            return "simplicial", np.maximum(linear_solve(F.T, self.phi), 0.0)
-        if math.comb(2 * k, n) <= VERTEX_SUBSET_GUARD:
-            return "vertices", vertex_table(self._polar)
-        return "lp", None
+            kind, table = "simplicial", np.maximum(linear_solve(F.T, self.phi), 0.0)
+        elif math.comb(2 * k, n) <= VERTEX_SUBSET_GUARD:
+            kind, table = "vertices", vertex_table(self._polar)
+        else:
+            return "lp", None
+        table.flags.writeable = False  # shared by every gauge on this (cone, phi)
+        return kind, table
 
     def _unit_values(self, U: np.ndarray) -> np.ndarray:
         FU = U @ self.cone.facets.T
@@ -452,43 +485,22 @@ class FunctionalGauge(HalfNorm):
                 out[rest] = super()._unit_values(U[rest])
         return out
 
-    def _pairing(self, x: np.ndarray, c: np.ndarray, sense: str) -> tuple[float, np.ndarray]:
-        """Same extremum as optimizing over :meth:`subdifferential`; the
+    def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
+        """Same extrema as optimizing over :meth:`subdifferential`; the
         equivalence is property-tested on every path."""
         kind, table = self._closed_form
         if kind == "vertices":
-            return _face_extremum(table, x, c, sense)
+            return _face_extrema(table, U, C, sense)
         if kind == "lp":
-            return self._lp_pairing(x, c, sense)
+            return super()._pairings(U, C, sense)
         # S = { F^T b : 0 <= b <= c }: b_i = c_i where <f_i, x> > 0, 0 where
         # it is negative, and whichever end is extreme for <f_i, c> on a tie
         F = self.cone.facets
-        fx, fc = F @ x, F @ c
-        tie = np.abs(fx) <= TIE_TOL * np.max(np.abs(F), axis=1)
-        top = fc < 0 if sense == "min" else fc > 0
-        b = np.where(np.where(tie, top, fx > 0), table, 0.0)
-        return float(fc @ b), F.T @ b
-
-    def _lp_pairing(self, x, c, sense: str) -> tuple[float, np.ndarray]:
-        """The pairing LP in dual-ray coordinates ``u = F^T b, b >= 0`` (one
-        equality row, no free variables): the fallback above the guard."""
-        val = self.value(x)
-        F = self.cone.facets
-        G = self.cone.generators
-        res = solve_lp(
-            LpProblem(
-                objective=F @ c,
-                eq_constraints=((F @ x).reshape(1, -1), np.array([val])),
-                ineq_constraints=(-(G @ F.T), -(G @ self.phi)),
-                sense=sense,
-                nonneg=True,
-            )
-        )
-        if not res.optimal:
-            raise EmptySubdifferential(
-                f"dual-ray pairing problem reported {res.status}"
-            )
-        return float(res.value), F.T @ res.point
+        FU, FC = U @ F.T, C @ F.T
+        tie = np.abs(FU) <= TIE_TOL * np.max(np.abs(F), axis=1)
+        top = FC < 0 if sense == "min" else FC > 0
+        B = np.where(np.where(tie, top, FU > 0), table, 0.0)
+        return np.einsum("ij,ij->i", FC, B), B @ F
 
 
 class CanonicalHalfNorm(HalfNorm):
@@ -574,8 +586,8 @@ class OrderUnitGauge(HalfNorm):
     def _unit_values(self, U: np.ndarray) -> np.ndarray:
         return np.max(U @ self._vertices.T, axis=1)
 
-    def _pairing(self, x: np.ndarray, c: np.ndarray, sense: str) -> tuple[float, np.ndarray]:
-        return _face_extremum(self._vertices, x, c, sense)
+    def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
+        return _face_extrema(self._vertices, U, C, sense)
 
 
 class RegularizedGauge(HalfNorm):

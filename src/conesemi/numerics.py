@@ -8,6 +8,9 @@ deterministic tableau beats a sophisticated solver.
 
 Tolerances: feasibility 1e-9, relative pivot threshold 1e-12.  Downstream
 modules inherit these.
+
+The LU helpers import ``scipy.linalg`` on first use: it is most of the cost
+of importing the package, and many runs never factor a matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -393,6 +395,8 @@ def linear_solve(A, b) -> np.ndarray:
     Raises :class:`SingularMatrix` when the smallest pivot drops below
     1e-12 relative to the matrix scale.
     """
+    import scipy.linalg
+
     A = as_matrix(A, square=True)
     b = as_vector(b, dim=A.shape[0])
     lu, piv = _lu_factor_checked(A)
@@ -400,6 +404,8 @@ def linear_solve(A, b) -> np.ndarray:
 
 
 def _lu_factor_checked(A: np.ndarray):
+    import scipy.linalg
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
@@ -412,6 +418,8 @@ def _lu_factor_checked(A: np.ndarray):
 def factorized_solver(A):
     """One LU factorization, many solves; same pivot guard as linear_solve."""
     A = as_matrix(A, square=True)
+    import scipy.linalg
+
     lu_piv = _lu_factor_checked(A)
 
     def solve(rhs):

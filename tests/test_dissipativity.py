@@ -2,7 +2,9 @@
 
 The two operator fixtures of the 2-d example are pinned exactly; the
 extreme-pair reduction behind the POD check is validated against a sampled
-face-LP oracle before the equivalence tests rely on it.
+face-LP oracle before the equivalence tests rely on it.  The batched
+certificate is checked against the per-point loop it replaced, kept here as
+an oracle, sampler included.
 """
 
 import numpy as np
@@ -10,8 +12,10 @@ import pytest
 
 from conesemi.cone import PolyCone
 from conesemi.dissipativity import (
+    POINT_TOL,
     LinOp,
     PolyhedralSet,
+    _domain_test_points,
     certify_dissipative,
     has_positive_off_diagonal,
     is_dissipative_at,
@@ -19,8 +23,8 @@ from conesemi.dissipativity import (
     is_strictly_dissipative_at,
 )
 from conesemi.errors import MalformedProblem, OutsideDomain
-from conesemi.halfnorm import EuclideanNorm, FunctionalGauge
-from conesemi.numerics import LpProblem, solve_lp
+from conesemi.halfnorm import EuclideanNorm, FunctionalGauge, OrderUnitGauge
+from conesemi.numerics import LpProblem, enumerate_vertices, solve_lp
 from conesemi.report import Witness
 
 
@@ -161,6 +165,179 @@ class TestCertify:
         assert rep.verdict == "inconclusive"
         assert not rep.witnesses
         assert any("rejection sampling" in note for note in rep.notes)
+
+
+def in_domain_loop(op, x, tol=POINT_TOL):
+    """Oracle: the per-point domain membership test."""
+    if op.domain is None:
+        return True
+    scale = tol * (1.0 + float(np.max(np.abs(x))))
+    if op.domain.ineq is not None:
+        G, h = op.domain.ineq
+        if np.min(G @ x - h) < -scale:
+            return False
+    if op.domain.eq is not None:
+        E, d = op.domain.eq
+        if np.max(np.abs(E @ x - d)) > scale:
+            return False
+    return True
+
+
+def domain_points_loop(op, cone, n_samples, seed):
+    """Oracle: the sampler's per-point loop, ``(label, point)`` pairs."""
+    rng = np.random.default_rng(seed)
+    n = op.dim
+    points = []
+    for i, g in enumerate(cone.generators):
+        if in_domain_loop(op, g):
+            points.append((f"generator[{i}]", np.asarray(g, dtype=float)))
+    if op.domain is None or (op.domain.ineq is None and op.domain.eq is None):
+        for k in range(n_samples):
+            points.append((f"sample[{k}]", rng.standard_normal(n)))
+        return points
+    if n > 10:
+        accepted = 0
+        for _ in range(50 * max(n_samples, 1)):
+            if accepted >= n_samples:
+                break
+            x = rng.standard_normal(n)
+            if in_domain_loop(op, x):
+                points.append((f"sample[{accepted}]", x))
+                accepted += 1
+        return points
+    rows = [np.eye(n), -np.eye(n)]
+    rhs = [-np.ones(n), -np.ones(n)]
+    if op.domain.ineq is not None:
+        rows.append(op.domain.ineq[0])
+        rhs.append(op.domain.ineq[1])
+    if op.domain.eq is not None:
+        E, d = op.domain.eq
+        rows.extend([E, -E])
+        rhs.extend([d, -d])
+    verts = enumerate_vertices((np.vstack(rows), np.concatenate(rhs)))
+    for i, v in enumerate(verts):
+        points.append((f"domain_vertex[{i}]", v))
+    if verts:
+        V = np.vstack(verts)
+        for k in range(n_samples):
+            weights = rng.dirichlet(np.ones(V.shape[0]))
+            scale = rng.uniform(0.1, 3.0)
+            points.append((f"sample[{k}]", scale * (weights @ V)))
+    return points
+
+
+def certify_loop(op, halfnorm, n_samples, seed, tol=POINT_TOL):
+    """Oracle: one ``pairing_extremum`` per test point, in sampler order."""
+    witnesses = []
+    for label, x in domain_points_loop(op, halfnorm.cone, n_samples, seed):
+        m, u = halfnorm.pairing_extremum(x, op.matrix @ x, "min")
+        if m > tol:
+            witnesses.append(Witness(point=x, functional=u, margin=float(m), label=label))
+    return witnesses
+
+
+def half_line_domain(n):
+    """``{x : x_0 >= 0, x_1 = .. = x_{n-1} = 0}`` plus the slab ``x_0 <= 5``."""
+    E = np.eye(n)[1:]
+    G = np.vstack([np.eye(n)[:1], -np.eye(n)[:1]])
+    return PolyhedralSet(ineq=(G, np.array([0.0, -5.0])), eq=(E, np.zeros(n - 1)))
+
+
+def perturbed_pyramid_setups(rng, count):
+    """Pyramids with 5-8 rays in R^3/R^4, generators that leave the cone
+    invariant shifted by Gaussian noise (many are not dissipative), and the
+    functional and order-unit gauges of interior phi and u."""
+    setups = []
+    for n, k in [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5), (4, 6), (4, 8)] * count:
+        z = rng.standard_normal((k, n - 1))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        K = PolyCone.from_generators(np.hstack([np.ones((k, 1)), z]))
+        G, F = K.generators, K.facets
+        phi = rng.uniform(0.5, 1.5, F.shape[0]) @ F
+        unit = rng.uniform(0.5, 1.5, G.shape[0]) @ G
+        W = rng.uniform(0.0, 1.0, (G.shape[0], F.shape[0]))
+        B = G.T @ (W * (rng.random(W.shape) < 0.5)) @ F
+        c = float(np.max((G @ B.T @ phi) / (G @ phi))) * rng.uniform(1.0, 1.5)
+        A = B - c * np.eye(n) + 0.3 * c * rng.standard_normal((n, n))
+        setups.append((LinOp(A), FunctionalGauge(K, phi)))
+        setups.append((LinOp(A), OrderUnitGauge(K, unit)))
+    return setups
+
+
+def assert_same_witnesses(got, expected):
+    """Same labels, points and order; the same functional unless another one
+    ties with it; margins within 1e-12 of the size of their terms."""
+    assert [w.label for w in got] == [w.label for w in expected]
+    for g, e in zip(got, expected):
+        assert np.array_equal(g.point, e.point)
+        size = max(1.0, float(np.max(np.abs(e.functional)))) * float(np.max(np.abs(e.point)))
+        assert g.margin == pytest.approx(e.margin, rel=1e-12, abs=1e-15 * size)
+        if not np.array_equal(g.functional, e.functional):
+            assert float(g.point @ g.functional) == pytest.approx(
+                float(g.point @ e.functional), abs=1e-9 * size
+            )
+
+
+class TestBatchedCertificate:
+    """``certify_dissipative`` against the per-point loop it replaced."""
+
+    def test_sampler_matches_the_loop(self, matrix_one, matrix_two_restricted, orthant2):
+        rng = np.random.default_rng(125)
+        cases = [
+            (matrix_one, orthant2, 100, 0),
+            (matrix_two_restricted, orthant2, 40, 3),
+            (LinOp(-np.eye(3), domain=half_line_domain(3)), PolyCone.standard_orthant(3), 25, 4),
+            (LinOp(-np.eye(3), domain=PolyhedralSet()), PolyCone.standard_orthant(3), 10, 5),
+            (LinOp(rng.standard_normal((4, 4))), PolyCone.from_generators(
+                np.hstack([np.ones((6, 1)), rng.standard_normal((6, 3))])), 32, 6),
+            (LinOp(np.zeros((12, 12)), domain=half_line_domain(12)),
+             PolyCone.standard_orthant(12), 20, 7),
+            (LinOp(np.zeros((3, 3)), domain=PolyhedralSet(ineq=(-np.eye(3), np.zeros(3)))),
+             PolyCone.standard_orthant(3), 0, 8),
+        ]
+        for op, K, n_samples, seed in cases:
+            labels, X, _ = _domain_test_points(op, K, n_samples, seed)
+            expected = domain_points_loop(op, K, n_samples, seed)
+            assert labels == [label for label, _ in expected]
+            assert X.shape == (len(expected), op.dim)
+            for row, (_, x) in zip(X, expected):
+                assert np.array_equal(row, x)
+
+    def test_euclidean_fixture_and_restricted_domain(
+        self, matrix_one, matrix_two_restricted, orthant2
+    ):
+        gauge = EuclideanNorm(orthant2)
+        half_line = LinOp(matrix_one.matrix, domain=half_line_domain(2))
+        for op in (matrix_one, matrix_two_restricted, half_line):
+            for seed in (0, 7):
+                rep = certify_dissipative(op, gauge, 50, seed)
+                expected = certify_loop(op, gauge, 50, seed)
+                assert_same_witnesses(rep.witnesses, expected)
+                assert rep.verdict == ("fails" if expected else "inconclusive")
+        assert certify_dissipative(matrix_one, gauge, 50, 0).witnesses
+
+    def test_perturbed_pyramids(self):
+        rng = np.random.default_rng(126)
+        failing = 0
+        for op, gauge in perturbed_pyramid_setups(rng, 3):
+            rep = certify_dissipative(op, gauge, 32, 11)
+            expected = certify_loop(op, gauge, 32, 11)
+            assert_same_witnesses(rep.witnesses, expected)
+            assert rep.verdict == ("fails" if expected else "inconclusive")
+            assert rep.samples_used == len(domain_points_loop(op, gauge.cone, 32, 11))
+            failing += bool(expected)
+        assert 5 <= failing <= 37
+
+    def test_no_test_points(self):
+        # above the enumeration guard, no generator in the domain and no
+        # samples asked for: nothing to check
+        n = 11
+        op = LinOp(np.eye(n), domain=PolyhedralSet(ineq=(-np.eye(n)[:1], np.array([1.0]))))
+        gauge = FunctionalGauge(PolyCone.standard_orthant(n), np.ones(n))
+        assert domain_points_loop(op, gauge.cone, 0, 0) == []
+        rep = certify_dissipative(op, gauge, 0, 0)
+        assert rep.verdict == "inconclusive"
+        assert rep.samples_used == 0 and not rep.witnesses
 
 
 def sampled_pod_oracle(A, cone, rng, n_boundary=60, tol=1e-9):

@@ -9,10 +9,12 @@ The closed-form functional and order-unit gauges are checked against the
 functional gauge's primal LP (an oracle kept here), the subdifferential
 descriptions, and (above the vertex-table guard) scipy's HiGHS; hypothesis
 drives the sublinearity properties of every half-norm across input scales
-1e-12 to 1e12.
+1e-12 to 1e12.  The batched pairing path is checked against the per-row
+closed forms it replaced, kept here as oracles.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from conesemi.halfnorm import (
     WeightedNorm,
     regularized_norm,
 )
-from conesemi.numerics import LpProblem, enumerate_vertices, solve_lp
+from conesemi.numerics import LpProblem, enumerate_vertices, solve_lp, vertex_table
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -69,6 +71,64 @@ def lp_functional_gauge(cone, phi, x):
     res = solve_lp(LpProblem(objective=R @ phi, ineq_constraints=(F @ R.T, F @ x), nonneg=True))
     assert res.optimal
     return max(0.0, res.value)
+
+
+def unit_row(x):
+    """``x`` times the power of two that brings ``||x||_inf`` into [1/2, 1)."""
+    return np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
+
+
+def face_extremum(V, x, c, sense):
+    """Per-row oracle: extremum of <c, v> over the rows v of V that attain
+    max <x, v> (x at unit scale), the first such row on a tie."""
+    scores = V @ x
+    face = V[scores >= np.max(scores) - 1e-9 * np.max(np.abs(V))]
+    pairing = face @ c
+    k = int(np.argmin(pairing) if sense == "min" else np.argmax(pairing))
+    return float(pairing[k]), face[k].copy()
+
+
+def simplicial_pairing(F, weights, x, c, sense):
+    """Per-row oracle on a simplicial cone, S = {F^T b : 0 <= b <= weights}
+    (x at unit scale): b_i = weights_i where <f_i, x> > 0, 0 where it is
+    negative, and the extreme end for <f_i, c> on a tie."""
+    fx, fc = F @ x, F @ c
+    tie = np.abs(fx) <= 1e-9 * np.max(np.abs(F), axis=1)
+    top = fc < 0 if sense == "min" else fc > 0
+    b = np.where(np.where(tie, top, fx > 0), weights, 0.0)
+    return float(fc @ b), F.T @ b
+
+
+def per_row_pairing(p, x, c, sense):
+    """The per-row oracle of each closed form, or one optimization over the
+    subdifferential's description for the other variants."""
+    if isinstance(p, OrderUnitGauge):
+        return face_extremum(p._vertices, unit_row(x), c, sense)
+    if isinstance(p, FunctionalGauge):
+        kind, table = p._closed_form
+        if kind == "vertices":
+            return face_extremum(table, unit_row(x), c, sense)
+        if kind == "simplicial":
+            return simplicial_pairing(p.cone.facets, table, unit_row(x), c, sense)
+    return p.subdifferential(unit_row(x)).optimize(c, sense)
+
+
+def assert_batch_matches_oracle(p, X, C, sense):
+    """Extrema within 1e-12 of the size of their terms, and the oracle's
+    attaining functional unless another one ties with it."""
+    extrema, functionals = p.pairing_extrema(X, C, sense)
+    assert extrema.shape == (X.shape[0],) and functionals.shape == X.shape
+    for x, c, got, u in zip(X, C, extrema, functionals):
+        expected, u_expected = per_row_pairing(p, x, c, sense)
+        size = np.abs(c).sum() * max(np.max(np.abs(u_expected)), 1.0)
+        assert got == pytest.approx(expected, rel=0, abs=1e-12 * size)
+        assert float(c @ u) == pytest.approx(got, rel=0, abs=1e-12 * size)
+        if not np.array_equal(u, u_expected):
+            assert float(c @ u) == pytest.approx(expected, rel=0, abs=1e-12 * size)
+            tie = 1e-9 * np.max(np.abs(x))
+            assert float(x @ u) == pytest.approx(float(x @ u_expected), abs=tie)
+        single, _ = p.pairing_extremum(x, c, sense)
+        assert single == pytest.approx(got, rel=0, abs=1e-12 * size)
 
 
 def brute_force_canonical(cone, norm, x):
@@ -358,6 +418,29 @@ class TestLpFallback:
             assert res.status == 0
             assert val == pytest.approx(-res.fun, rel=1e-9, abs=1e-9)
             assert p.value(1e6 * x) == pytest.approx(1e6 * val, rel=1e-9)
+
+    def test_pairing_batch_against_highs(self, large):
+        K, p, rng = large
+        G = K.generators
+        X = np.vstack([rng.standard_normal((2, 6)), 1e-9 * G[0], -G[1], 1e9 * (G[2] - 2.0 * G[3])])
+        C = rng.standard_normal(X.shape)
+        for sense, sign in (("min", 1.0), ("max", -1.0)):
+            assert_batch_matches_oracle(p, X, C, sense)
+            extrema, functionals = p.pairing_extrema(X, C, sense)
+            for x, c, got, u in zip(X, C, extrema, functionals):
+                # over the face of S = {u : 0 <= G u <= G phi} where <x, u> = p(x)
+                res = linprog(
+                    sign * c,
+                    A_ub=np.vstack([-G, G]),
+                    b_ub=np.concatenate([np.zeros(G.shape[0]), G @ p.phi]),
+                    A_eq=unit_row(x)[None, :],
+                    b_eq=[p.value(unit_row(x))],
+                    bounds=[(None, None)] * K.dim,
+                    method="highs",
+                )
+                assert res.status == 0
+                assert got == pytest.approx(sign * res.fun, abs=1e-8)
+                assert float(c @ u) == pytest.approx(got, abs=1e-12 * np.abs(c).sum())
 
     def test_pairing_against_description(self, large):
         K, p, rng = large
@@ -690,3 +773,109 @@ class TestOptimizeOverSubdiff:
             for p in closed_form_gauges(K, np.random.default_rng(0)):
                 with pytest.raises(MalformedProblem):
                     p.pairing_extremum([1.0, 0.0], [1.0, 1.0], "sup")
+                with pytest.raises(MalformedProblem):
+                    p.pairing_extrema(np.eye(2), np.eye(2), "sup")
+
+
+class TestPairingBatch:
+    """``pairing_extrema`` against the per-row oracles, row for row."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(-12, 12),
+        st.integers(0, len(differential_cones()) - 1),
+    )
+    def test_closed_forms_at_every_scale(self, seed, exponent, which):
+        # facet ties from the probe points, vertex ties from x = 0 (the face
+        # is all of S), c = 0 and small integer directions
+        rng = np.random.default_rng(seed)
+        K = differential_cones()[which]
+        X = 10.0**exponent * np.vstack(probe_points(K, rng, 3))
+        C = rng.standard_normal(X.shape)
+        C[1::2] = rng.integers(-2, 3, C[1::2].shape)
+        C[-1] = 0.0
+        for p in closed_form_gauges(K, rng):
+            for sense in ("min", "max"):
+                assert_batch_matches_oracle(p, X, C, sense)
+
+    def test_closed_forms_pick_the_first_tied_vertex(self):
+        # at x = 0 with c = 0 every vertex of S ties: the first in table order wins
+        rng = np.random.default_rng(122)
+        for K in differential_cones()[7:]:
+            p, q = closed_form_gauges(K, rng)
+            for gauge, table in ((p, p._closed_form[1]), (q, q._vertices)):
+                for sense in ("min", "max"):
+                    zeros = np.zeros((2, K.dim))
+                    extrema, functionals = gauge.pairing_extrema(zeros, zeros, sense)
+                    assert np.all(extrema == 0.0)
+                    assert np.array_equal(functionals, table[[0, 0]])
+
+    def test_other_variants_row_by_row(self):
+        rng = np.random.default_rng(121)
+        orthant3, diamond, six_rays = (differential_cones()[i] for i in (1, 3, 8))
+        for K in (orthant3, diamond, six_rays):
+            gauges = [*lp_gauges(K, rng)[:2], EuclideanNorm(K)]
+            if K is not six_rays:
+                # the sup norm is monotone for both orders, so S is this norm's own
+                gauges.append(PositivePartNorm(K, WeightedNorm.sup(K.dim)))
+            X = np.vstack(probe_points(K, rng, 1))
+            C = rng.standard_normal(X.shape)
+            for p in gauges:
+                for scale, sense in ((1e-12, "min"), (1.0, "max"), (1e12, "min"), (1e12, "max")):
+                    assert_batch_matches_oracle(p, scale * X, C, sense)
+
+    def test_rows_must_pair_up(self, orthant2):
+        from conesemi.errors import DimensionMismatch
+
+        p = FunctionalGauge(orthant2, [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            p.pairing_extrema(np.eye(2), np.ones((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            p.pairing_extrema(np.eye(2), np.ones((2, 3)))
+
+
+class TestClosedFormMemo:
+    """The functional gauge's closed form lives in a one-slot memo on its cone."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import conesemi.halfnorm as halfnorm
+
+        calls = []
+
+        def counted(ineq):
+            calls.append(1)
+            return vertex_table(ineq)
+
+        monkeypatch.setattr(halfnorm, "vertex_table", counted)
+        return calls
+
+    def test_same_cone_and_functional_build_once(self, builds):
+        rng = np.random.default_rng(123)
+        K = pyramid(rng, 3, 6)
+        phi = K.facets.sum(axis=0)
+        first, second = FunctionalGauge(K, phi), FunctionalGauge(K, phi.copy())
+        X = rng.standard_normal((5, 3))
+        assert np.array_equal(first.values(X), second.values(X))
+        assert len(builds) == 1
+        assert second._closed_form[1] is first._closed_form[1]
+
+    def test_another_functional_rebuilds(self, builds):
+        rng = np.random.default_rng(124)
+        K = pyramid(rng, 3, 6)
+        phi = K.facets.sum(axis=0)
+        x = rng.standard_normal(3)
+        a = FunctionalGauge(K, phi)
+        a.value(x)
+        b = FunctionalGauge(K, 2.0 * phi)
+        b.value(x)
+        assert len(builds) == 2
+        # the slot now holds 2 phi; a gauge keeps the table it already has
+        a.value(x)
+        assert len(builds) == 2
+        FunctionalGauge(K, phi).value(x)
+        assert len(builds) == 3
+        # another cone has its own slot
+        FunctionalGauge(PolyCone(K.generators, K.facets), phi).value(x)
+        assert len(builds) == 4

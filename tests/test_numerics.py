@@ -1,5 +1,10 @@
 """Kernel tests: simplex vs brute-force vertex enumeration, LU, expm."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -208,6 +213,18 @@ class TestLinearSolve:
     def test_not_square_rejected(self):
         with pytest.raises(MalformedProblem):
             linear_solve(np.ones((2, 3)), [1.0, 2.0])
+
+    def test_import_leaves_scipy_out(self):
+        # scipy.linalg is loaded by the first LU factorization, not by the import
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import sys, conesemi\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "assert conesemi.linear_solve([[2.0]], [4.0])[0] == 2.0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 class TestMatrixExp:
