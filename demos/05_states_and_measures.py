@@ -29,7 +29,7 @@ for s, w in zip(space.states, mu.weights):
 print("total mass equals the functional at the unit:", mu.total_mass)
 
 print()
-print("== non-simplicial dual: minimal total mass picks a canonical weighting ==")
+print("== non-simplicial dual: many weightings, each of mass phi(u) ==")
 pyramid = PolyCone.from_generators([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]])
 space = build_state_space(pyramid, [0, 0, 1])
 phi = pyramid.certify_functional(pyramid.facets.sum(axis=0))
@@ -38,6 +38,7 @@ print("states:", np.round(space.states, 6).tolist())
 print("weights:", np.round(mu.weights, 9).tolist())
 recon = space.states.T @ mu.weights
 print("reproduction residual:", float(np.max(np.abs(recon - phi.coords))))
+print("total mass and phi(u):", mu.total_mass, float(phi.coords @ space.unit))
 
 print()
 print("== bipositivity: the embedding decides membership ==")

@@ -251,15 +251,9 @@ def _dedup_directions(R: np.ndarray) -> np.ndarray:
 
 def _check_pointed(R: np.ndarray) -> None:
     """No ray's negative may be a conic combination of the rays."""
-    k, n = R.shape
-    eye = np.eye(k)
-    zero = np.zeros(k)
-    for i in range(k):
-        problem = LpProblem(
-            objective=zero,
-            eq_constraints=(R.T, -R[i]),
-            ineq_constraints=(eye, zero),
-        )
+    zero = np.zeros(R.shape[0])
+    for i in range(R.shape[0]):
+        problem = LpProblem(objective=zero, eq_constraints=(R.T, -R[i]), nonneg=True)
         if solve_lp(problem).optimal:
             raise NotPointed(f"both ray {i} and its negative belong to the cone")
 
@@ -273,11 +267,10 @@ def _enumerate_facets(R: np.ndarray) -> np.ndarray:
     and zero exactly when the rows span less than a hyperplane.  A block of
     ``FACET_BLOCK`` subsets costs one stacked determinant per deleted column
     and one matrix product for the sign test against every ray; facets are
-    kept in order of first occurrence and de-duplicated on rounded keys.
+    de-duplicated on keys rounded to 10 decimals, the first occurrence kept.
     """
     k, n = R.shape
     found: list[np.ndarray] = []
-    seen: set[tuple] = set()
     scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
     cols = np.arange(n)
     signs = (-1.0) ** cols
@@ -290,14 +283,12 @@ def _enumerate_facets(R: np.ndarray) -> np.ndarray:
         normals = normals / pivots[:, None]
         P = normals @ R.T
         ok = np.stack([np.min(P, axis=1) >= -1e-10, np.max(P, axis=1) <= 1e-10], axis=1)
-        cands = np.stack([normals, -normals], axis=1)[ok] + 0.0
-        for cand, key in zip(cands, map(tuple, np.round(cands, 10))):
-            if key not in seen:
-                seen.add(key)
-                found.append(cand)
-    if not found:
+        found.append(np.stack([normals, -normals], axis=1)[ok] + 0.0)
+    cands = np.concatenate(found)
+    if not cands.size:
         return np.empty((0, n))
-    return np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
+    _, first = np.unique(np.round(cands, 10) + 0.0, axis=0, return_index=True)
+    return np.vstack(sorted(cands[np.sort(first)], key=lambda f: tuple(np.round(f, 12))))
 
 
 def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list[Witness]:
@@ -334,12 +325,13 @@ def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list
 
 
 def _extreme_rays(R: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    n = R.shape[1]
-    keep = []
-    for i, g in enumerate(R):
-        active = facets[np.abs(facets @ g) <= 1e-9 * (1.0 + np.max(np.abs(g)))]
-        if active.shape[0] >= n - 1 and np.linalg.matrix_rank(active, tol=1e-10) == n - 1:
-            keep.append(i)
-    if not keep:
+    """The rays on which the facets active at them have rank ``dim - 1``.
+
+    One stacked rank call: ray i's matrix is the facet table with its
+    inactive rows zeroed, which leaves the singular values unchanged.
+    """
+    active = np.abs(R @ facets.T) <= 1e-9 * (1.0 + np.max(np.abs(R), axis=1, keepdims=True))
+    keep = np.linalg.matrix_rank(active[:, :, None] * facets, tol=1e-10) == R.shape[1] - 1
+    if not keep.any():
         raise NotGenerating("no extreme ray survived facet reduction")
     return R[keep]

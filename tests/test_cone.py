@@ -100,6 +100,43 @@ def loop_enumerate_facets(R):
     return np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
 
 
+def seen_set_enumerate_facets(R):
+    """The batched enumeration with a per-candidate ``seen`` set in place of
+    ``np.unique``: the oracle for its de-duplication."""
+    k, n = R.shape
+    found = []
+    seen = set()
+    scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
+    cols = np.arange(n)
+    signs = (-1.0) ** cols
+    subsets = itertools.combinations(range(k), n - 1)
+    while (block := np.fromiter(itertools.islice(subsets, 4096), (np.intp, n - 1))).size:
+        M = R[block]
+        normals = np.stack([np.linalg.det(M[:, :, cols != i]) for i in range(n)], axis=1) * signs
+        normals = normals[np.max(np.abs(normals), axis=1) > 1e-10 * scale]
+        pivots = normals[np.arange(normals.shape[0]), np.argmax(np.abs(normals), axis=1)]
+        normals = normals / pivots[:, None]
+        P = normals @ R.T
+        ok = np.stack([np.min(P, axis=1) >= -1e-10, np.max(P, axis=1) <= 1e-10], axis=1)
+        cands = np.stack([normals, -normals], axis=1)[ok] + 0.0
+        for cand, key in zip(cands, map(tuple, np.round(cands, 10))):
+            if key not in seen:
+                seen.add(key)
+                found.append(cand)
+    return np.vstack(sorted(found, key=lambda f: tuple(np.round(f, 12))))
+
+
+def loop_extreme_rays(R, facets):
+    """One rank call per ray: the oracle for the stacked ``_extreme_rays``."""
+    n = R.shape[1]
+    keep = []
+    for i, g in enumerate(R):
+        active = facets[np.abs(facets @ g) <= 1e-9 * (1.0 + np.max(np.abs(g)))]
+        if active.shape[0] >= n - 1 and np.linalg.matrix_rank(active, tol=1e-10) == n - 1:
+            keep.append(i)
+    return R[keep]
+
+
 def loop_dedup_directions(R):
     """Greedy de-duplication one ray at a time: the oracle for the pairwise
     ``_dedup_directions``."""
@@ -236,6 +273,40 @@ class TestFacetEnumeration:
 
     def test_no_facet_is_an_empty_table(self):
         assert _enumerate_facets(np.vstack([np.eye(3), -np.eye(3)])).shape == (0, 3)
+
+
+class TestBuildOracle:
+    @staticmethod
+    def ray_sets():
+        """Random pointed cones in R^3..R^8 with up to 48 rays: extreme rays
+        only, with convex combinations of them, with repeated and scaled
+        copies, and small-integer rays with coplanar subsets; and one cone
+        with nearly coplanar facets."""
+        rng = np.random.default_rng(38)
+        sets = []
+        for n, k in ((3, 8), (3, 24), (3, 40), (4, 8), (4, 16), (5, 8), (5, 12),
+                     (6, 8), (6, 12), (7, 8), (8, 9)):
+            for _ in range(3):
+                rays = sphere_rays(rng, n, k)
+                sets.append(rays)
+                inner = rng.uniform(0.0, 1.0, (4, k)) @ rays
+                sets.append(np.vstack([rays, inner])[rng.permutation(k + 4)])
+                sets.append(np.vstack([rays, 2.5 * rays[:2], rays[:1]]))
+                grid = rng.integers(-2, 3, (k + 2, n - 1))
+                sets.append(np.hstack([np.ones((k + 2, 1)), grid]).astype(float))
+        sets.append(sphere_rays(rng, 3, 48))
+        # a ray 1e-8 off the square's edge: two facets equal to 7 decimals
+        sets.append(np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1],
+                              [0.5 + 1e-8, 0.5 + 1e-8, 1]]))
+        return [R for R in sets if np.linalg.matrix_rank(R) == R.shape[1]]
+
+    def test_stacked_build_equals_the_loops_bit_for_bit(self):
+        for R in self.ray_sets():
+            K = PolyCone.from_generators(R)
+            kept = _dedup_directions(R)
+            facets = seen_set_enumerate_facets(kept)
+            assert K.facets.tobytes() == facets.tobytes()
+            assert K.generators.tobytes() == loop_extreme_rays(kept, facets).tobytes()
 
 
 class TestDedupDirections:

@@ -1,11 +1,24 @@
-"""State spaces, embeddings, and nonnegative representations of functionals."""
+"""State spaces, embeddings, and nonnegative representations of functionals.
+
+``represent_functional`` is checked against scipy's HiGHS for the
+representable / not-representable outcome, and on simplicial cones against
+the minimal-mass LP with identity rows for ``w >= 0`` that it replaced.
+"""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from conesemi import representation
 from conesemi.cone import DualVector, PolyCone
-from conesemi.errors import NotOrderUnit, NotPositiveFunctional
-from conesemi.representation import build_state_space, embed, represent_functional
+from conesemi.errors import NotOrderUnit, NotPositiveFunctional, NotRepresentable
+from conesemi.numerics import LpProblem, solve_lp
+from conesemi.representation import (
+    StateSpace,
+    build_state_space,
+    embed,
+    represent_functional,
+)
 
 
 @pytest.fixture
@@ -137,3 +150,153 @@ class TestRepresent:
             w = rng.uniform(0, 3, states.shape[0])
             if np.max(np.abs(states.T @ w - phi_vec)) <= 1e-6:
                 assert best <= np.sum(w) + 1e-6
+
+
+def sphere_cone(rng, n, k):
+    """The cones workload's construction: rays ``(1, rho z_i)`` with z_i on
+    the unit sphere of R^(n-1), every one extreme; the unit is their sum.
+    With more rays than dimensions the cone is not simplicial."""
+    while True:
+        z = rng.standard_normal((k, n - 1))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        rays = np.hstack([np.ones((k, 1)), z * rng.uniform(0.5, 1.0)])
+        if np.linalg.matrix_rank(rays) == n:  # in R^2 both rays can fall on one side
+            return PolyCone.from_generators(rays), rays.sum(axis=0)
+
+
+def identity_row_weights(space, phi_vec):
+    """The replaced LP: minimal total mass with ``w >= 0`` as identity rows."""
+    k = space.size
+    res = solve_lp(
+        LpProblem(
+            objective=np.ones(k),
+            eq_constraints=(space.states.T, phi_vec),
+            ineq_constraints=(np.eye(k), np.zeros(k)),
+        )
+    )
+    return np.maximum(res.point, 0.0)
+
+
+def highs_representable(space, phi_vec):
+    res = linprog(
+        np.zeros(space.size),
+        A_eq=space.states.T,
+        b_eq=phi_vec,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+WORKLOAD_SHAPES = ((3, 8), (3, 16), (3, 32), (3, 48), (4, 8), (4, 12), (5, 10), (6, 8),
+                   (6, 16), (7, 8), (8, 10))
+
+
+class TestRepresentDifferential:
+    def test_workload_cones(self):
+        rng = np.random.default_rng(133)
+        for n, k in WORKLOAD_SHAPES:
+            K, unit = sphere_cone(rng, n, k)
+            assert K.generators.shape[0] == k and K.facets.shape[0] > n
+            space = build_state_space(K, unit)
+            for _ in range(6):
+                phi_vec = K.facets.T @ (rng.uniform(0, 1, K.facets.shape[0])
+                                        * (rng.uniform(size=K.facets.shape[0]) < 0.5))
+                mu = represent_functional(space, K.certify_functional(phi_vec))
+                mass = float(phi_vec @ unit)
+                assert np.min(mu.weights) >= 0.0
+                assert np.max(np.abs(space.states.T @ mu.weights - phi_vec)) <= 1e-9
+                assert abs(mu.total_mass - mass) <= 1e-9 * max(1.0, mass)
+
+    def test_outcome_matches_highs(self):
+        rng = np.random.default_rng(134)
+        outcomes = set()
+        for n, k in WORKLOAD_SHAPES:
+            K, unit = sphere_cone(rng, n, k)
+            space = build_state_space(K, unit)
+            for _ in range(8):
+                # (1, y) is positive for |y| <= 1; past 1 it may leave the dual
+                y = rng.standard_normal(n - 1)
+                phi_vec = np.concatenate([[1.0], y * rng.uniform(0.0, 2.5) / np.linalg.norm(y)])
+                margin = float(np.min(K.generators @ phi_vec))
+                if abs(margin) < 1e-6:
+                    continue
+                expected = highs_representable(space, phi_vec)
+                assert expected == (margin > 0)
+                # a certificate that may be false reaches the solve unchecked
+                phi = DualVector(phi_vec, certified_positive=True)
+                try:
+                    represent_functional(space, phi)
+                    got = True
+                except NotRepresentable:
+                    got = False
+                assert got == expected
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_simplicial_weights_equal_the_identity_row_lp(self):
+        rng = np.random.default_rng(135)
+        for n in range(2, 9):
+            for _ in range(4):
+                K, unit = sphere_cone(rng, n, n)
+                assert K.is_lattice()
+                space = build_state_space(K, unit)
+                phi_vec = K.facets.T @ rng.uniform(0, 2, n)
+                got = represent_functional(space, K.certify_functional(phi_vec)).weights
+                want = identity_row_weights(space, phi_vec)
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(want)))
+
+    def test_simplicial_false_certificate_not_representable(self):
+        K = PolyCone.from_generators([[1, 1], [1, -1]])
+        space = build_state_space(K, [1, 0])
+        with pytest.raises(NotRepresentable):
+            represent_functional(space, DualVector(np.array([1.0, 2.0]), certified_positive=True))
+        # the state (0, 1e-6) turns a 5e-10 violation into the weight -5e-4,
+        # which clamping at 0 would hide from the residual check
+        K = PolyCone.standard_orthant(2)
+        space = build_state_space(K, [1, 1e6])
+        with pytest.raises(NotRepresentable):
+            represent_functional(space, DualVector(np.array([1.0, -5e-10]), certified_positive=True))
+
+    def test_lp_only_off_simplicial_cones_and_without_identity_rows(self, monkeypatch):
+        problems = []
+
+        def recorded(problem):
+            problems.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(representation, "solve_lp", recorded)
+        rng = np.random.default_rng(136)
+        shapes = []
+        for n, k in ((3, 3), (3, 9), (6, 6), (6, 10)):
+            K, unit = sphere_cone(rng, n, k)
+            space = build_state_space(K, unit)
+            represent_functional(space, K.certify_functional(K.facets.sum(axis=0)))
+            if k > n:
+                shapes.append((n, space.size))
+        # one row per dimension and one column per state
+        assert [p.eq_constraints[0].shape for p in problems] == shapes
+        assert all(p.nonneg and p.ineq_constraints is None for p in problems)
+
+    def test_dependent_states_fall_back_to_the_lp(self):
+        # as many states as dimensions, but no basis: the LU guard refuses
+        space = StateSpace(states=np.array([[1.0, 0.0], [1.0, 0.0]]), unit=np.array([1.0, 0.0]))
+        phi = DualVector(np.array([2.0, 0.0]), certified_positive=True)
+        mu = represent_functional(space, phi)
+        assert np.max(np.abs(space.states.T @ mu.weights - phi.coords)) <= 1e-12
+        assert mu.total_mass == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(NotRepresentable):
+            represent_functional(space, DualVector(np.array([1.0, 1.0]), certified_positive=True))
+
+    def test_every_weighting_has_the_same_mass(self):
+        # two different nonnegative weightings of one phi: both weigh phi(u)
+        K = PolyCone.from_generators([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]])
+        space = build_state_space(K, [0.2, -0.1, 1])
+        spread = np.array([0.5, 1.0, 1.5, 2.0])
+        phi_vec = space.states.T @ spread
+        mu = represent_functional(space, K.certify_functional(phi_vec))
+        assert np.max(np.abs(mu.weights - spread)) > 0.1
+        assert np.max(np.abs(space.states.T @ mu.weights - phi_vec)) <= 1e-9
+        assert mu.total_mass == pytest.approx(float(np.sum(spread)), abs=1e-12)
+        assert mu.total_mass == pytest.approx(float(phi_vec @ space.unit), abs=1e-12)
