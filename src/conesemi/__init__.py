@@ -40,7 +40,6 @@ from .halfnorm import (
 from .numerics import (
     LpProblem,
     LpResult,
-    enumerate_vertices,
     linear_solve,
     matrix_exp,
     solve_lp,
@@ -102,7 +101,6 @@ __all__ = [
     "convergence_study",
     "dirichlet_laplacian",
     "embed",
-    "enumerate_vertices",
     "euler_matrix",
     "euler_power",
     "fd_resolvent",

@@ -16,7 +16,6 @@ other checks compose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,10 @@ from .errors import (
     NotPositiveFunctional,
     NumericalFailure,
 )
-from .numerics import LpProblem, as_matrix, as_vector, linear_solve, solve_lp
+from .numerics import LpProblem, as_matrix, as_vector, linear_solve, solve_lp, subset_blocks
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
-# (dim-1)-subsets of rays per batched determinant call in facet enumeration;
-# bounds its memory up to the dimension guard
-FACET_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +75,10 @@ class PolyCone:
         """Build the cone spanned by ``rays``; compute facets by enumeration.
 
         Facet normals come from (dim-1)-subsets of rays whose span is a
-        hyperplane with all rays on one side, enumerated in blocks of
-        ``FACET_BLOCK`` subsets by stacked determinants and one sign test per
-        block; the surviving rays are then reduced to the extreme ones.
+        hyperplane with all rays on one side, enumerated in the blocks of
+        :func:`~conesemi.numerics.subset_blocks` by stacked determinants and
+        one sign test per block; the surviving rays are then reduced to the
+        extreme ones.
         Pointedness is read off the facets: a full-dimensional cone is pointed
         exactly when its dual is, that is, when the facet normals span the
         space.  Only when they do not (or when no facet exists) do the per-ray
@@ -132,9 +129,9 @@ class PolyCone:
         """``build()``, kept in one slot under ``key``.
 
         For a table derived from this cone and one more input, such as a
-        functional gauge's vertex table keyed by the functional.  Generators
-        and facets are read-only, so the slot stays valid; another key
-        replaces it.
+        half-norm's vertex table keyed by the description of its polytope.
+        Generators and facets are read-only, so the slot stays valid; another
+        key replaces it.
         """
         if self._memo_slot is None or self._memo_slot[0] != key:
             self._memo_slot = (key, build())
@@ -265,17 +262,17 @@ def _enumerate_facets(R: np.ndarray) -> np.ndarray:
     The normal of the span of n-1 rays is their generalized cross product,
     the signed minors of the (n-1) x n matrix: exact for small integer data,
     and zero exactly when the rows span less than a hyperplane.  A block of
-    ``FACET_BLOCK`` subsets costs one stacked determinant per deleted column
-    and one matrix product for the sign test against every ray; facets are
-    de-duplicated on keys rounded to 10 decimals, the first occurrence kept.
+    :func:`~conesemi.numerics.subset_blocks` costs one stacked determinant
+    per deleted column and one matrix product for the sign test against
+    every ray; facets are de-duplicated on keys rounded to 10 decimals, the
+    first occurrence kept.
     """
     k, n = R.shape
     found: list[np.ndarray] = []
     scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
     cols = np.arange(n)
     signs = (-1.0) ** cols
-    subsets = itertools.combinations(range(k), n - 1)
-    while (block := np.fromiter(itertools.islice(subsets, FACET_BLOCK), (np.intp, n - 1))).size:
+    for block in subset_blocks(k, n - 1):
         M = R[block]
         normals = np.stack([np.linalg.det(M[:, :, cols != i]) for i in range(n)], axis=1) * signs
         normals = normals[np.max(np.abs(normals), axis=1) > 1e-10 * scale]

@@ -30,8 +30,8 @@ from .numerics import (
     LpProblem,
     as_matrix,
     as_vector,
-    enumerate_vertices,
     solve_lp,
+    vertex_table,
 )
 from .report import FAILS, HOLDS, INCONCLUSIVE, Report, Witness
 
@@ -152,9 +152,10 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
     Structural: cone generators that lie in the domain, and the vertices of
     the domain clipped to the unit box (for conic domains these are exactly
     the normalized rays).  Random: Gaussian points for a free domain,
-    convex combinations of the clipped vertices otherwise.  Above the
-    vertex-enumeration guard the sampler falls back to domain-filtered
-    Gaussian rejection, recorded in the returned notes.
+    convex combinations of the clipped vertices otherwise.  Above dimension
+    10 the vertices are skipped (their count is not bounded there), and the
+    samples are the first domain points of one batch of ``50 * n_samples``
+    Gaussian draws, recorded in the returned notes.
     """
     rng = np.random.default_rng(seed)
     n = op.dim
@@ -172,15 +173,11 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
         return labels, np.vstack(blocks), notes
 
     if n > 10:
-        accepted = 0
-        for _ in range(50 * max(n_samples, 1)):
-            if accepted >= n_samples:
-                break
-            x = rng.standard_normal(n)
-            if op.in_domain(x):
-                labels.append(f"sample[{accepted}]")
-                blocks.append(x)
-                accepted += 1
+        draws = rng.standard_normal((50 * max(n_samples, 1), n))
+        samples = draws[op.domain.contains_rows(draws)][:n_samples]
+        accepted = samples.shape[0]
+        labels += [f"sample[{k}]" for k in range(accepted)]
+        blocks.append(samples)
         notes.append(
             "domain vertices skipped above the dim-10 enumeration guard; "
             f"rejection sampling accepted {accepted} of {n_samples} requested points"
@@ -196,11 +193,10 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
         E, d = op.domain.eq
         rows.extend([E, -E])
         rhs.extend([d, -d])
-    verts = enumerate_vertices((np.vstack(rows), np.concatenate(rhs)))
-    labels += [f"domain_vertex[{i}]" for i in range(len(verts))]
-    blocks += verts
-    if verts:
-        V = np.vstack(verts)
+    V = vertex_table((np.vstack(rows), np.concatenate(rhs)))
+    labels += [f"domain_vertex[{i}]" for i in range(V.shape[0])]
+    blocks.append(V)
+    if V.shape[0]:
         for k in range(n_samples):
             weights = rng.dirichlet(np.ones(V.shape[0]))
             scale = rng.uniform(0.1, 3.0)

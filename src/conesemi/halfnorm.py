@@ -34,14 +34,22 @@ extremum of ``<c, u>`` over that face for paired rows ``x``, ``c``: it takes
 each ``x`` to unit scale and lets the variant answer the whole batch;
 ``pairing_extremum`` is one row of it.
 
-The functional and order-unit gauges are closed forms (see each class),
-values and pairings alike, one matrix product per batch; the positive-part
-norm is one LU solve per batch of values.  The canonical and regularized
-gauges, and a functional gauge on a cone above ``VERTEX_SUBSET_GUARD``,
-solve one LP per value: ``max <x, u>`` over ``S``.  Weighted l1/linf ambient
-norms keep that LP exact, and since ``S`` contains 0, phase 1 starts at a
-feasible point.  Their pairings (and the positive-part and Euclidean
-norms') optimize over ``subdifferential(x)`` row by row.
+One table-or-LP rule, in :class:`HalfNorm`, serves every polyhedral
+variant.  When ``C(m, w)`` for the ``m x w`` matrix ``G`` is at most
+``VERTEX_SUBSET_GUARD``, the vertices of ``{u : G u >= h}`` projected onto
+the first ``dim`` coordinates form ``_table``: ``p(x)`` is the largest
+``<x, v>`` over its rows and a pairing is the extremum of ``<c, v>`` over
+the rows that attain it, one matrix product per batch.  The projection is
+exact: the support function of a projected set is the support of the
+lifted set with the objective padded by zeros, and the face that ``x``
+exposes projects onto the subdifferential at ``x``.  Above the guard each
+value is one LP, ``max <x, u>`` over ``S`` (weighted l1/linf ambient norms
+keep it exact, and since ``S`` contains 0, phase 1 starts at a feasible
+point), and each pairing one optimization over ``subdifferential(x)``.  The order-unit gauge
+states its table in closed form, and so does the functional gauge on a
+simplicial cone, which also takes its values from ``phi = F^T c``; the
+positive-part norm takes its values from one LU solve per batch, and it and
+the Euclidean norm keep no table.
 """
 
 from __future__ import annotations
@@ -67,7 +75,6 @@ from .numerics import (
     LpProblem,
     as_matrix,
     as_vector,
-    enumerate_vertices,
     factorized_solver,
     linear_solve,
     solve_lp,
@@ -77,15 +84,22 @@ from .numerics import (
 L1 = "l1"
 LINF = "linf"
 
-# Largest count of active sets, C(2k, n) for k rays in R^n, for which a
-# functional gauge on a non-simplicial cone builds its vertex table; above
-# it every evaluation is an LP.  Near the guard (pyramids with 25 rays in
-# R^3 to 8 rays in R^7) the build takes 23-35 ms on one Xeon core and one
-# LP value plus one LP pairing 1.6-3.8 ms, so the table pays for itself
-# after 10-18 evaluations; a certify gauge gets a median of 131.
+# Largest count of active sets, C(m, w) for the m x w description G u >= h
+# of any variant's S, for which a half-norm builds its vertex table; above
+# it every evaluation is an LP.  For a functional gauge that is C(2k, n)
+# for k rays in R^n.  Near the guard, on one Xeon core with one BLAS
+# thread: functional gauges on pyramids with 25 rays in R^3 to 8 rays in
+# R^7 build in 23-35 ms, against 1.6-3.8 ms for one LP value plus one LP
+# pairing, so the table pays for itself after 10-18 evaluations (a certify
+# gauge gets a median of 131); canonical and regularized gauges with
+# C(m, w) from 5,005 to 19,600 (linf 11 rays in R^3 and 7 in R^4, l1 44
+# rays in R^3 and 10 in R^5, regularized l1 6 rays and linf 4 rays in R^3)
+# build in 28-59 ms, against 4.5-19 ms, after 2-11 evaluations.  A
+# functional gauge on a simplicial cone states its 2^n corners in closed
+# form instead, up to this many.
 VERTEX_SUBSET_GUARD = 20_000
 # Pairing ties: <x, v> within this of the maximum, relative to the size of
-# the vertices (or facets), with x at unit scale.
+# the vertices, with x at unit scale.
 TIE_TOL = 1e-9
 
 
@@ -138,8 +152,8 @@ class SubdiffDesc:
 
     ``polyhedral`` descriptions may use auxiliary variables (absolute-value
     splits for dual balls); the functional coordinates are the first
-    ``n_primary`` variables.  Nonemptiness is checked by one feasibility LP
-    at construction.
+    ``n_primary`` variables.  An empty description raises
+    :class:`EmptySubdifferential` when it is optimized.
     """
 
     def __init__(
@@ -162,18 +176,6 @@ class SubdiffDesc:
         self.center = center
         self.radius = radius
         self.n_vars = n_vars if n_vars is not None else n_primary
-        if kind == "polyhedral":
-            res = solve_lp(
-                LpProblem(
-                    objective=np.zeros(self.n_vars),
-                    eq_constraints=eq,
-                    ineq_constraints=ineq,
-                )
-            )
-            if not res.optimal:
-                raise EmptySubdifferential(
-                    "constructed subdifferential description is infeasible"
-                )
 
     @classmethod
     def singleton(cls, point: np.ndarray) -> "SubdiffDesc":
@@ -212,7 +214,7 @@ class SubdiffDesc:
         )
         if res.status == "unbounded":
             raise Unbounded("subdifferential description is unbounded")
-        if not res.optimal:  # pragma: no cover - nonemptiness checked upfront
+        if not res.optimal:
             raise EmptySubdifferential("subdifferential optimization infeasible")
         return float(res.value), res.point[: self.n_primary]
 
@@ -231,9 +233,8 @@ class SubdiffDesc:
             A, b = self.eq
             rows.extend([A, -A])
             rhs.extend([b, -b])
-        verts = enumerate_vertices((np.vstack(rows), np.concatenate(rhs)))
         out: list[np.ndarray] = []
-        for v in verts:
+        for v in vertex_table((np.vstack(rows), np.concatenate(rhs))):
             p = v[: self.n_primary]
             if not any(np.max(np.abs(p - q)) <= 1e-9 for q in out):
                 out.append(p)
@@ -244,10 +245,13 @@ class HalfNorm:
     """Common interface, and the rules that every half-norm shares.
 
     A variant states ``_polar``, the set ``S = {u : G u >= h}`` whose
-    support function it is, and may override ``_unit_values`` (its values
-    at unit-scale rows outside ``-K``; by default one LP over ``S`` per row)
-    and ``_pairings`` (the pairing extrema at unit-scale rows; by default
-    one optimization over the subdifferential's description per row).
+    support function it is.  ``_table`` holds the vertices of ``S`` in the
+    first ``dim`` coordinates, or ``None`` above ``VERTEX_SUBSET_GUARD``.
+    ``_unit_values`` (the values at unit-scale rows outside ``-K``) and
+    ``_pairings`` (the pairing extrema at unit-scale rows) read the table
+    when there is one; otherwise a value is one LP over ``S`` and a pairing
+    one optimization over the subdifferential's description.  A variant may
+    override ``_unit_values`` with a closed form.
     """
 
     variant = "abstract"
@@ -262,6 +266,17 @@ class HalfNorm:
     @property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray | None:
+        """The vertices of ``S``, read-only and shared through the cone's
+        memo by every half-norm with the same ``G`` and ``h``; ``None`` when
+        ``C(m, w)`` exceeds ``VERTEX_SUBSET_GUARD``."""
+        G, h = self._polar
+        if math.comb(*G.shape) > VERTEX_SUBSET_GUARD:
+            return None
+        key = repr(G.shape).encode() + G.tobytes() + h.tobytes()
+        return self.cone.memo(key, functools.partial(_projected_vertices, G, h, self.dim))
 
     def value(self, x) -> float:
         """One row of :meth:`values`."""
@@ -283,6 +298,8 @@ class HalfNorm:
         return np.ldexp(np.maximum(unit_values, 0.0), exponent)
 
     def _unit_values(self, U: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            return np.max(U @ self._table.T, axis=1)
         return np.array([_support(self._polar, u, self.variant) for u in U])
 
     def subdifferential(self, x) -> SubdiffDesc:
@@ -325,6 +342,8 @@ class HalfNorm:
         return self._pairings(_unit_rows(X)[0], C, sense)
 
     def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
+        if self._table is not None:
+            return _face_extrema(self._table, U, C, sense)
         rows = [self.subdifferential(u).optimize(c, sense) for u, c in zip(U, C)]
         return np.array([m for m, _ in rows]), np.vstack([u for _, u in rows])
 
@@ -371,6 +390,14 @@ def _face_extrema(V: np.ndarray, U: np.ndarray, C: np.ndarray, sense: str):
     return pairing[np.arange(k.size), k], V[k]
 
 
+def _projected_vertices(G: np.ndarray, h: np.ndarray, dim: int) -> np.ndarray:
+    """The vertices of ``{w : G w >= h}`` in their first ``dim`` coordinates,
+    read-only."""
+    table = np.ascontiguousarray(vertex_table((G, h))[:, :dim])
+    table.flags.writeable = False
+    return table
+
+
 def _support(polar: tuple[np.ndarray, np.ndarray], c: np.ndarray, context: str) -> float:
     """``max <c, w>`` over ``{w : G w >= h}``, ``c`` padded with zeros."""
     G, h = polar
@@ -415,20 +442,12 @@ class FunctionalGauge(HalfNorm):
     On the cone it equals ``<x, phi>``; on ``-K`` it vanishes.  By LP
     duality it is the support function of
     ``S = { u in K' : phi - u in K' } = { u : 0 <= G u <= G phi }`` (G the
-    generators).  The path is chosen from the cone, once per gauge and on
-    first use:
-
-    * simplicial cones, any dimension: ``phi = F^T c`` and
-      ``p(x) = <c, (F x)^+>``, the pairing extremum taken coordinate by
-      coordinate;
-    * other cones with ``C(2k, n)`` at most ``VERTEX_SUBSET_GUARD`` (k rays in
-      R^n): a vertex table of ``S`` from batched active-set solves;
-    * larger cones: one simplex LP per value, and pairings over
-      :meth:`subdifferential` row by row.
-
-    The choice and its table live in a one-slot memo on the cone, keyed by
-    ``phi``, so a later gauge on the same cone and functional reuses them.
-    On ``K`` (at unit scale) the value is ``<x, phi>`` itself.
+    generators), so the ``HalfNorm`` rule decides from ``C(2k, n)`` (k rays
+    in R^n) between a vertex table and LPs.  On a simplicial cone
+    ``phi = F^T c`` and ``S = { F^T b : 0 <= b <= c }``: the value is
+    ``<c, (F x)^+>`` at any dimension, and the table is the ``2^n`` corners
+    ``F^T b``, ``b_i in {0, c_i}``, in closed form.  On ``K`` (at unit
+    scale) the value is ``<x, phi>`` itself.
     """
 
     variant = "functional"
@@ -454,53 +473,40 @@ class FunctionalGauge(HalfNorm):
         return np.vstack([G, -G]), np.concatenate([np.zeros(G.shape[0]), -(G @ self.phi)])
 
     @functools.cached_property
-    def _closed_form(self) -> tuple[str, np.ndarray | None]:
-        """``("simplicial", c)`` with ``phi = F^T c``, ``("vertices", V)``
-        with the vertex table of ``S``, or ``("lp", None)``."""
-        return self.cone.memo(self.phi.tobytes(), self._build_closed_form)
-
-    def _build_closed_form(self) -> tuple[str, np.ndarray | None]:
+    def _simplicial(self) -> np.ndarray | None:
+        """``c >= 0`` with ``phi = F^T c`` on a simplicial cone, else
+        ``None``; kept in the cone's memo under ``phi``."""
         G, F = self.cone.generators, self.cone.facets
-        k, n = G.shape
-        if k == n and F.shape[0] == n:
-            kind, table = "simplicial", np.maximum(linear_solve(F.T, self.phi), 0.0)
-        elif math.comb(2 * k, n) <= VERTEX_SUBSET_GUARD:
-            kind, table = "vertices", vertex_table(self._polar)
-        else:
-            return "lp", None
-        table.flags.writeable = False  # shared by every gauge on this (cone, phi)
-        return kind, table
+        if G.shape[0] != self.dim or F.shape[0] != self.dim:
+            return None
+        return self.cone.memo(self.phi.tobytes(), self._solve_simplicial)
+
+    def _solve_simplicial(self) -> np.ndarray:
+        c = np.maximum(linear_solve(self.cone.facets.T, self.phi), 0.0)
+        c.flags.writeable = False  # shared by every gauge on this (cone, phi)
+        return c
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray | None:
+        """The corners of ``S`` on a simplicial cone with at most
+        ``VERTEX_SUBSET_GUARD`` of them; elsewhere the ``HalfNorm`` rule."""
+        c, n = self._simplicial, self.dim
+        if c is None or 2**n > VERTEX_SUBSET_GUARD:
+            return HalfNorm._table.func(self)
+        table = (c * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)) @ self.cone.facets
+        table.flags.writeable = False
+        return table
 
     def _unit_values(self, U: np.ndarray) -> np.ndarray:
         FU = U @ self.cone.facets.T
-        out = U @ self.phi  # exact on K; the closed forms would add round-off
+        out = U @ self.phi  # exact on K; the other paths would add round-off
         rest = np.min(FU, axis=1) < -MEMBER_TOL
         if rest.any():
-            kind, table = self._closed_form
-            if kind == "simplicial":
-                out[rest] = np.maximum(FU[rest], 0.0) @ table
-            elif kind == "vertices":
-                out[rest] = np.max(U[rest] @ table.T, axis=1)
+            if self._simplicial is not None:
+                out[rest] = np.maximum(FU[rest], 0.0) @ self._simplicial
             else:
                 out[rest] = super()._unit_values(U[rest])
         return out
-
-    def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
-        """Same extrema as optimizing over :meth:`subdifferential`; the
-        equivalence is property-tested on every path."""
-        kind, table = self._closed_form
-        if kind == "vertices":
-            return _face_extrema(table, U, C, sense)
-        if kind == "lp":
-            return super()._pairings(U, C, sense)
-        # S = { F^T b : 0 <= b <= c }: b_i = c_i where <f_i, x> > 0, 0 where
-        # it is negative, and whichever end is extreme for <f_i, c> on a tie
-        F = self.cone.facets
-        FU, FC = U @ F.T, C @ F.T
-        tie = np.abs(FU) <= TIE_TOL * np.max(np.abs(F), axis=1)
-        top = FC < 0 if sense == "min" else FC > 0
-        B = np.where(np.where(tie, top, FU > 0), table, 0.0)
-        return np.einsum("ij,ij->i", FC, B), B @ F
 
 
 class CanonicalHalfNorm(HalfNorm):
@@ -530,10 +536,13 @@ class PositivePartNorm(HalfNorm):
     one cached LU factorization for a whole batch.  Subdifferentials use the
     canonical half-norm's ``S``, which is this norm's own where the ambient
     norm is monotone for the order (on orthants, say); elsewhere ``||x^+||``
-    need not be subadditive.
+    need not be subadditive, and the face of ``S`` at level ``||x^+||`` may
+    be empty.
     """
 
     variant = "positive_part"
+    # off monotone cones ||x^+|| is not the support function of _polar
+    _table = None
 
     def __init__(self, cone: PolyCone, norm: WeightedNorm):
         super().__init__(cone)
@@ -563,8 +572,8 @@ class OrderUnitGauge(HalfNorm):
 
     Closed facet formula ``max(0, max_f <x,f>/<u,f>)``: the support function
     of the vertex set ``{0} u { f/<f,u> }``, whose hull is
-    ``S = { u' in K' : <u', u> <= 1 }``.  Values, batches and pairing
-    extrema all come from that table; no LP is solved.
+    ``S = { u' in K' : <u', u> <= 1 }``.  That set is the table, at any
+    dimension, so values and pairing extrema solve no LP.
     """
 
     variant = "order_unit"
@@ -575,19 +584,19 @@ class OrderUnitGauge(HalfNorm):
         if not cone.is_order_unit(unit):
             raise NotOrderUnit("the gauge needs an interior point of the cone")
         self.unit = unit
-        F = cone.facets
-        self._vertices = np.vstack([np.zeros(cone.dim), F / (F @ unit)[:, None]])
 
     @functools.cached_property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         G = self.cone.generators
         return np.vstack([G, -self.unit[None, :]]), np.concatenate([np.zeros(G.shape[0]), [-1.0]])
 
-    def _unit_values(self, U: np.ndarray) -> np.ndarray:
-        return np.max(U @ self._vertices.T, axis=1)
-
-    def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
-        return _face_extrema(self._vertices, U, C, sense)
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """The closed-form vertex set ``{0} u { f/<f,u> }``, any size."""
+        F = self.cone.facets
+        table = np.vstack([np.zeros(self.dim), F / (F @ self.unit)[:, None]])
+        table.flags.writeable = False
+        return table
 
 
 class RegularizedGauge(HalfNorm):
@@ -597,8 +606,9 @@ class RegularizedGauge(HalfNorm):
     in the cone order; a strict half-norm.  Taking ``y = z`` shows it is
     ``inf { ||z|| : z >= 0, z >= x }``, and by LP duality the support
     function of ``S = { u in K' : u + v in the dual unit ball for some
-    v in K' }``.  Subdifferentials, faces of that projection, are not
-    offered.
+    v in K' }``, the projection of a set with auxiliary coordinates ``v``.
+    Its faces are the projections of the lifted faces, so the table and the
+    subdifferential's description both work on the lifted set.
     """
 
     variant = "regular_gauge"
@@ -613,17 +623,14 @@ class RegularizedGauge(HalfNorm):
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         return _dual_ball(self.cone, self.norm, blocks=2)
 
-    def subdifferential(self, x) -> SubdiffDesc:
-        raise VariantUnsupported(
-            "no subdifferential description is offered for the regularized gauge"
-        )
-
 
 class EuclideanNorm(HalfNorm):
     """Plain 2-norm; subdifferential is the normalized point, or the unit
     ball at the origin.  Not zero on ``-K``, so it keeps its own values."""
 
     variant = "euclidean"
+    # the Euclidean ball has no vertices
+    _table = None
 
     def value(self, x) -> float:
         x = as_vector(x, dim=self.dim)

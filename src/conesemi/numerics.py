@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     MalformedProblem,
     NormTooLarge,
     NumericalFailure,
@@ -33,6 +32,9 @@ from .errors import (
 
 FEAS_TOL = 1e-9
 PIVOT_REL_TOL = 1e-12
+# Subsets per stacked LAPACK call in the subset enumerations (facets,
+# vertices); bounds their memory
+SUBSET_BLOCK = 4096
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -310,71 +312,43 @@ def _check_feasible(problem: LpProblem, x: np.ndarray, tol: float = 1e-7) -> Non
             raise NumericalFailure("simplex returned an infeasible point (inequalities)")
 
 
-def enumerate_vertices(
-    ineq: tuple[np.ndarray, np.ndarray], tol: float = FEAS_TOL
-) -> list[np.ndarray]:
-    """All vertices of ``{x : G x >= h}`` by brute-force active-set enumeration.
-
-    Intended as an independent oracle for :func:`solve_lp` and for the small
-    polyhedra that appear in domain and subdifferential descriptions; guarded
-    to dimension 10.  Unbounded polyhedra without a full active set simply
-    yield fewer (possibly zero) vertices.
-    """
-    G, h = ineq
-    G = as_matrix(G)
-    h = as_vector(h)
-    m, n = G.shape
-    if h.size != m:
-        raise MalformedProblem(f"{m} constraint rows but {h.size} right-hand sides")
-    if n > 10:
-        raise DimensionTooLarge(f"vertex enumeration guarded to dim <= 10, got {n}")
-
-    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    vertices: list[np.ndarray] = []
-    for subset in itertools.combinations(range(m), n):
-        M = G[list(subset)]
-        if np.linalg.matrix_rank(M, tol=1e-10) < n:
-            continue
-        x = np.linalg.lstsq(M, h[list(subset)], rcond=None)[0]
-        if np.max(np.abs(M @ x - h[list(subset)])) > 1e-8 * scale:
-            continue
-        if np.min(G @ x - h) < -tol * (1.0 + float(np.max(np.abs(x)))):
-            continue
-        if not any(np.max(np.abs(x - v)) <= 1e-9 * (1.0 + np.max(np.abs(v))) for v in vertices):
-            vertices.append(x)
-    vertices.sort(key=lambda v: tuple(np.round(v, 12)))
-    return vertices
+def subset_blocks(m: int, r: int):
+    """The r-subsets of ``range(m)`` in lexicographic order, as index arrays
+    of at most ``SUBSET_BLOCK`` rows; the one subset loop of the package."""
+    subsets = itertools.combinations(range(m), r)
+    while (block := np.fromiter(itertools.islice(subsets, SUBSET_BLOCK), (np.intp, r))).size:
+        yield block
 
 
 def vertex_table(ineq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The vertices of :func:`enumerate_vertices`, one per row, from batched
+    """All vertices of ``{x : G x >= h}``, one per row, sorted, from batched
     active-set solves.
 
-    All ``C(m, n)`` active sets are solved in one stacked LAPACK call rather
-    than a Python loop; callers bound ``C(m, n)`` themselves.  A set counts as singular when the determinant
-    of its rows, scaled to unit length, is at most 1e-10.  Feasibility,
-    de-duplication and order follow the loop oracle.
+    The ``C(m, n)`` active sets are solved ``SUBSET_BLOCK`` at a time, each
+    block in one stacked LAPACK call, so memory stays bounded; callers bound
+    ``C(m, n)`` themselves.  A set counts as singular when the determinant
+    of its rows, scaled to unit length (a zero row stays zero), is at most
+    1e-10.  Repeats within 1e-9 keep their first occurrence.  Unbounded
+    polyhedra without a full active set yield fewer (possibly zero) rows.
     """
     G, h = ineq
     G = as_matrix(G)
     h = as_vector(h, dim=G.shape[0])
     m, n = G.shape
-    count = math.comb(m, n)
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(m), n)),
-        dtype=np.intp,
-        count=count * n,
-    ).reshape(count, n)
-    unit = G / np.linalg.norm(G, axis=1, keepdims=True)
+    norms = np.linalg.norm(G, axis=1, keepdims=True)
+    unit = np.divide(G, norms, out=np.zeros_like(G), where=norms > 0)
     scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    idx = subsets[np.abs(np.linalg.det(unit[subsets])) > 1e-10]
-    M, rhs = G[idx], h[idx]
-    X = np.linalg.solve(M, rhs[..., None])[..., 0].reshape(-1, n)
-    ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - rhs), axis=1, initial=0.0) <= 1e-8 * scale
-    ok &= np.min(X @ G.T - h, axis=1) >= -FEAS_TOL * (1.0 + np.max(np.abs(X), axis=1))
-    X = X[ok]
-    # repeats to 12 decimals (degenerate vertices) first, then the oracle's
-    # tolerance against every earlier survivor
+    found = [np.empty((0, n))]
+    for subsets in subset_blocks(m, n):
+        idx = subsets[np.abs(np.linalg.det(unit[subsets])) > 1e-10]
+        M, rhs = G[idx], h[idx]
+        X = np.linalg.solve(M, rhs[..., None])[..., 0].reshape(-1, n)
+        ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - rhs), axis=1, initial=0.0) <= 1e-8 * scale
+        ok &= np.min(X @ G.T - h, axis=1) >= -FEAS_TOL * (1.0 + np.max(np.abs(X), axis=1))
+        found.append(X[ok])
+    X = np.concatenate(found)
+    # repeats to 12 decimals (degenerate vertices) first, then 1e-9 against
+    # every earlier survivor
     _, first = np.unique(np.round(X, 12) + 0.0, axis=0, return_index=True)
     X = X[np.sort(first)]
     close_tol = 1e-9 * (1.0 + np.max(np.abs(X), axis=1))

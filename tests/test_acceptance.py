@@ -34,8 +34,9 @@ from conesemi.halfnorm import (
     WeightedNorm,
     regularized_norm,
 )
-from conesemi.numerics import enumerate_vertices, matrix_exp
+from conesemi.numerics import matrix_exp
 from conesemi.semigroup import euler_matrix, is_contractive, is_positive_operator
+from oracles import enumerate_vertices
 
 
 class budget:

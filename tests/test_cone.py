@@ -13,6 +13,7 @@ import pytest
 from scipy.optimize import linprog
 
 from conesemi import cone as cone_module
+from conesemi import numerics
 from conesemi.cone import PolyCone, _dedup_directions, _enumerate_facets, _facet_lp_witnesses
 from conesemi.errors import (
     DimensionMismatch,
@@ -265,8 +266,8 @@ class TestFacetEnumeration:
     def test_batched_equals_loop_bit_for_bit(self, monkeypatch):
         for R in self.ray_sets():
             expected = loop_enumerate_facets(R)
-            for block in (7, cone_module.FACET_BLOCK):
-                monkeypatch.setattr(cone_module, "FACET_BLOCK", block)
+            for block in (7, numerics.SUBSET_BLOCK):
+                monkeypatch.setattr(numerics, "SUBSET_BLOCK", block)
                 got = _enumerate_facets(R)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()

@@ -24,8 +24,9 @@ from conesemi.dissipativity import (
 )
 from conesemi.errors import MalformedProblem, OutsideDomain
 from conesemi.halfnorm import EuclideanNorm, FunctionalGauge, OrderUnitGauge
-from conesemi.numerics import LpProblem, enumerate_vertices, solve_lp
+from conesemi.numerics import LpProblem, solve_lp
 from conesemi.report import Witness
+from oracles import enumerate_vertices
 
 
 @pytest.fixture
@@ -302,6 +303,29 @@ class TestBatchedCertificate:
             assert X.shape == (len(expected), op.dim)
             for row, (_, x) in zip(X, expected):
                 assert np.array_equal(row, x)
+
+    def test_rejection_sampler_matches_the_loop(self):
+        # above dimension 10 the sampler filters one batch of draws; domains
+        # that accept 1/8 of them (every request met) and 1/64 (short), and
+        # a request for no samples
+        n = 12
+        K = PolyCone.standard_orthant(n)
+        short = []
+        for k, n_samples, seed in ((3, 20, 9), (6, 20, 10), (6, 0, 11)):
+            op = LinOp(np.zeros((n, n)), domain=PolyhedralSet(ineq=(np.eye(n)[:k], np.zeros(k))))
+            labels, X, notes = _domain_test_points(op, K, n_samples, seed)
+            expected = domain_points_loop(op, K, n_samples, seed)
+            assert labels == [label for label, _ in expected]
+            assert X.shape == (len(expected), n)
+            for row, (_, x) in zip(X, expected):
+                assert np.array_equal(row, x)
+            accepted = sum(label.startswith("sample") for label, _ in expected)
+            assert notes == [
+                "domain vertices skipped above the dim-10 enumeration guard; "
+                f"rejection sampling accepted {accepted} of {n_samples} requested points"
+            ]
+            short.append(accepted < n_samples)
+        assert short == [False, True, False]
 
     def test_euclidean_fixture_and_restricted_domain(
         self, matrix_one, matrix_two_restricted, orthant2

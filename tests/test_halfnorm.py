@@ -24,10 +24,10 @@ from scipy.optimize import linprog
 
 from conesemi.cone import PolyCone
 from conesemi.errors import (
+    EmptySubdifferential,
     NotOrderUnit,
     NotPositiveFunctional,
     VariantPreconditionFailed,
-    VariantUnsupported,
 )
 from conesemi.halfnorm import (
     CanonicalHalfNorm,
@@ -37,9 +37,11 @@ from conesemi.halfnorm import (
     PositivePartNorm,
     RegularizedGauge,
     WeightedNorm,
+    _support,
     regularized_norm,
 )
-from conesemi.numerics import LpProblem, enumerate_vertices, solve_lp, vertex_table
+from conesemi.numerics import LpProblem, solve_lp, vertex_table
+from oracles import enumerate_vertices
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -100,16 +102,14 @@ def simplicial_pairing(F, weights, x, c, sense):
 
 
 def per_row_pairing(p, x, c, sense):
-    """The per-row oracle of each closed form, or one optimization over the
-    subdifferential's description for the other variants."""
-    if isinstance(p, OrderUnitGauge):
-        return face_extremum(p._vertices, unit_row(x), c, sense)
-    if isinstance(p, FunctionalGauge):
-        kind, table = p._closed_form
-        if kind == "vertices":
-            return face_extremum(table, unit_row(x), c, sense)
-        if kind == "simplicial":
-            return simplicial_pairing(p.cone.facets, table, unit_row(x), c, sense)
+    """The per-row oracle of each closed form: the coordinatewise formula of
+    a functional gauge on a simplicial cone, the table of the order-unit
+    gauge and of a functional gauge elsewhere below the guard; otherwise
+    one optimization over the subdifferential's description."""
+    if isinstance(p, FunctionalGauge) and p._simplicial is not None:
+        return simplicial_pairing(p.cone.facets, p._simplicial, unit_row(x), c, sense)
+    if isinstance(p, (FunctionalGauge, OrderUnitGauge)) and p._table is not None:
+        return face_extremum(p._table, unit_row(x), c, sense)
     return p.subdifferential(unit_row(x)).optimize(c, sense)
 
 
@@ -283,8 +283,15 @@ class TestFunctionalGaugeValues:
 
 class TestClosedFormValues:
     def test_paths_follow_the_cone(self):
-        paths = [FunctionalGauge(K, K.facets.sum(axis=0))._closed_form[0] for K in differential_cones()]
-        assert paths == ["simplicial"] * 7 + ["vertices"] * 7
+        gauges = [FunctionalGauge(K, K.facets.sum(axis=0)) for K in differential_cones()]
+        assert [p._simplicial is not None for p in gauges] == [True] * 7 + [False] * 7
+        assert all(p._table is not None for p in gauges)
+        # on simplicial cones the closed-form corners are the vertices of S
+        for p in gauges[:7]:
+            V = vertex_table(p._polar)
+            assert p._table.shape == V.shape
+            for v in V:
+                assert np.min(np.max(np.abs(p._table - v), axis=1)) <= 1e-12 * np.max(np.abs(V))
 
     def test_against_lp_path_and_brute_force(self):
         rng = np.random.default_rng(116)
@@ -399,7 +406,7 @@ class TestLpFallback:
     def test_takes_the_lp_path(self, large):
         K, p, _ = large
         assert K.generators.shape == (16, 6)
-        assert p._closed_form == ("lp", None)
+        assert p._simplicial is None and p._table is None
 
     def test_values_against_highs(self, large):
         K, p, rng = large
@@ -450,6 +457,76 @@ class TestLpFallback:
                 fast, _ = p.pairing_extremum(x, c, sense)
                 slow, _ = p.subdifferential(x).optimize(c, sense)
                 assert fast == pytest.approx(slow, abs=1e-8)
+
+
+def table_gauges(K, rng):
+    """The canonical and regularized gauges, l1 and linf, random weights."""
+    w = rng.uniform(0.5, 2.0, (4, K.dim))
+    return [
+        CanonicalHalfNorm(K, WeightedNorm("l1", w[0])),
+        CanonicalHalfNorm(K, WeightedNorm("linf", w[1])),
+        RegularizedGauge(K, WeightedNorm("l1", w[2])),
+        RegularizedGauge(K, WeightedNorm("linf", w[3])),
+    ]
+
+
+def highs_face_extremum(polar, x, c, sense):
+    """``max <x, u>`` over ``S = {w : G w >= h}`` (first coordinates), then
+    the extremum of ``<c, u>`` over the face where it is attained, both by
+    scipy's HiGHS."""
+    G, h = polar
+    width = G.shape[1]
+    pad = lambda v: np.concatenate([v, np.zeros(width - v.size)])  # noqa: E731
+    free = [(None, None)] * width
+    top = linprog(-pad(x), A_ub=-G, b_ub=-h, bounds=free, method="highs")
+    assert top.status == 0
+    sign = 1.0 if sense == "min" else -1.0
+    face = linprog(sign * pad(c), A_ub=-G, b_ub=-h, A_eq=pad(x)[None, :], b_eq=[-top.fun],
+                   bounds=free, method="highs")
+    assert face.status == 0
+    return -top.fun, sign * face.fun
+
+
+class TestTablePath:
+    """The canonical and regularized gauges below the guard answer from the
+    vertex table of their lifted S: values against the support LP over S
+    and HiGHS, pairings against HiGHS over the lifted face, at every scale."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(129)
+        cases = []
+        for K in differential_cones():
+            X = np.vstack(probe_points(K, rng, 1))
+            C = rng.standard_normal(X.shape)
+            cases += [(p, X, C) for p in table_gauges(K, rng) if p._table is not None]
+        return cases
+
+    def test_every_variant_has_tables(self, cases):
+        kinds = {(p.variant, p.norm.kind) for p, _, _ in cases}
+        assert len(kinds) == 4
+        assert len(cases) == 41
+
+    def test_values_against_lps(self, cases):
+        for p, X, _ in cases:
+            lp = np.array([max(0.0, _support(p._polar, x, "oracle")) for x in X])
+            highs = np.array([max(0.0, highs_face_extremum(p._polar, x, x, "max")[0]) for x in X])
+            assert lp == pytest.approx(highs, rel=1e-9, abs=1e-9)
+            for scale in (1e-12, 1.0, 1e12):
+                assert p.values(scale * X) == pytest.approx(scale * lp, rel=0, abs=1e-9 * scale)
+
+    def test_pairings_against_highs(self, cases):
+        for p, X, C in cases:
+            for sense in ("min", "max"):
+                expected = np.array([highs_face_extremum(p._polar, x, c, sense)[1]
+                                     for x, c in zip(X, C)])
+                for scale in (1e-12, 1.0, 1e12):
+                    extrema, functionals = p.pairing_extrema(scale * X, C, sense)
+                    assert extrema == pytest.approx(expected, rel=0, abs=1e-8)
+                    paired = np.einsum("ij,ij->i", C, functionals)
+                    assert paired == pytest.approx(extrema, rel=0, abs=1e-12 * np.abs(C).sum())
+                    assert np.einsum("ij,ij->i", X, functionals) == pytest.approx(
+                        p.values(X), rel=0, abs=1e-9)
 
 
 class TestCanonicalValues:
@@ -566,10 +643,25 @@ class TestRegularizedGauge:
                 assert gauge.value(x) == pytest.approx(psi.value(x), abs=1e-8)
                 assert gauge.value(-x) == pytest.approx(psi.value(-x), abs=1e-12)
 
-    def test_no_subdifferential(self, orthant2):
-        p = RegularizedGauge(orthant2, WeightedNorm.sup(2))
-        with pytest.raises(VariantUnsupported):
-            p.subdifferential([1.0, 0.0])
+    def test_pairings_above_the_guard_match_the_table(self):
+        # above the guard each pairing is one LP over the lifted face
+        # description; the vertex table of the same S, built here past the
+        # guard, is the oracle
+        rng = np.random.default_rng(127)
+        K = pyramid(rng, 3, 5)
+        p = RegularizedGauge(K, WeightedNorm("linf", rng.uniform(0.5, 2.0, 3)))
+        assert p._table is None
+        V = vertex_table(p._polar)[:, :3]
+        X = np.vstack(probe_points(K, rng, 3))
+        C = rng.standard_normal(X.shape)
+        for sense in ("min", "max"):
+            extrema, functionals = p.pairing_extrema(X, C, sense)
+            for x, c, got, u in zip(X, C, extrema, functionals):
+                expected, _ = face_extremum(V, unit_row(x), c, sense)
+                assert got == pytest.approx(expected, abs=1e-8)
+                assert float(c @ u) == pytest.approx(got, abs=1e-12 * np.abs(c).sum())
+                top = float(np.max(V @ unit_row(x)))
+                assert float(unit_row(x) @ u) == pytest.approx(top, abs=1e-9)
 
     def test_against_brute_force_dim2(self, orthant2):
         rng = np.random.default_rng(107)
@@ -777,6 +869,64 @@ class TestOptimizeOverSubdiff:
                     p.pairing_extrema(np.eye(2), np.eye(2), "sup")
 
 
+def description_is_feasible(desc):
+    """Oracle: the feasibility LP that a polyhedral description once ran
+    when it was built."""
+    res = solve_lp(LpProblem(objective=np.zeros(desc.n_vars), eq_constraints=desc.eq,
+                             ineq_constraints=desc.ineq))
+    return res.optimal
+
+
+class TestDescriptionLps:
+    """A description pairing solves the value LP (if any) and the face LP,
+    nothing more; an empty face shows when it is optimized."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        import conesemi.halfnorm as halfnorm
+
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(halfnorm, "solve_lp", counted)
+        return calls
+
+    def test_lps_per_pairing(self, lp_calls):
+        rng = np.random.default_rng(130)
+        K = pyramid(rng, 6, 16)
+        canonical = CanonicalHalfNorm(K, WeightedNorm.sup(6))
+        assert canonical._table is None
+        npos = PositivePartNorm(PolyCone.standard_orthant(6), WeightedNorm.one(6))
+        for x, c in zip(rng.standard_normal((4, 6)), rng.standard_normal((4, 6))):
+            x[0] = abs(x[0]) + 0.1  # K lies in x_0 >= 0, so x is not in -K
+            for p, lps in ((canonical, 2), (npos, 1)):
+                lp_calls.clear()
+                p.pairing_extremum(x, c, "min")
+                assert len(lp_calls) == lps
+
+    def test_positive_part_emptiness_matches_the_feasibility_lp(self):
+        # off monotone cones the face of S at level ||x^+|| may be empty; the
+        # pairing raises exactly where the oracle finds the description empty
+        rng = np.random.default_rng(131)
+        raised = 0
+        for _ in range(20):
+            K = random_simplicial(rng, int(rng.integers(2, 5)))
+            kind = ("l1", "linf")[int(rng.integers(2))]
+            p = PositivePartNorm(K, WeightedNorm(kind, rng.uniform(0.5, 2.0, K.dim)))
+            for x, c in zip(rng.standard_normal((10, K.dim)), rng.standard_normal((10, K.dim))):
+                if description_is_feasible(p.subdifferential(unit_row(x))):
+                    value, u = p.pairing_extremum(x, c, "min")
+                    assert float(c @ u) == pytest.approx(value, abs=1e-12 * np.abs(c).sum())
+                else:
+                    raised += 1
+                    with pytest.raises(EmptySubdifferential):
+                        p.pairing_extremum(x, c, "min")
+        assert 0 < raised < 200
+
+
 class TestPairingBatch:
     """``pairing_extrema`` against the per-row oracles, row for row."""
 
@@ -804,7 +954,7 @@ class TestPairingBatch:
         rng = np.random.default_rng(122)
         for K in differential_cones()[7:]:
             p, q = closed_form_gauges(K, rng)
-            for gauge, table in ((p, p._closed_form[1]), (q, q._vertices)):
+            for gauge, table in ((p, p._table), (q, q._table)):
                 for sense in ("min", "max"):
                     zeros = np.zeros((2, K.dim))
                     extrema, functionals = gauge.pairing_extrema(zeros, zeros, sense)
@@ -836,7 +986,7 @@ class TestPairingBatch:
 
 
 class TestClosedFormMemo:
-    """The functional gauge's closed form lives in a one-slot memo on its cone."""
+    """A half-norm's vertex table lives in a one-slot memo on its cone."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -859,7 +1009,19 @@ class TestClosedFormMemo:
         X = rng.standard_normal((5, 3))
         assert np.array_equal(first.values(X), second.values(X))
         assert len(builds) == 1
-        assert second._closed_form[1] is first._closed_form[1]
+        assert second._table is first._table
+
+    def test_same_cone_and_norm_build_once(self, builds):
+        rng = np.random.default_rng(128)
+        K = pyramid(rng, 3, 6)
+        w = rng.uniform(0.5, 2.0, 3)
+        first = CanonicalHalfNorm(K, WeightedNorm("linf", w))
+        second = CanonicalHalfNorm(K, WeightedNorm("linf", w.copy()))
+        X = rng.standard_normal((5, 3))
+        assert np.array_equal(first.values(X), second.values(X))
+        assert len(builds) == 1
+        assert second._table is first._table
+        assert not second._table.flags.writeable
 
     def test_another_functional_rebuilds(self, builds):
         rng = np.random.default_rng(124)

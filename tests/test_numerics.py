@@ -1,14 +1,18 @@
 """Kernel tests: simplex vs brute-force vertex enumeration, LU, expm."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conesemi import numerics
 from conesemi.errors import (
     DimensionTooLarge,
     MalformedProblem,
@@ -17,12 +21,13 @@ from conesemi.errors import (
 )
 from conesemi.numerics import (
     LpProblem,
-    enumerate_vertices,
     linear_solve,
     matrix_exp,
     solve_lp,
+    subset_blocks,
     vertex_table,
 )
+from oracles import enumerate_vertices
 
 
 def lp(c, G=None, h=None, A=None, b=None, sense="min", nonneg=False):
@@ -159,6 +164,44 @@ class TestVertexTable:
 
     def test_halfspace_has_no_vertex(self):
         assert vertex_table((np.array([[1.0, 0.0]]), np.array([0.0]))).shape == (0, 2)
+
+    def test_blocks_do_not_change_the_table(self, monkeypatch):
+        # C(40, 3) = 9880 and C(24, 4) = 10626 active sets: at least three
+        # blocks at the default size, and over a thousand at 7
+        rng = np.random.default_rng(2026)
+        for n, m in ((3, 40), (4, 24)):
+            G = np.vstack([rng.normal(size=(m - 2 * n, n)), np.eye(n), -np.eye(n)])
+            h = -rng.uniform(0.1, 2.0, m)
+            assert math.comb(m, n) > 2 * numerics.SUBSET_BLOCK
+            tables = []
+            for block in (7, numerics.SUBSET_BLOCK):
+                monkeypatch.setattr(numerics, "SUBSET_BLOCK", block)
+                tables.append(vertex_table((G, h)))
+            assert tables[0].tobytes() == tables[1].tobytes()
+            expected = enumerate_vertices((G, h))
+            assert tables[0].shape == (len(expected), n)
+            for v in expected:
+                assert np.min(np.max(np.abs(tables[0] - v), axis=1)) <= 1e-9
+
+    def test_zero_rows_are_never_active(self):
+        # a zero row (the equality <0, u> = 0 of a description at x = 0) makes
+        # every active set that holds it singular, without a division by zero
+        G = np.vstack([np.eye(3), -np.eye(3), np.zeros((2, 3))])
+        h = np.concatenate([np.zeros(3), -np.ones(3), np.zeros(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = vertex_table((G, h))
+        expected = enumerate_vertices((G, h))
+        assert table.shape == (8, 3) and len(expected) == 8
+        for v, w in zip(table, expected):
+            assert np.max(np.abs(v - w)) <= 1e-12
+
+    def test_subset_blocks_are_lexicographic(self, monkeypatch):
+        monkeypatch.setattr(numerics, "SUBSET_BLOCK", 4)
+        blocks = list(subset_blocks(6, 3))
+        assert [b.shape for b in blocks] == [(4, 3)] * 5
+        assert [tuple(r) for b in blocks for r in b] == list(itertools.combinations(range(6), 3))
+        assert list(subset_blocks(2, 3)) == []
 
 
 class TestLpAgainstVertexOracle:
