@@ -1,16 +1,19 @@
 """Dense linear-algebra and linear-programming kernel.
 
 Everything downstream (cones, half-norms, dissipativity certificates) reduces
-to the four operations in this module.  The LP solver is a two-phase dense
-simplex with Bland's anti-cycling rule: problem sizes here are tiny (a few
-hundred variables at most for the finest Dirichlet grid), so a transparent,
+to the operations in this module: the LP solver, the vertex enumeration,
+dense LU solves, the O(n) tridiagonal solve of the Dirichlet stencil, and
+the matrix exponential.  The LP solver is a two-phase dense simplex with
+Bland's anti-cycling rule: problem sizes here are tiny (a few hundred
+variables at most for the finest Dirichlet grid), so a transparent,
 deterministic tableau beats a sophisticated solver.
 
 Tolerances: feasibility 1e-9, relative pivot threshold 1e-12.  Downstream
 modules inherit these.
 
-The LU helpers import ``scipy.linalg`` on first use: it is most of the cost
-of importing the package, and many runs never factor a matrix.
+The LU and tridiagonal solvers import ``scipy.linalg`` on first use: it is
+most of the cost of importing the package, and many runs never factor a
+matrix.
 """
 
 from __future__ import annotations
@@ -402,15 +405,52 @@ def factorized_solver(A):
     return solve
 
 
+def tridiagonal_solve(sub, diag, sup, b) -> np.ndarray:
+    """Solve ``T x = b`` for the tridiagonal ``T`` with the given sub-,
+    main and superdiagonal, by LU with partial pivoting (LAPACK ``gtsv``)
+    in O(n) work.
+
+    ``b`` is a vector or an ``(n, k)`` matrix of right-hand sides; ``n`` must
+    be at least 2.  Same pivot guard as :func:`linear_solve`: raises
+    :class:`SingularMatrix` when a diagonal entry of ``U`` is at most 1e-12
+    relative to the largest entry of ``T``.
+    """
+    from scipy.linalg import lapack
+
+    diag = as_vector(diag)
+    n = diag.size
+    if n < 2:
+        raise MalformedProblem(f"tridiagonal_solve needs at least 2 unknowns, got {n}")
+    sub = as_vector(sub, dim=n - 1)
+    sup = as_vector(sup, dim=n - 1)
+    b = as_vector(b) if np.ndim(b) == 1 else as_matrix(b)
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"expected {n} rows of right-hand sides, got {b.shape[0]}")
+    _, u, _, x, info = lapack.dgtsv(sub, diag, sup, b)
+    scale = max(float(np.max(np.abs(np.concatenate([sub, diag, sup])))), np.finfo(float).tiny)
+    if info > 0 or float(np.min(np.abs(u))) <= PIVOT_REL_TOL * scale:
+        raise SingularMatrix("pivot below 1e-12 relative threshold")
+    return x
+
+
+# Taylor coefficients 1/j! for j = 0..18 in matrix_exp's Paterson-Stockmeyer
+# blocks: row i weighs I, C, C^2, C^3 for the degrees 4i..4i+3
+_TAYLOR_BLOCKS = np.append([1.0 / math.factorial(j) for j in range(19)], 0.0).reshape(5, 4)
+
+
 def matrix_exp(A, t: float = 1.0, max_norm: float = 1e5) -> np.ndarray:
     """Approximate ``exp(t A)`` by shifted scaling-and-squaring.
 
-    The diagonal is shifted so the scaled Taylor series has nonnegative terms
-    whenever ``A`` has nonnegative off-diagonal entries; sums and products of
-    nonnegative floats stay nonnegative, so entrywise positivity of the true
-    exponential survives rounding exactly in that case.  Scaling targets
-    ``||shifted t A / 2^k||_inf <= 0.5``; relative accuracy is ~1e-12 for
-    moderate norms and safely within 1e-9 across the guarded range.
+    The diagonal is shifted so the scaled matrix ``C`` is nonnegative
+    whenever ``A`` has nonnegative off-diagonal entries.  Scaling targets
+    ``||C||_inf <= 0.5``, where the degree-18 Taylor polynomial leaves a tail
+    below 1e-22; it is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
+    1973) in 7 matrix products: ``C^2, C^3, C^4``, then Horner in ``C^4``
+    over blocks of ``I, C, C^2, C^3``.  Every coefficient ``1/j!`` is
+    positive, and sums and products of nonnegative floats stay nonnegative,
+    so entrywise positivity of the true exponential survives rounding
+    exactly for such ``A``.  Relative accuracy is ~1e-12 for moderate norms
+    and safely within 1e-9 across the guarded range.
     """
     A = as_matrix(A, square=True)
     if t < 0:
@@ -426,13 +466,14 @@ def matrix_exp(A, t: float = 1.0, max_norm: float = 1e5) -> np.ndarray:
     k = max(0, math.ceil(math.log2(p_norm / 0.5))) if p_norm > 0.5 else 0
     C = P / 2.0**k
 
-    S = np.eye(B.shape[0])
-    term = np.eye(B.shape[0])
-    for j in range(1, 40):
-        term = term @ C / j
-        S = S + term
-        if float(np.max(np.abs(term))) < 1e-19 * float(np.max(np.abs(S))):
-            break
+    n = B.shape[0]
+    C2 = C @ C
+    powers = np.stack([np.eye(n), C, C2, C2 @ C]).reshape(4, n * n)
+    blocks = (_TAYLOR_BLOCKS @ powers).reshape(5, n, n)
+    C4 = C2 @ C2
+    S = blocks[4]
+    for block in blocks[3::-1]:
+        S = S @ C4 + block
     S *= math.exp(-shift / 2.0**k)
     for _ in range(k):
         S = S @ S

@@ -91,10 +91,12 @@ def euler_power(op, t: float, n: int, x) -> np.ndarray:
 def euler_matrix(op, t: float, n: int) -> np.ndarray:
     """Matrix form of the backward-Euler approximation of T(t)."""
     A = _op_matrix(op)
-    if t == 0:
-        return np.eye(A.shape[0])
+    if t < 0:
+        raise MalformedProblem(f"time must be nonnegative, got {t}")
     if n < 1:
         raise MalformedProblem(f"step count must be >= 1, got {n}")
+    if t == 0:
+        return np.eye(A.shape[0])
     solve = _resolvent_solver(A, t / n, f"euler step for t={t:g}, n={n}")
     R = solve(np.eye(A.shape[0]))
     return np.linalg.matrix_power(R, n)

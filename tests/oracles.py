@@ -3,15 +3,20 @@
 ``enumerate_vertices`` is the brute-force loop that ``numerics.vertex_table``
 replaced in the package: one least-squares solve per active set, kept here
 so the batched enumeration and everything built on it have a reference
-that shares none of their code.
+that shares none of their code.  ``adaptive_taylor_exp`` is the term-by-term
+Taylor loop that ``numerics.matrix_exp`` replaced by a fixed-degree
+Paterson-Stockmeyer evaluation, and ``max_principle_loop`` the per-sample
+loop of the Dirichlet maximum-principle check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from conesemi.errors import DimensionTooLarge, MalformedProblem
 from conesemi.numerics import FEAS_TOL, as_matrix, as_vector
+from conesemi.report import Witness
 
 
 def enumerate_vertices(
@@ -48,3 +53,48 @@ def enumerate_vertices(
             vertices.append(x)
     vertices.sort(key=lambda v: tuple(np.round(v, 12)))
     return vertices
+
+
+def adaptive_taylor_exp(A, t: float = 1.0) -> np.ndarray:
+    """``exp(t A)`` with the shift and scaling of ``matrix_exp``, summing
+    Taylor terms one product at a time until a term drops below 1e-19 of the
+    sum, then squaring back."""
+    B = t * np.asarray(A, dtype=float)
+    n = B.shape[0]
+    shift = max(0.0, -float(np.min(np.diag(B))))
+    P = B + shift * np.eye(n)
+    p_norm = float(np.max(np.abs(P).sum(axis=1), initial=0.0))
+    k = max(0, math.ceil(math.log2(p_norm / 0.5))) if p_norm > 0.5 else 0
+    C = P / 2.0**k
+    S = np.eye(n)
+    term = np.eye(n)
+    for j in range(1, 40):
+        term = term @ C / j
+        S = S + term
+        if float(np.max(np.abs(term))) < 1e-19 * float(np.max(np.abs(S))):
+            break
+    S *= math.exp(-shift / 2.0**k)
+    for _ in range(k):
+        S = S @ S
+    return S
+
+
+def max_principle_loop(A, n_samples: int, rng) -> tuple[int, list[Witness]]:
+    """The discrete maximum principle sampled one point at a time: draw
+    ``x``, skip it when its maximum is negative, else a witness when
+    ``(A x)_j > 1e-9`` at the maximizing node ``j``.  Returns the number of
+    points used and the witnesses."""
+    witnesses = []
+    used = 0
+    for _ in range(n_samples):
+        x = rng.standard_normal(A.shape[0])
+        j = int(np.argmax(x))
+        if x[j] < 0:
+            continue
+        used += 1
+        margin = float((A @ x)[j])
+        if margin > 1e-9:
+            witnesses.append(
+                Witness(point=x, functional=None, margin=margin, label=f"max at node {j}")
+            )
+    return used, witnesses

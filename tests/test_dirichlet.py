@@ -5,6 +5,7 @@ import pytest
 
 from conesemi.dirichlet import (
     Grid,
+    _max_principle_report,
     convergence_study,
     dirichlet_laplacian,
     fd_resolvent,
@@ -12,10 +13,11 @@ from conesemi.dirichlet import (
     resolvent_closed_form,
     run_dirichlet_checks,
 )
-from conesemi.dissipativity import is_metzler
+from conesemi.dissipativity import LinOp, is_metzler
 from conesemi.errors import MalformedProblem
 from conesemi.numerics import linear_solve, matrix_exp
 from conesemi.semigroup import SemigroupConfig, euler_matrix
+from oracles import max_principle_loop
 
 
 class TestGrid:
@@ -85,11 +87,14 @@ class TestClosedFormResolvent:
 
 class TestFdResolvent:
     def test_matches_direct_solve(self):
-        g = Grid(15)
-        A = dirichlet_laplacian(g).matrix
-        y = np.sin(np.pi * g.nodes)
-        expected = linear_solve(np.eye(15) - A, y)
-        assert fd_resolvent(g, y) == pytest.approx(expected)
+        # down to the smallest grid and up to the refined grid of N = 255
+        for n in (2, 15, 255, 511):
+            g = Grid(n)
+            A = dirichlet_laplacian(g).matrix
+            for y in (np.ones(n), np.sin(np.pi * g.nodes), g.nodes * (1.0 - g.nodes)):
+                expected = linear_solve(np.eye(n) - A, y)
+                got = fd_resolvent(g, y)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_invertibility_across_sizes(self):
         for n in (7, 15, 31, 63):
@@ -130,6 +135,27 @@ class TestMaximumPrinciple:
             assert (A @ x)[j] <= 1e-9
             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("n", [2, 31])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_batched_report_matches_the_loop(self, sign, n):
+        # the stencil never fails; its negative fails on every sample it
+        # uses; on 2 nodes about a quarter of the samples have a negative
+        # maximum and are skipped
+        A = sign * dirichlet_laplacian(Grid(n)).matrix
+        rng_batch, rng_loop = np.random.default_rng(142), np.random.default_rng(142)
+        rep = _max_principle_report(LinOp(A), 200, rng_batch)
+        used, witnesses = max_principle_loop(A, 200, rng_loop)
+        assert rep.samples_used == used > 100
+        assert used < 200 if n == 2 else used == 200
+        assert len(rep.witnesses) == len(witnesses) == (0 if sign > 0 else used)
+        assert rep.verdict == ("inconclusive" if sign > 0 else "fails")
+        for got, want in zip(rep.witnesses, witnesses):
+            assert got.label == want.label
+            assert np.array_equal(got.point, want.point)
+            assert got.margin == pytest.approx(want.margin, rel=1e-12)
+        # one draw of all samples leaves the generator where the loop does
+        assert rng_batch.standard_normal() == rng_loop.standard_normal()
 
     def test_hat_function_strictly_negative(self):
         g = Grid(15)

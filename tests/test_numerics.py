@@ -1,4 +1,5 @@
-"""Kernel tests: simplex vs brute-force vertex enumeration, LU, expm."""
+"""Kernel tests: simplex vs brute-force vertex enumeration, LU, tridiagonal
+solves, expm."""
 
 import itertools
 import math
@@ -14,6 +15,7 @@ import scipy.linalg
 
 from conesemi import numerics
 from conesemi.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     MalformedProblem,
     NormTooLarge,
@@ -25,9 +27,11 @@ from conesemi.numerics import (
     matrix_exp,
     solve_lp,
     subset_blocks,
+    tridiagonal_solve,
     vertex_table,
 )
-from oracles import enumerate_vertices
+from conesemi.semigroup import DEFAULT_T_GRID
+from oracles import adaptive_taylor_exp, enumerate_vertices
 
 
 def lp(c, G=None, h=None, A=None, b=None, sense="min", nonneg=False):
@@ -270,6 +274,50 @@ class TestLinearSolve:
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+def dense_tridiagonal(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+class TestTridiagonalSolve:
+    def test_random_systems_against_dense_solve(self):
+        # small diagonals next to large off-diagonals force row swaps
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 4, 7, 16, 511):
+            sub, sup = rng.normal(size=(2, n - 1))
+            diag = rng.normal(size=n) * 1e-3
+            dense = dense_tridiagonal(sub, diag, sup)
+            for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+                x = tridiagonal_solve(sub, diag, sup, b)
+                assert x.shape == b.shape
+                columns = b.reshape(n, -1).T
+                expected = np.column_stack([linear_solve(dense, col) for col in columns])
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(x.reshape(n, -1) - expected)) <= 1e-10 * scale
+
+    def test_row_swaps_happen(self):
+        # a zero leading pivot needs the swap that gtsv makes
+        x = tridiagonal_solve([1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0], [1.0, 2.0, 3.0])
+        dense = dense_tridiagonal([1.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0])
+        assert x == pytest.approx(linear_solve(dense, [1.0, 2.0, 3.0]), rel=1e-14)
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrix):
+            tridiagonal_solve([1.0], [1.0, 1.0], [1.0], [1.0, 2.0])
+        # a pivot of 1e-14, nonzero but below the relative guard
+        with pytest.raises(SingularMatrix):
+            tridiagonal_solve([1.0, 1.0], [1.0, 1.0 + 1e-14, 1.0], [1.0, 0.0], np.ones((3, 2)))
+
+    def test_shapes_checked(self):
+        with pytest.raises(DimensionMismatch):
+            tridiagonal_solve([1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            tridiagonal_solve([1.0], [2.0, 2.0], [1.0], np.ones((3, 1)))
+        with pytest.raises(MalformedProblem):
+            tridiagonal_solve([], [2.0], [], [1.0])
+        with pytest.raises(MalformedProblem):
+            tridiagonal_solve([1.0], [2.0, np.nan], [1.0], [1.0, 1.0])
+
+
 class TestMatrixExp:
     def test_zero_matrix(self):
         assert matrix_exp(np.zeros((3, 3))) == pytest.approx(np.eye(3), abs=1e-15)
@@ -325,6 +373,32 @@ class TestMatrixExp:
             left = matrix_exp(A, s + t)
             right = matrix_exp(A, s) @ matrix_exp(A, t)
             assert np.max(np.abs(left - right)) <= 1e-8
+
+    def test_against_adaptive_taylor_oracle(self):
+        # same shift, scaling and squarings; only the Taylor phase differs
+        rng = np.random.default_rng(10)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            A = rng.normal(size=(n, n)) * rng.uniform(0.1, 5.0)
+            if rng.random() < 0.5:
+                A = np.abs(A)
+                np.fill_diagonal(A, -rng.uniform(0, 50, size=n))
+            t = float(rng.uniform(0.0, 3.0))
+            ref = adaptive_taylor_exp(A, t)
+            assert np.max(np.abs(matrix_exp(A, t) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_dirichlet_laplacian_against_scipy(self):
+        # every default time inside the guard, up to ||tA||_inf = 6.6e4
+        checked = 0
+        for n in (15, 63, 127):
+            A = (n + 1) ** 2 * (-2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+            for t in DEFAULT_T_GRID:
+                if t * 4 * (n + 1) ** 2 > 1e5:
+                    continue
+                ref = scipy.linalg.expm(t * A)
+                assert np.max(np.abs(matrix_exp(A, t) - ref)) <= 1e-10 * np.max(np.abs(ref))
+                checked += 1
+        assert checked == 13
 
     def test_metzler_exponential_exactly_nonnegative(self):
         # diagonal shift keeps every float operation nonnegative

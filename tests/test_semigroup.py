@@ -119,6 +119,14 @@ class TestEulerPower:
             x = rng.standard_normal(3)
             assert T @ x == pytest.approx(euler_power(LinOp(A), 0.8, 16, x), abs=1e-10)
 
+    def test_matrix_form_rejects_what_vector_form_rejects(self):
+        # negative time and a zero step count, before the t = 0 shortcut
+        for t, n in ((-1.0, 4), (0.0, 0), (1.0, 0)):
+            with pytest.raises(MalformedProblem):
+                euler_power(LinOp(-np.eye(2)), t, n, [1.0, 0.0])
+            with pytest.raises(MalformedProblem):
+                euler_matrix(LinOp(-np.eye(2)), t, n)
+
 
 def loop_is_positive_operator(T, cone, tol):
     """The per-generator loop :func:`is_positive_operator` replaced, kept as
