@@ -62,7 +62,14 @@ class PolyCone:
         self.dim = self.generators.shape[1]
         if self.facets.shape[1] != self.dim:
             raise DimensionMismatch("generators and facets live in different spaces")
-        if np.min(self.generators @ self.facets.T) < -MEMBER_TOL:
+        # The standard orthant in its standard description: products with
+        # its generators or facets are identity products, which the checks
+        # skip when this is set
+        eye = np.eye(self.dim)
+        self.is_orthant = bool(
+            np.array_equal(self.generators, eye) and np.array_equal(self.facets, eye)
+        )
+        if not self.is_orthant and np.min(self.generators @ self.facets.T) < -MEMBER_TOL:
             raise MalformedProblem("a generator violates a facet inequality")
         self.generators.flags.writeable = False
         self.facets.flags.writeable = False

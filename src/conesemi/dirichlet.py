@@ -13,9 +13,13 @@ comparison displays a clean O(h^2) decay.  :data:`RHS_CASES` and
 failure, for the checks here and for the ``dirichlet-demo`` command alike.
 
 :func:`run_dirichlet_checks` builds its propagators with
-:func:`~conesemi.semigroup.propagators` and checks their positivity with
-:func:`~conesemi.semigroup.is_positive_operator` on the orthant, so a
-``fails`` carries generator/facet witnesses.  The positive-part sup-norm
+:func:`~conesemi.semigroup.propagators` -- the backward-Euler step as a
+tridiagonal solve, and every ``expm`` propagator of the grid from one
+exponential at its smallest time, so the ``matrix_exp`` guard bounds only
+that step and ``T(5)`` is within reach at N = 255 -- and checks their
+positivity with :func:`~conesemi.semigroup.is_positive_operator` on the
+orthant, which reads the margins off ``T(t)``, so a ``fails`` carries
+generator/facet witnesses.  The positive-part sup-norm
 check stays local: it costs one batched product per propagator, where the
 generic sampled contractivity check with a positive-part norm adds ``2n``
 generator points and several ``n x n`` products.

@@ -271,23 +271,28 @@ def has_positive_off_diagonal(
     ``<g, f> = 0`` and requires ``<A g, f> >= -tol``.  Sufficiency of the
     extreme-pair reduction is a property of polyhedral cones validated by a
     sampled LP oracle in the test-suite.  When the domain does not contain
-    the whole cone the check restricts to the rays inside and says so.
+    the whole cone the check restricts to the rays inside and says so.  On
+    the orthant the pairings are the entries of ``I`` and ``Aᵀ``: no product
+    is formed.
     """
     A = op.matrix
     if A.shape[0] != cone.dim:
         raise DimensionMismatch("operator and cone dimensions differ")
     notes = []
-    gens = cone.generators
+    rows = slice(None)
     if op.domain is not None and not _cone_inside_domain(op.domain, cone):
-        inside = np.flatnonzero(op.domain.contains_rows(gens))
-        gens = gens[inside]
+        rows = np.flatnonzero(op.domain.contains_rows(cone.generators))
         notes.append(
             "partial: domain does not contain the cone; restricted to "
-            f"{len(inside)} of {cone.generators.shape[0]} generators"
+            f"{len(rows)} of {cone.generators.shape[0]} generators"
         )
-    facets = cone.facets
-    pairing = gens @ facets.T               # <g, f> for every pair
-    image = (A @ gens.T).T @ facets.T       # <A g, f>
+    gens, facets = cone.generators[rows], cone.facets
+    if cone.is_orthant:  # unit vectors: <g, f> is read off I, <A g, f> off A
+        pairing = np.eye(cone.dim)[rows]
+        image = A.T[rows]
+    else:
+        pairing = gens @ facets.T               # <g, f> for every pair
+        image = (A @ gens.T).T @ facets.T       # <A g, f>
     witnesses = [
         Witness(
             point=gens[i].copy(),

@@ -1,12 +1,16 @@
 """Matrix semigroups from generators: resolvents, backward-Euler powers,
 and the contractivity/positivity pipelines.
 
-The exponential formula is realized at finite ``n`` as ``(I - (t/n) A)^-n``,
-reusing one LU factorization across the ``n`` solves.  :func:`propagators`
-is the one place that builds ``T(t)`` over a time grid, by backward Euler or
-the matrix exponential; the pipelines here and the Dirichlet checks all loop
-over it.  Positivity of a matrix against a cone is an exact generator/facet
-check; contractivity against a half-norm is sampled.  Pipeline verdicts are
+The exponential formula is realized at finite ``n`` as ``(I - (t/n) A)^-n``:
+:func:`euler_power` reuses one LU factorization across the ``n`` solves, and
+:func:`euler_matrix` powers the inverse, found by a tridiagonal solve for a
+tridiagonal ``A`` such as the Dirichlet stencil.  :func:`propagators` is the
+one place that builds ``T(t)`` over a time grid, by backward Euler or from
+one matrix exponential per grid and the semigroup law
+``T(s + t) = T(s) T(t)``; the pipelines here and the Dirichlet checks all
+loop over it.  Positivity of a matrix against a cone is an exact
+generator/facet check, read straight off the matrix on the orthant;
+contractivity against a half-norm is sampled.  Pipeline verdicts are
 three-valued (holds / fails / vacuous): the hypotheses themselves can only be
 sampled, and the reports keep that asymmetry explicit rather than claiming
 proofs.
@@ -14,6 +18,7 @@ proofs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +27,14 @@ from .cone import DualVector, PolyCone
 from .dissipativity import LinOp, certify_dissipative
 from .errors import MalformedProblem, SingularMatrix
 from .halfnorm import FunctionalGauge, HalfNorm
-from .numerics import as_matrix, as_vector, factorized_solver, matrix_exp
+from .numerics import as_matrix, as_vector, factorized_solver, matrix_exp, tridiagonal_solve
 from .report import FAILS, HOLDS, INCONCLUSIVE, VACUOUS, Report, Witness
 
 DEFAULT_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
+# Largest power of the base step that a time-grid chain takes.  A power m of
+# a near-identity T(d) carries about m ulps of rounding (6e-11 measured at
+# m = 1e6), so a time further out gets its own exponential.
+CHAIN_MAX_POWER = 2**20
 
 
 @dataclass(frozen=True)
@@ -56,11 +65,15 @@ def _op_matrix(op) -> np.ndarray:
     return op.matrix if isinstance(op, LinOp) else as_matrix(op, square=True)
 
 
+def _singular_message(lam: float, context: str) -> str:
+    return f"(I - {lam:g} A) is singular ({context})"
+
+
 def _resolvent_solver(A: np.ndarray, lam: float, context: str):
     try:
         return factorized_solver(np.eye(A.shape[0]) - lam * A)
     except SingularMatrix as exc:
-        raise SingularMatrix(f"(I - {lam:g} A) is singular ({context})") from exc
+        raise SingularMatrix(_singular_message(lam, context)) from exc
 
 
 def resolvent_apply(op, lam: float, y) -> np.ndarray:
@@ -89,42 +102,107 @@ def euler_power(op, t: float, n: int, x) -> np.ndarray:
 
 
 def euler_matrix(op, t: float, n: int) -> np.ndarray:
-    """Matrix form of the backward-Euler approximation of T(t)."""
+    """Matrix form of the backward-Euler approximation of T(t).
+
+    ``(I - (t/n) A)^-1`` comes from :func:`~conesemi.numerics.tridiagonal_solve`
+    when ``A`` has no nonzero entry off its three central diagonals, as the
+    Dirichlet stencil has none, and from a dense LU otherwise; its ``n``-th
+    power from ``matrix_power``.
+    """
     A = _op_matrix(op)
     if t < 0:
         raise MalformedProblem(f"time must be nonnegative, got {t}")
     if n < 1:
         raise MalformedProblem(f"step count must be >= 1, got {n}")
+    dim = A.shape[0]
     if t == 0:
-        return np.eye(A.shape[0])
-    solve = _resolvent_solver(A, t / n, f"euler step for t={t:g}, n={n}")
-    R = solve(np.eye(A.shape[0]))
+        return np.eye(dim)
+    lam = t / n
+    context = f"euler step for t={t:g}, n={n}"
+    if dim >= 2 and _is_tridiagonal(A):
+        try:
+            R = tridiagonal_solve(-lam * np.diagonal(A, -1), 1.0 - lam * np.diagonal(A),
+                                  -lam * np.diagonal(A, 1), np.eye(dim))
+        except SingularMatrix as exc:
+            raise SingularMatrix(_singular_message(lam, context)) from exc
+    else:
+        R = _resolvent_solver(A, lam, context)(np.eye(dim))
     return np.linalg.matrix_power(R, n)
+
+
+def _is_tridiagonal(A: np.ndarray) -> bool:
+    """No nonzero entry off the sub-, main and superdiagonal."""
+    band = sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1))
+    return band == np.count_nonzero(A)
 
 
 def propagators(op, cfg: SemigroupConfig):
     """Yield ``(t, method, T(t))`` over the time grid of ``cfg``, t-major and
-    method-minor: the matrix exponential for ``expm``, the backward-Euler
-    power with ``cfg.euler_steps`` steps for ``euler``."""
+    method-minor: the matrix exponential for ``expm`` (see
+    :func:`_exp_chain`), the backward-Euler power with ``cfg.euler_steps``
+    steps for ``euler``.  Lazy: nothing is computed before it is asked for,
+    so a ``NormTooLarge`` of the base step surfaces at the first ``expm``
+    propagator."""
     A = _op_matrix(op)
+    expm = _exp_chain(A, cfg.t_grid)
     for t in cfg.t_grid:
         for method in cfg.methods():
             if method == "expm":
-                yield t, method, matrix_exp(A, t)
+                yield t, method, expm(t)
             else:
                 yield t, method, euler_matrix(A, t, cfg.euler_steps)
+
+
+def _exp_chain(A: np.ndarray, t_grid: tuple[float, ...]):
+    """``t -> exp(tA)`` for the times of ``t_grid``, from one
+    :func:`~conesemi.numerics.matrix_exp` at the smallest positive time ``d``
+    and the semigroup law: ``T(t) = T(d)^m T(r)`` with ``m = floor(t/d)``
+    (rounded up when ``t`` is within ``1e-12 t`` of ``(m+1) d``) and
+    ``r = t - m d``.  The power multiplies cached squares ``T(2^j d)``;
+    ``T(r)`` is one more ``matrix_exp``, taken only when ``r > 1e-12 t``.
+    ``t = 0`` gives ``I``, and a ``t`` beyond ``CHAIN_MAX_POWER`` steps its
+    own ``matrix_exp(A, t)``.  Every factor of a Metzler ``A`` is
+    nonnegative, and so is every product of them.  The guard of
+    ``matrix_exp`` applies to ``d`` and ``r``, not to ``t``."""
+    d = min((t for t in t_grid if t > 0), default=0.0)
+    squares: list[np.ndarray] = []  # squares[j] = T(2^j d), built on demand
+
+    def at(t: float) -> np.ndarray:
+        if t == 0:
+            return np.eye(A.shape[0])
+        if t / d > CHAIN_MAX_POWER:
+            return matrix_exp(A, t)
+        m = math.floor(t / d)
+        if (m + 1) * d - t <= 1e-12 * t:
+            m += 1
+        r = t - m * d
+        T = None
+        for j in range(m.bit_length()):
+            if j == len(squares):
+                squares.append(squares[-1] @ squares[-1] if squares else matrix_exp(A, d))
+            if (m >> j) & 1:
+                T = squares[j] if T is None else T @ squares[j]
+        if r > 1e-12 * t:
+            T = T @ matrix_exp(A, r)
+        return T.copy() if any(T is S for S in squares) else T
+
+    return at
 
 
 def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     """Exact positivity: T must map every generator into the cone.
 
     Linearity plus conic generation make the generator test complete, so a
-    ``fails`` verdict always carries a generator/facet witness.
+    ``fails`` verdict always carries a generator/facet witness.  On the
+    orthant the margins are the entries of ``T`` themselves.
     """
     T = as_matrix(T, square=True)
     if T.shape[0] != cone.dim:
         raise MalformedProblem("operator and cone dimensions differ")
-    margins = cone.facets @ (T @ cone.generators.T)  # facet x generator
+    if cone.is_orthant:
+        margins = T + 0.0  # I @ T @ I, entry for entry
+    else:
+        margins = cone.facets @ (T @ cone.generators.T)  # facet x generator
     worst = np.argmin(margins, axis=0)
     worst_margins = margins[worst, np.arange(margins.shape[1])]
     witnesses = [

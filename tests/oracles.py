@@ -6,7 +6,9 @@ so the batched enumeration and everything built on it have a reference
 that shares none of their code.  ``adaptive_taylor_exp`` is the term-by-term
 Taylor loop that ``numerics.matrix_exp`` replaced by a fixed-degree
 Paterson-Stockmeyer evaluation, and ``max_principle_loop`` the per-sample
-loop of the Dirichlet maximum-principle check.
+loop of the Dirichlet maximum-principle check.  ``dirichlet_exp`` is the
+scipy-free exponential of the Dirichlet stencil, from its closed-form
+eigenpairs.
 """
 
 import itertools
@@ -77,6 +79,18 @@ def adaptive_taylor_exp(A, t: float = 1.0) -> np.ndarray:
     for _ in range(k):
         S = S @ S
     return S
+
+
+def dirichlet_exp(n: int, t: float) -> np.ndarray:
+    """``exp(tA)`` for the stencil ``(1/h^2) (1, -2, 1)`` on ``n`` interior
+    nodes, ``h = 1/(n+1)``: ``S diag(e^{t lambda}) S`` with the eigenvalues
+    ``lambda_j = -(4/h^2) sin^2(j pi h/2)`` and the orthogonal, symmetric
+    sine basis ``S_ij = sqrt(2h) sin(i j pi h)``."""
+    h = 1.0 / (n + 1)
+    j = np.arange(1, n + 1)
+    lam = -(4.0 / h**2) * np.sin(j * np.pi * h / 2.0) ** 2
+    S = np.sqrt(2.0 * h) * np.sin(np.outer(j, j) * np.pi * h)
+    return (S * np.exp(t * lam)) @ S
 
 
 def max_principle_loop(A, n_samples: int, rng) -> tuple[int, list[Witness]]:

@@ -16,7 +16,7 @@ from conesemi.dirichlet import (
 from conesemi.dissipativity import LinOp, is_metzler
 from conesemi.errors import MalformedProblem
 from conesemi.numerics import linear_solve, matrix_exp
-from conesemi.semigroup import SemigroupConfig, euler_matrix
+from conesemi.semigroup import SemigroupConfig, propagators
 from oracles import max_principle_loop
 
 
@@ -212,9 +212,8 @@ class TestPipeline:
             "positive[t=0.1,euler]", "positive[t=0.1,expm]",
             "positive[t=1,euler]", "positive[t=1,expm]",
         ]
-        for sub in positivity:
-            t, method = sub.data["t"], sub.data["method"]
-            T = matrix_exp(A.matrix, t) if method == "expm" else euler_matrix(A, t, 8)
+        for sub, (t, method, T) in zip(positivity, propagators(A, cfg)):
+            assert (sub.data["t"], sub.data["method"]) == (t, method)
             assert sub.verdict == "holds"
             assert sub.tolerance == 1e-12
             assert sub.data["worst_margin"] == np.min(T)

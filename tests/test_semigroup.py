@@ -1,16 +1,21 @@
 """Resolvents, backward-Euler powers, positivity/contractivity reports,
 and the two implication pipelines as seeded property suites."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import conesemi.semigroup as semigroup
 from conesemi.cone import PolyCone
-from conesemi.dissipativity import LinOp
-from conesemi.errors import MalformedProblem, SingularMatrix
+from conesemi.dirichlet import Grid, dirichlet_laplacian
+from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal
+from conesemi.errors import MalformedProblem, NormTooLarge, SingularMatrix
 from conesemi.halfnorm import FunctionalGauge, RegularizedGauge, WeightedNorm
-from conesemi.numerics import matrix_exp
+from conesemi.numerics import factorized_solver, matrix_exp
 from conesemi.semigroup import (
+    DEFAULT_T_GRID,
     SemigroupConfig,
     check_resolvent_contractivity,
     check_semigroup_contractivity,
@@ -23,6 +28,7 @@ from conesemi.semigroup import (
     resolvent_apply,
 )
 from conesemi.report import Witness
+from oracles import dirichlet_exp
 
 
 def weighted_dominant_metzler(n, rng):
@@ -196,8 +202,11 @@ class TestPropagators:
             (1.0, "euler"), (1.0, "expm"),
         ]
         for t, method, T in got:
-            expected = matrix_exp(A, t) if method == "expm" else euler_matrix(LinOp(A), t, 5)
-            assert np.array_equal(T, expected)
+            if method == "expm":
+                expected = matrix_exp(A, t)
+                assert np.max(np.abs(T - expected)) <= 1e-12 * np.max(np.abs(expected))
+            else:
+                assert np.array_equal(T, euler_matrix(LinOp(A), t, 5))
 
     def test_single_method_and_plain_matrix(self):
         A = np.array([[-2.0, 1.0], [1.0, -2.0]])
@@ -205,6 +214,225 @@ class TestPropagators:
             cfg = SemigroupConfig(t_grid=(0.5, 2.0), method=method)
             got = list(propagators(A, cfg))
             assert [(t, m) for t, m, _ in got] == [(0.5, method), (2.0, method)]
+
+
+def stencil(n):
+    return dirichlet_laplacian(Grid(n)).matrix
+
+
+def record_matrix_exp(monkeypatch):
+    """The times of every ``matrix_exp`` call the semigroup module makes."""
+    calls = []
+
+    def recording(A, t=1.0, **kwargs):
+        calls.append(t)
+        return matrix_exp(A, t, **kwargs)
+
+    monkeypatch.setattr(semigroup, "matrix_exp", recording)
+    return calls
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this solve path must not run")
+
+
+class TestChainedExponential:
+    """The ``expm`` propagators of a grid come from one exponential at its
+    smallest positive time, its cached squares and, off the multiples, one
+    exponential of the remainder."""
+
+    @pytest.mark.parametrize("n", [15, 31, 63, 127, 255])
+    def test_stencil_matches_the_eigenpair_oracle(self, n):
+        got = list(propagators(stencil(n), SemigroupConfig(method="expm")))
+        assert [t for t, _, _ in got] == list(DEFAULT_T_GRID)
+        for t, _, T in got:
+            expected = dirichlet_exp(n, t)
+            assert np.max(np.abs(T - expected)) <= 1e-9 * np.max(expected), (n, t)
+            assert np.min(T) >= 0.0
+
+    def test_one_exponential_per_grid(self, monkeypatch):
+        calls = record_matrix_exp(monkeypatch)
+        list(propagators(stencil(63), SemigroupConfig(method="both")))
+        assert calls == [0.1]
+        # 0.3 / 0.1 and 0.7 / 0.1 fall just short of 3 and 7: rounded up
+        list(propagators(stencil(63), SemigroupConfig(t_grid=(0.1, 0.3, 0.7), method="expm")))
+        assert calls == [0.1, 0.1]
+
+    def test_random_dense_against_scipy(self):
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            A = rng.standard_normal((n, n))
+            for t, _, T in propagators(A, SemigroupConfig(method="expm")):
+                expected = scipy.linalg.expm(t * A)
+                assert np.max(np.abs(T - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    def test_remainder_path(self, monkeypatch):
+        calls = record_matrix_exp(monkeypatch)
+        rng = np.random.default_rng(28)
+        A = rng.standard_normal((5, 5)) - 2.0 * np.eye(5)
+        got = list(propagators(A, SemigroupConfig(t_grid=(0.3, 0.7, 1.0), method="expm")))
+        # 0.7 = 2 (0.3) + 0.1 and 1.0 = 3 (0.3) + 0.1
+        assert calls[0] == 0.3
+        assert calls[1:] == pytest.approx([0.1, 0.1], rel=1e-12)
+        for t, _, T in got:
+            expected = scipy.linalg.expm(t * A)
+            assert np.max(np.abs(T - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_a_time_beyond_the_largest_power_gets_its_own_exponential(self, monkeypatch):
+        # (1e-8, 1): T(1e-8)^(1e8) is off by 2.3e-8 of the largest entry
+        calls = record_matrix_exp(monkeypatch)
+        A = np.random.default_rng(5).standard_normal((4, 4))
+        for tiny in (1e-8, 1e-320):
+            cfg = SemigroupConfig(t_grid=(tiny, 1.0), method="expm")
+            (_, _, base), (_, _, T) = propagators(A, cfg)
+            expected = scipy.linalg.expm(A)
+            assert np.max(np.abs(T - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert np.array_equal(base, matrix_exp(A, tiny))
+        assert calls == [1e-8, 1.0, 1e-320, 1.0]
+        # 2^20 steps is the largest power the chain takes
+        calls.clear()
+        list(propagators(-np.eye(2), SemigroupConfig(t_grid=(2.0**-20, 1.0), method="expm")))
+        assert calls == [2.0**-20]
+
+    def test_time_zero_is_the_identity(self, monkeypatch):
+        calls = record_matrix_exp(monkeypatch)
+        A = stencil(15)
+        got = list(propagators(A, SemigroupConfig(t_grid=(0.0, 0.5), method="expm")))
+        assert np.array_equal(got[0][2], np.eye(15))
+        assert calls == [0.5]
+        (_, _, T), = propagators(A, SemigroupConfig(t_grid=(0.0,), method="expm"))
+        assert np.array_equal(T, np.eye(15))
+        assert calls == [0.5]
+
+    def test_base_step_above_the_guard_raises_at_the_first_expm(self):
+        # ||0.5 A||_inf = 2 * 256^2 exceeds the 1e5 guard of matrix_exp
+        it = propagators(stencil(255), SemigroupConfig(t_grid=(0.5, 1.0), method="both"))
+        t, method, _ = next(it)
+        assert (t, method) == (0.5, "euler")
+        with pytest.raises(NormTooLarge):
+            next(it)
+
+    def test_yielded_matrices_are_independent(self):
+        # writing into one propagator leaves the cached squares intact
+        cfg = SemigroupConfig(t_grid=(0.5, 1.0, 2.0), method="expm")
+        expected = [T.copy() for _, _, T in propagators(stencil(15), cfg)]
+        for (_, _, T), E in zip(propagators(stencil(15), cfg), expected):
+            assert np.array_equal(T, E)
+            T[:] = -1.0
+
+
+def dense_lu_euler(A, t, n):
+    """Backward Euler through one dense LU, the path of every generator that
+    is not tridiagonal."""
+    eye = np.eye(A.shape[0])
+    return np.linalg.matrix_power(factorized_solver(eye - (t / n) * A)(eye), n)
+
+
+class TestTridiagonalEuler:
+    @pytest.mark.parametrize("n", [2, 15, 255])
+    def test_stencil_matches_dense_lu(self, n, monkeypatch):
+        A = stencil(n)
+        expected = [dense_lu_euler(A, t, 16) for t in DEFAULT_T_GRID]
+        monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        for t, E in zip(DEFAULT_T_GRID, expected):
+            T = euler_matrix(LinOp(A), t, 16)
+            assert np.max(np.abs(T - E)) <= 1e-12 * np.max(np.abs(E)), (n, t)
+
+    def test_random_nonsymmetric_tridiagonal(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        cases = []
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            A = (np.diag(rng.uniform(-3.0, -1.0, n))
+                 + np.diag(rng.standard_normal(n - 1), 1)
+                 + np.diag(rng.standard_normal(n - 1), -1))
+            cases.append((A, dense_lu_euler(A, 1.0, 8)))
+        monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        for A, E in cases:
+            T = euler_matrix(LinOp(A), 1.0, 8)
+            assert np.max(np.abs(T - E)) <= 1e-12 * np.max(np.abs(E))
+
+    @pytest.mark.parametrize("A", [np.eye(4), np.ones((3, 3)) / 3.0], ids=["tridiagonal", "dense"])
+    def test_singular_step_has_the_euler_message(self, A):
+        # (I - 1 A) is singular for both; both paths name the step the same way
+        message = "(I - 1 A) is singular (euler step for t=2, n=2)"
+        with pytest.raises(SingularMatrix, match=re.escape(message)):
+            euler_matrix(LinOp(A), 2.0, 2)
+
+    def test_an_entry_off_the_band_keeps_the_lu_path(self, monkeypatch):
+        A = stencil(15).copy()
+        A[0, 5] = 1.0
+        monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
+        assert np.array_equal(euler_matrix(LinOp(A), 1.0, 16), dense_lu_euler(A, 1.0, 16))
+
+
+def generic_twin(cone):
+    """The same cone with the orthant shortcut off, so that every check
+    forms its generator and facet products."""
+    twin = PolyCone(cone.generators, cone.facets)
+    twin.is_orthant = False
+    return twin
+
+
+def assert_same_report(got, expected):
+    assert got.verdict == expected.verdict
+    assert_same_witnesses(got.witnesses, expected.witnesses)
+    assert got.data == expected.data
+    assert got.notes == expected.notes
+
+
+def orthant_inputs(n, rng):
+    """A dissipative Metzler generator, its criterion 4 mutant, and their
+    exponentials, one of them with a negative entry."""
+    A, _ = weighted_dominant_metzler(n, rng)
+    mutant = A.copy()
+    mutant[0, 1] = -(mutant[0, 1] + 1.0)
+    one_negative = matrix_exp(A, 0.5)
+    one_negative[n - 1, 0] = -1e-6
+    return A, mutant, [matrix_exp(A, 0.5), matrix_exp(mutant, 0.01), one_negative]
+
+
+class TestOrthantShortcut:
+    def test_the_flag(self):
+        assert PolyCone.standard_orthant(3).is_orthant
+        assert PolyCone.standard_orthant(3).dual_cone().is_orthant
+        assert not PolyCone.from_generators([[1, 1], [1, -1]]).is_orthant
+        # the orthant with its facets in another order takes the generic path
+        assert not PolyCone(np.eye(3), np.eye(3)[::-1]).is_orthant
+
+    def test_positivity_matches_the_generic_products(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 5, 8):
+            _, _, (positive, mutant_exp, one_negative) = orthant_inputs(n, rng)
+            inputs = [positive, mutant_exp, one_negative,
+                      rng.standard_normal((n, n)), rng.integers(-2, 3, (n, n))]
+            for cone in (PolyCone.standard_orthant(n), PolyCone.from_generators(np.eye(n))):
+                twin = generic_twin(cone)
+                for T in inputs:
+                    for tol in (1e-9, 1e-12):
+                        got = is_positive_operator(T, cone, tol)
+                        assert_same_report(got, is_positive_operator(T, twin, tol))
+                assert is_positive_operator(positive, cone).verdict == "holds"
+                assert is_positive_operator(mutant_exp, cone).verdict == "fails"
+                assert is_positive_operator(one_negative, cone).verdict == "fails"
+
+    def test_pod_matches_the_generic_products(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5, 8):
+            A, mutant, _ = orthant_inputs(n, rng)
+            # x_0 <= 0.5 leaves e_0 outside: the check restricts to the rest
+            half = PolyhedralSet(ineq=(-np.eye(n)[:1], [-0.5]))
+            ops = [LinOp(A), LinOp(mutant), LinOp(rng.standard_normal((n, n))),
+                   LinOp(mutant, domain=half), LinOp(mutant.T, domain=half)]
+            for cone in (PolyCone.standard_orthant(n), PolyCone.from_generators(np.eye(n))):
+                twin = generic_twin(cone)
+                for op in ops:
+                    assert_same_report(has_positive_off_diagonal(op, cone),
+                                       has_positive_off_diagonal(op, twin))
+                assert has_positive_off_diagonal(ops[0], cone).verdict == "holds"
+                assert has_positive_off_diagonal(ops[1], cone).verdict == "fails"
+            assert "partial" in has_positive_off_diagonal(ops[3], cone).notes[0]
 
 
 class TestPositiveOperator:
