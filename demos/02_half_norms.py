@@ -1,4 +1,4 @@
-"""The six sublinear gauges and their subdifferentials.
+"""The five sublinear gauges and their subdifferentials.
 
 Run with:  python demos/02_half_norms.py
 """
@@ -11,7 +11,6 @@ from conesemi import (
     FunctionalGauge,
     OrderUnitGauge,
     PolyCone,
-    PositivePartNorm,
     RegularizedGauge,
     WeightedNorm,
     regularized_norm,
@@ -25,13 +24,14 @@ print(f"evaluating every gauge at x = {x} over the orthant:")
 gauges = [
     FunctionalGauge(orthant, [1, 1]),
     CanonicalHalfNorm(orthant, sup),
-    PositivePartNorm(orthant, sup),
     OrderUnitGauge(orthant, [1, 1]),
     RegularizedGauge(orthant, sup),
     EuclideanNorm(orthant),
 ]
 for g in gauges:
     print(f"  {g.variant:14s} -> {g.value(x):.6f}")
+print("on the orthant the order-unit gauge of (1,1) is the sup-norm of the positive part:")
+print("  ||x^+||_inf =", np.max(np.maximum(x, 0.0)))
 
 print()
 print("on the cone the functional gauge is the plain pairing:")

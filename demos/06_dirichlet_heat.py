@@ -35,22 +35,16 @@ print(f"analytic value 1 - 2*sqrt(e)/(1+e)            = {1 - 2*np.sqrt(np.e)/(1+
 
 print()
 print("== the propagator is entrywise nonnegative and never grows peaks ==")
+print("(the sup-norm of the positive part is the order-unit gauge of 1, so")
+print(" T contracts it exactly when T >= 0 and every row sum of T is at most 1)")
 A = dirichlet_laplacian(grid).matrix
-rng = np.random.default_rng(0)
 for t in (0.01, 0.1, 1.0):
     T = matrix_exp(A, t)
-    samples = rng.standard_normal((200, 31))
-    growth = np.max(
-        np.max(np.maximum(samples @ T.T, 0.0), axis=1)
-        - np.max(np.maximum(samples, 0.0), axis=1)
-    )
-    print(f"  t = {t:4}: min entry {np.min(T):+.2e}, "
-          f"worst positive-part sup-norm growth {growth:+.2e}")
+    print(f"  t = {t:4}: min entry {np.min(T):+.2e}, largest row sum {np.max(T.sum(axis=1)):.6f}")
 
 print()
 print("== the full check pipeline ==")
-report = run_dirichlet_checks(grid, SemigroupConfig(t_grid=(0.1, 1.0), method="expm"),
-                              n_samples=100, seed=0)
+report = run_dirichlet_checks(grid, SemigroupConfig(t_grid=(0.1, 1.0), method="expm"))
 for sub in report.subreports:
     print(f"  {sub.name}: {sub.verdict}")
-print("overall:", report.verdict, "(sampled parts are labelled inconclusive by design)")
+print("overall:", report.verdict, "(every check is decided exactly)")

@@ -31,7 +31,6 @@ from .halfnorm import (
     FunctionalGauge,
     HalfNorm,
     OrderUnitGauge,
-    PositivePartNorm,
     RegularizedGauge,
     SubdiffDesc,
     WeightedNorm,
@@ -84,7 +83,6 @@ __all__ = [
     "OrderUnitGauge",
     "PolyCone",
     "PolyhedralSet",
-    "PositivePartNorm",
     "RegularizedGauge",
     "Report",
     "SemigroupConfig",

@@ -8,8 +8,11 @@ with a printed witness, 2 the input could not be parsed or a numerical
 guard tripped.  Sampled passes are always labelled as evidence rather than
 proof, both in text and in the JSON body.
 
-The ``CONESEMI_SEED`` environment variable overrides the default seed;
-an explicit ``--seed`` beats both it and the file's ``seed`` field.
+The ``CONESEMI_SEED`` environment variable overrides the file's ``seed``
+field; an explicit ``--seed`` beats both.  Seeds and sample counts must be
+nonnegative.  ``dirichlet-demo`` reads no file and samples nothing, so it
+takes no ``--seed`` or ``--samples``, and its JSON report has ``null``
+for both.
 """
 
 from __future__ import annotations
@@ -101,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, with_file=True):
         if with_file:
             p.add_argument("--file", required=True, help="JSON problem file")
-        p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-        p.add_argument("--samples", type=int, default=None, help="override sample count")
+            p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+            p.add_argument("--samples", type=int, default=None, help="override sample count")
         p.add_argument("--json-out", default=None, help="write the JSON report here")
         p.add_argument("--quiet", action="store_true", help="suppress text output")
 
@@ -135,29 +138,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args, pf: ProblemFile | None) -> int:
+def _resolve_seed(args, pf: ProblemFile) -> int:
     if args.seed is not None:
         seed = args.seed
+        if seed < 0:
+            raise ProblemFileError("--seed: expected a nonnegative integer")
     elif os.environ.get("CONESEMI_SEED"):
         try:
             seed = int(os.environ["CONESEMI_SEED"])
         except ValueError as exc:
             raise ProblemFileError(f"CONESEMI_SEED: expected an integer ({exc})") from exc
-    elif pf is not None:
-        seed = pf.seed(0)
+        if seed < 0:
+            raise ProblemFileError("CONESEMI_SEED: expected a nonnegative integer")
     else:
-        seed = 0
+        seed = pf.seed(0)
     args.resolved_seed = seed
     return seed
 
 
-def _resolve_samples(args, pf: ProblemFile | None, default: int = 100) -> int:
+def _resolve_samples(args, pf: ProblemFile, default: int = 100) -> int:
     if args.samples is not None:
         n = args.samples
-    elif pf is not None:
-        n = pf.samples(default)
+        if n < 0:
+            raise ProblemFileError("--samples: expected a nonnegative integer")
     else:
-        n = default
+        n = pf.samples(default)
     args.resolved_samples = n
     return n
 
@@ -259,8 +264,6 @@ def _cmd_represent(args):
 def _cmd_dirichlet_demo(args):
     if any(n < 2 for n in args.grid_sizes):
         raise ProblemFileError("--grid-sizes entries must be >= 2")
-    seed = _resolve_seed(args, None)
-    samples = _resolve_samples(args, None)
     cfg = SemigroupConfig(t_grid=tuple(sorted(args.t_grid)), method="expm")
     lines = []
     checks = []
@@ -278,7 +281,7 @@ def _cmd_dirichlet_demo(args):
             )
         )
     for n in args.grid_sizes:
-        checks.append(run_dirichlet_checks(Grid(n), cfg, n_samples=samples, seed=seed))
+        checks.append(run_dirichlet_checks(Grid(n), cfg))
     code = EXIT_PASS if all(c.passed for c in checks) else EXIT_FAIL
     return code, checks, lines
 

@@ -1,6 +1,6 @@
 """Sublinear functions attached to a cone.
 
-Six variants share one interface (``value`` / ``values`` /
+Five variants share one interface (``value`` / ``values`` /
 ``subdifferential`` / ``pairing_extremum`` / ``pairing_extrema``):
 
 * ``CanonicalHalfNorm`` -- the distance from ``-x`` to the cone, i.e. the
@@ -11,18 +11,18 @@ Six variants share one interface (``value`` / ``values`` /
   positive functional ``phi``; the workhorse for semigroup certificates;
 * ``OrderUnitGauge``    -- smallest ``lam >= 0`` with ``x <= lam * u`` for an
   interior unit ``u``; closed facet formula;
-* ``PositivePartNorm``  -- norm of the positive part, defined on simplicial
-  cones only;
 * ``EuclideanNorm``     -- the plain 2-norm with its analytic subdifferential,
   kept for the 2-d operator fixtures.
 
 All but the Euclidean norm are positively homogeneous and zero on ``-K``,
 and each is the support function of a polytope ``S``, its subdifferential
 at 0: ``p(x) = max_{u in S} <x, u>``, a half-norm in the sense of Arendt,
-Chernoff and Kato (J. Operator Theory 8, 1982).  The positive-part norm is
-one only where its ambient norm is monotone for the order.  :class:`HalfNorm` keeps these rules in
-one place.  ``values`` is the one evaluation path: it scales each row by a
-power of two to ``||x||_inf`` in ``[1/2, 1)`` (exact both ways), gives
+Chernoff and Kato (J. Operator Theory 8, 1982).  On an orthant the norm of
+the positive part is one of them: ``||x^+||`` for weighted l1 is the
+functional gauge of the weights, and for weighted linf the order-unit gauge
+of their reciprocals.  :class:`HalfNorm` keeps these rules in one place.
+``values`` is the one evaluation path: it scales each row by a power of
+two to ``||x||_inf`` in ``[1/2, 1)`` (exact both ways), gives
 exactly 0 on ``-K`` (membership ``MEMBER_TOL`` at that scale; downstream
 positivity logic relies on it), lets the variant evaluate the other rows,
 clamps at 0 and scales back; ``value`` is one row of it.  Each variant
@@ -48,8 +48,7 @@ keep it exact, and since ``S`` contains 0, phase 1 starts at a feasible
 point), and each pairing one optimization over ``subdifferential(x)``.  The order-unit gauge
 states its table in closed form, and so does the functional gauge on a
 simplicial cone, which also takes its values from ``phi = F^T c``; the
-positive-part norm takes its values from one LU solve per batch, and it and
-the Euclidean norm keep no table.
+Euclidean norm keeps no table.
 """
 
 from __future__ import annotations
@@ -68,14 +67,12 @@ from .errors import (
     NotOrderUnit,
     NumericalFailure,
     Unbounded,
-    VariantPreconditionFailed,
     VariantUnsupported,
 )
 from .numerics import (
     LpProblem,
     as_matrix,
     as_vector,
-    factorized_solver,
     linear_solve,
     solve_lp,
     vertex_table,
@@ -527,44 +524,6 @@ class CanonicalHalfNorm(HalfNorm):
     @functools.cached_property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         return _dual_ball(self.cone, self.norm)
-
-
-class PositivePartNorm(HalfNorm):
-    """Norm of the positive part; simplicial cones only.
-
-    Evaluated as ``||G^T a^+||`` with ``G^T a = x`` (G the generators), from
-    one cached LU factorization for a whole batch.  Subdifferentials use the
-    canonical half-norm's ``S``, which is this norm's own where the ambient
-    norm is monotone for the order (on orthants, say); elsewhere ``||x^+||``
-    need not be subadditive, and the face of ``S`` at level ``||x^+||`` may
-    be empty.
-    """
-
-    variant = "positive_part"
-    # off monotone cones ||x^+|| is not the support function of _polar
-    _table = None
-
-    def __init__(self, cone: PolyCone, norm: WeightedNorm):
-        super().__init__(cone)
-        if not cone.is_lattice():
-            raise VariantPreconditionFailed(
-                "positive-part norm needs a simplicial cone"
-            )
-        if norm.dim != cone.dim:
-            raise DimensionMismatch("norm weights dimension differs from cone")
-        self.norm = norm
-
-    @functools.cached_property
-    def _polar(self) -> tuple[np.ndarray, np.ndarray]:
-        return _dual_ball(self.cone, self.norm)
-
-    @functools.cached_property
-    def _ray_coordinates(self):
-        return factorized_solver(self.cone.generators.T)
-
-    def _unit_values(self, U: np.ndarray) -> np.ndarray:
-        coords = self._ray_coordinates(U.T)
-        return self.norm._rows(np.maximum(coords, 0.0).T @ self.cone.generators)
 
 
 class OrderUnitGauge(HalfNorm):

@@ -28,6 +28,10 @@ the sections below; each command reads the sections it needs.
 Half-norm variants: ``canonical``, ``regular_gauge``, ``functional`` (alias
 ``phi``), ``order_unit``, ``positive_part`` (alias ``nplus``), ``euclidean``.
 Norm kinds: ``l1``, ``linf``, each with strictly positive ``weights``.
+``positive_part`` is ``||x^+||`` for its norm and is accepted on orthants
+only, cones whose every generator is a positive multiple of a distinct unit
+vector; there it is the functional gauge of the l1 weights, or the
+order-unit gauge of the reciprocals of the linf weights.
 
 Parse failures raise :class:`ProblemFileError` whose message carries the
 JSON field path of the offending entry.
@@ -42,14 +46,13 @@ import numpy as np
 
 from .cone import DualVector, PolyCone
 from .dissipativity import LinOp, PolyhedralSet
-from .errors import ConesemiError, ProblemFileError
+from .errors import ConesemiError, ProblemFileError, VariantPreconditionFailed
 from .halfnorm import (
     CanonicalHalfNorm,
     EuclideanNorm,
     FunctionalGauge,
     HalfNorm,
     OrderUnitGauge,
-    PositivePartNorm,
     RegularizedGauge,
     WeightedNorm,
 )
@@ -101,6 +104,26 @@ def _as_matrix(value, path: str) -> np.ndarray:
         if row.size != width:
             _fail(f"{path}[{i}]", f"expected {width} entries, got {row.size}")
     return np.vstack(rows)
+
+
+def _positive_part_gauge(cone: PolyCone, norm: WeightedNorm) -> HalfNorm:
+    """``||x^+||`` on an orthant, as the gauge it is; off the orthant the
+    norm of the positive part need not be sublinear, so it is refused."""
+    G = cone.generators
+    support = G != 0
+    if not (
+        G.shape[0] == cone.dim
+        and np.all(support.sum(axis=1) == 1)
+        and np.all(support.any(axis=0))
+        and np.all(G[support] > 0)
+    ):
+        raise VariantPreconditionFailed(
+            "positive_part needs an orthant (every generator a positive multiple of a "
+            "distinct unit vector); on other cones use functional, order_unit or canonical"
+        )
+    if norm.kind == "l1":
+        return FunctionalGauge(cone, norm.weights)
+    return OrderUnitGauge(cone, 1.0 / norm.weights)
 
 
 class ProblemFile:
@@ -161,11 +184,9 @@ class ProblemFile:
             if variant == "euclidean":
                 return EuclideanNorm(cone)
             norm = self._norm(section, cone)
-            cls = {
-                "canonical": CanonicalHalfNorm,
-                "regular_gauge": RegularizedGauge,
-                "positive_part": PositivePartNorm,
-            }[variant]
+            if variant == "positive_part":
+                return _positive_part_gauge(cone, norm)
+            cls = {"canonical": CanonicalHalfNorm, "regular_gauge": RegularizedGauge}[variant]
             return cls(cone, norm)
         except ProblemFileError:
             raise
@@ -287,8 +308,8 @@ class ProblemFile:
 
     def seed(self, default: int = 0) -> int:
         value = self.raw.get("seed", default)
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail("seed", "expected an integer")
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            _fail("seed", "expected a nonnegative integer")
         return value
 
     def samples(self, default: int = 100) -> int:

@@ -5,10 +5,11 @@ replaced in the package: one least-squares solve per active set, kept here
 so the batched enumeration and everything built on it have a reference
 that shares none of their code.  ``adaptive_taylor_exp`` is the term-by-term
 Taylor loop that ``numerics.matrix_exp`` replaced by a fixed-degree
-Paterson-Stockmeyer evaluation, and ``max_principle_loop`` the per-sample
-loop of the Dirichlet maximum-principle check.  ``dirichlet_exp`` is the
-scipy-free exponential of the Dirichlet stencil, from its closed-form
-eigenpairs.
+Paterson-Stockmeyer evaluation.  ``max_principle_loop`` and
+``positive_part_loop`` are the sampled Dirichlet checks that the package
+replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``.
+``dirichlet_exp`` is the scipy-free exponential of the Dirichlet stencil,
+from its closed-form eigenpairs.
 """
 
 import itertools
@@ -93,22 +94,55 @@ def dirichlet_exp(n: int, t: float) -> np.ndarray:
     return (S * np.exp(t * lam)) @ S
 
 
+def max_principle_margin(A, x) -> tuple[int, float] | None:
+    """The discrete maximum principle at one point: ``None`` when the
+    maximum of ``x`` is negative, else the node ``j`` among those where
+    ``x`` attains its maximum with the largest ``(A x)_j``, and that value.
+    A violation is a margin above 1e-9."""
+    top = np.max(x)
+    if top < 0:
+        return None
+    nodes = np.flatnonzero(x == top)
+    values = (A @ x)[nodes]
+    k = int(np.argmax(values))
+    return int(nodes[k]), float(values[k])
+
+
 def max_principle_loop(A, n_samples: int, rng) -> tuple[int, list[Witness]]:
     """The discrete maximum principle sampled one point at a time: draw
     ``x``, skip it when its maximum is negative, else a witness when
-    ``(A x)_j > 1e-9`` at the maximizing node ``j``.  Returns the number of
+    :func:`max_principle_margin` exceeds 1e-9.  Returns the number of
     points used and the witnesses."""
     witnesses = []
     used = 0
     for _ in range(n_samples):
         x = rng.standard_normal(A.shape[0])
-        j = int(np.argmax(x))
-        if x[j] < 0:
+        found = max_principle_margin(A, x)
+        if found is None:
             continue
         used += 1
-        margin = float((A @ x)[j])
+        j, margin = found
         if margin > 1e-9:
             witnesses.append(
                 Witness(point=x, functional=None, margin=margin, label=f"max at node {j}")
             )
     return used, witnesses
+
+
+def positive_part_growth(T, x) -> float:
+    """``||(T x)^+||_inf - ||x^+||_inf``; a violation of contractivity for
+    the positive-part sup-norm is a growth above 1e-8."""
+    return float(np.max(np.maximum(T @ x, 0.0)) - np.max(np.maximum(x, 0.0)))
+
+
+def positive_part_loop(T, n_samples: int, rng) -> list[Witness]:
+    """Contractivity for the positive-part sup-norm sampled one point at a
+    time: a witness at each drawn ``x`` whose :func:`positive_part_growth`
+    exceeds 1e-8."""
+    witnesses = []
+    for i in range(n_samples):
+        x = rng.standard_normal(T.shape[0])
+        growth = positive_part_growth(T, x)
+        if growth > 1e-8:
+            witnesses.append(Witness(point=x, functional=None, margin=growth, label=f"sample[{i}]"))
+    return witnesses

@@ -80,7 +80,22 @@ class TestCheckDissipative:
         }
         code = run(["check-dissipative", "--file", write(tmp_path, payload), "--quiet"])
         assert code == 2
-        assert "simplicial" in capsys.readouterr().err
+        assert "orthant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["positive_part", "nplus"])
+    @pytest.mark.parametrize("kind", ["l1", "linf"])
+    def test_positive_part_on_the_diamond_exits_2(self, tmp_path, capsys, variant, kind):
+        # a lattice cone, but not an orthant: there ||x^+|| need not be sublinear
+        payload = {
+            "schema_version": 1,
+            "cone": {"generators": [[1, 1], [1, -1]]},
+            "halfnorm": {"variant": variant, "norm": {"kind": kind, "weights": [1.0, 2.0]}},
+            "operator": {"matrix": [[-1, 0], [0, -1]]},
+        }
+        code = run(["check-dissipative", "--file", write(tmp_path, payload), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert all(name in err for name in ("orthant", "functional", "order_unit", "canonical"))
 
 
 class TestSimulate:
@@ -131,18 +146,18 @@ class TestRepresent:
 
 class TestDirichletDemo:
     def test_default_flags_pass(self, capsys):
-        code = main(["dirichlet-demo", "--samples", "50"])
+        code = main(["dirichlet-demo"])
         out = capsys.readouterr().out
         assert code == 0
         assert "sup-error" in out  # convergence tables rendered
 
     def test_small_run_passes(self):
         assert run(["dirichlet-demo", "--grid-sizes", 7, 15, "--t-grid", 0.1,
-                    "--samples", 20, "--quiet"]) == 0
+                    "--quiet"]) == 0
 
     def test_single_coarse_grid(self):
         assert run(["dirichlet-demo", "--grid-sizes", 2, "--t-grid", 0.1,
-                    "--samples", 10, "--quiet"]) == 0
+                    "--quiet"]) == 0
 
     def test_failed_convergence_carries_a_witness(self, tmp_path, monkeypatch):
         import conesemi.cli as cli
@@ -152,7 +167,7 @@ class TestDirichletDemo:
         monkeypatch.setattr(cli, "convergence_study", lambda n_values, rhs: rows)
         out = tmp_path / "report.json"
         assert run(["dirichlet-demo", "--grid-sizes", 7, 15, "--t-grid", 0.1,
-                    "--samples", 10, "--json-out", out, "--quiet"]) == 1
+                    "--json-out", out, "--quiet"]) == 1
         convergence = json.loads(out.read_text())["checks"][:2]
         for check in convergence:
             assert check["verdict"] == "fails"
@@ -166,6 +181,24 @@ class TestDirichletDemo:
 
     def test_tiny_grid_size_exits_2(self):
         assert run(["dirichlet-demo", "--grid-sizes", 1, "--quiet"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--samples"])
+    def test_sampling_flags_are_refused(self, flag):
+        # nothing in the demo is sampled
+        with pytest.raises(SystemExit) as exc:
+            main(["dirichlet-demo", flag, "5", "--quiet"])
+        assert exc.value.code == 2
+
+    def test_every_grid_is_decided(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["dirichlet-demo", "--grid-sizes", 15, 31, 63, 127, 255,
+                    "--json-out", out, "--quiet"]) == 0
+        body = json.loads(out.read_text())
+        assert body["seed"] is None and body["samples"] is None
+        grids = [c for c in body["checks"] if c["name"].startswith("dirichlet_checks[")]
+        assert len(grids) == 5
+        for check in grids:
+            assert check["verdict"] == "holds" and check["samples_used"] == 0
 
 
 class TestJsonReport:
@@ -222,7 +255,7 @@ class TestJsonReport:
         for name in ("a.json", "b.json"):
             out = tmp_path / name
             code = run(["dirichlet-demo", "--grid-sizes", 7, 15, "--t-grid", 0.1, 1,
-                        "--samples", 20, "--json-out", out, "--quiet"])
+                        "--json-out", out, "--quiet"])
             assert code == 0
             body = json.loads(out.read_text())
             body.pop("wall_time_s")
@@ -257,6 +290,38 @@ class TestSeedResolution:
         monkeypatch.setenv("CONESEMI_SEED", "not-a-number")
         assert run(["check-dissipative", "--file",
                     FIXTURES / "example52_matrix2_dissipative.json", "--quiet"]) == 2
+
+    def test_negative_flag_seed_exits_2(self, capsys):
+        assert run(["check-dissipative", "--file",
+                    FIXTURES / "example52_matrix2_dissipative.json",
+                    "--seed", -1, "--quiet"]) == 2
+        assert "--seed: expected a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_env_seed_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("CONESEMI_SEED", "-5")
+        assert run(["check-dissipative", "--file",
+                    FIXTURES / "example52_matrix2_dissipative.json", "--quiet"]) == 2
+        assert "CONESEMI_SEED: expected a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_file_seed_exits_2(self, tmp_path, capsys):
+        payload = json.loads((FIXTURES / "example52_matrix2_dissipative.json").read_text())
+        payload["seed"] = -4
+        assert run(["check-dissipative", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        assert "seed: expected a nonnegative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fixture", [
+        ("simulate", "metzler_positive.json"),
+        ("check-dissipative", "example52_matrix2_dissipative.json"),
+    ])
+    def test_negative_flag_samples_exits_2(self, capsys, command, fixture):
+        assert run([command, "--file", FIXTURES / fixture, "--samples", -1, "--quiet"]) == 2
+        assert "--samples: expected a nonnegative integer" in capsys.readouterr().err
+
+    def test_negative_file_samples_exits_2(self, tmp_path, capsys):
+        payload = json.loads((FIXTURES / "metzler_positive.json").read_text())
+        payload["samples"] = -1
+        assert run(["simulate", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        assert "samples: expected a nonnegative integer" in capsys.readouterr().err
 
 
 class TestProblemFileRoundTrip:

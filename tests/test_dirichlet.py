@@ -5,7 +5,7 @@ import pytest
 
 from conesemi.dirichlet import (
     Grid,
-    _max_principle_report,
+    _unit_gauge_report,
     convergence_study,
     dirichlet_laplacian,
     fd_resolvent,
@@ -13,11 +13,16 @@ from conesemi.dirichlet import (
     resolvent_closed_form,
     run_dirichlet_checks,
 )
-from conesemi.dissipativity import LinOp, is_metzler
+from conesemi.dissipativity import is_metzler
 from conesemi.errors import MalformedProblem
 from conesemi.numerics import linear_solve, matrix_exp
 from conesemi.semigroup import SemigroupConfig, propagators
-from oracles import max_principle_loop
+from oracles import (
+    max_principle_loop,
+    max_principle_margin,
+    positive_part_growth,
+    positive_part_loop,
+)
 
 
 class TestGrid:
@@ -139,23 +144,16 @@ class TestMaximumPrinciple:
     @pytest.mark.parametrize("n", [2, 31])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_batched_report_matches_the_loop(self, sign, n):
-        # the stencil never fails; its negative fails on every sample it
-        # uses; on 2 nodes about a quarter of the samples have a negative
-        # maximum and are skipped
+        # the exact check against the sampled loop: the stencil holds and no
+        # sample violates it; its negative fails, and so does every sample
+        # the loop uses (on 2 nodes about a quarter have a negative maximum)
         A = sign * dirichlet_laplacian(Grid(n)).matrix
-        rng_batch, rng_loop = np.random.default_rng(142), np.random.default_rng(142)
-        rep = _max_principle_report(LinOp(A), 200, rng_batch)
-        used, witnesses = max_principle_loop(A, 200, rng_loop)
-        assert rep.samples_used == used > 100
+        used, sampled = max_principle_loop(A, 200, np.random.default_rng(142))
+        rep = _unit_gauge_report("max", A, 0.0, 1e-9, exempt_diagonal=True)
         assert used < 200 if n == 2 else used == 200
-        assert len(rep.witnesses) == len(witnesses) == (0 if sign > 0 else used)
-        assert rep.verdict == ("inconclusive" if sign > 0 else "fails")
-        for got, want in zip(rep.witnesses, witnesses):
-            assert got.label == want.label
-            assert np.array_equal(got.point, want.point)
-            assert got.margin == pytest.approx(want.margin, rel=1e-12)
-        # one draw of all samples leaves the generator where the loop does
-        assert rng_batch.standard_normal() == rng_loop.standard_normal()
+        assert len(sampled) == (0 if sign > 0 else used)
+        assert rep.verdict == ("holds" if sign > 0 else "fails")
+        assert bool(rep.witnesses) == bool(sampled) == (rep.data["worst_margin"] > 1e-9)
 
     def test_hat_function_strictly_negative(self):
         g = Grid(15)
@@ -188,7 +186,7 @@ class TestSemigroupPositivity:
 class TestPipeline:
     def test_full_checks_pass(self):
         cfg = SemigroupConfig(t_grid=(0.1, 1.0), method="expm")
-        rep = run_dirichlet_checks(Grid(15), cfg, n_samples=60, seed=0)
+        rep = run_dirichlet_checks(Grid(15), cfg)
         assert rep.passed
         names = {s.name for s in rep.subreports}
         assert "pod" in names
@@ -196,8 +194,7 @@ class TestPipeline:
         assert "resolvent_cross_check" in names
 
     def test_cross_check_data_has_ratio(self):
-        rep = run_dirichlet_checks(Grid(15), SemigroupConfig(t_grid=(0.1,), method="expm"),
-                                   n_samples=30, seed=0)
+        rep = run_dirichlet_checks(Grid(15), SemigroupConfig(t_grid=(0.1,), method="expm"))
         cross = next(s for s in rep.subreports if s.name == "resolvent_cross_check")
         for label in ("constant", "sine"):
             assert 3.5 <= cross.data[label]["ratio"] <= 4.5
@@ -206,7 +203,7 @@ class TestPipeline:
         grid = Grid(15)
         A = dirichlet_laplacian(grid)
         cfg = SemigroupConfig(t_grid=(0.1, 1.0), euler_steps=8, method="both")
-        rep = run_dirichlet_checks(grid, cfg, n_samples=20, seed=3)
+        rep = run_dirichlet_checks(grid, cfg)
         positivity = [s for s in rep.subreports if s.name.startswith("positive[")]
         assert [s.name for s in positivity] == [
             "positive[t=0.1,euler]", "positive[t=0.1,expm]",
@@ -226,7 +223,7 @@ class TestPipeline:
         bad = np.eye(7)
         bad[2, 5] = -1e-6
         monkeypatch.setattr(dirichlet, "propagators", lambda op, cfg: iter([(0.1, "expm", bad)]))
-        rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)), n_samples=10)
+        rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)))
         pos = next(s for s in rep.subreports if s.name == "positive[t=0.1,expm]")
         assert rep.verdict == "fails" and pos.verdict == "fails"
         assert [w.label for w in pos.witnesses] == ["T(generator[5]) violates facet[2]"]
@@ -245,7 +242,7 @@ class TestPipeline:
         )
         monkeypatch.setattr(dirichlet, "propagators",
                             lambda op, cfg: iter([(0.1, "expm", 1.5 * np.eye(7))]))
-        rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)), n_samples=10)
+        rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)))
         failing = {s.name: s for s in rep.subreports if s.verdict == "fails"}
         assert rep.verdict == "fails"
         assert sorted(failing) == ["positive_part_contractive[t=0.1,expm]", "resolvent_cross_check"]
@@ -259,5 +256,95 @@ class TestPipeline:
 
     def test_euler_method_also_positive(self):
         cfg = SemigroupConfig(t_grid=(0.5,), euler_steps=8, method="euler")
-        rep = run_dirichlet_checks(Grid(7), cfg, n_samples=30, seed=2)
+        rep = run_dirichlet_checks(Grid(7), cfg)
         assert rep.passed
+
+
+def generator_mutants(n: int) -> dict:
+    """Generators that break the maximum principle, from the stencil."""
+    A = dirichlet_laplacian(Grid(n)).matrix
+    off = A.copy()
+    off[3, 4] = -1e-3
+    return {"-A": -A, "negative off-diagonal": off, "A + eps I": A + 1e-6 * np.eye(n),
+            "1.5 I": 1.5 * np.eye(n)}
+
+
+def propagator_mutants(n: int) -> dict:
+    """Propagators that grow the positive-part sup-norm."""
+    T = matrix_exp(dirichlet_laplacian(Grid(n)).matrix, 0.1)
+    negative = T.copy()
+    negative[2, 5] = -1e-6
+    return {"1.5 I": 1.5 * np.eye(n), "one negative entry": negative}
+
+
+class TestExactChecks:
+    """The maximum principle and positive-part contractivity, decided from
+    the column minima and row sums, against the sampled loops."""
+
+    @pytest.mark.parametrize("n", [2, 15, 255])
+    def test_stencil_holds_without_witnesses(self, n):
+        rep = run_dirichlet_checks(Grid(n), SemigroupConfig(method="both"))
+        assert rep.verdict == "holds" and rep.samples_used == 0
+        exact = [s for s in rep.subreports
+                 if s.name == "discrete_maximum_principle"
+                 or s.name.startswith("positive_part_contractive[")]
+        assert len(exact) == 1 + 2 * len(SemigroupConfig().t_grid)
+        for sub in rep.subreports:
+            assert sub.verdict == "holds" and not sub.witnesses
+
+    def test_sampling_keywords_are_ignored(self):
+        cfg = SemigroupConfig(t_grid=(0.1, 1.0))
+        bodies = [run_dirichlet_checks(Grid(15), cfg, n_samples=k, seed=s).to_dict()
+                  for k, s in ((100, 0), (3, 7))]
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("name", list(generator_mutants(15)))
+    def test_generator_mutants_fail(self, name):
+        A = generator_mutants(15)[name]
+        rep = _unit_gauge_report("max", A, 0.0, 1e-9, exempt_diagonal=True)
+        assert rep.verdict == "fails"
+        assert rep.data["worst_margin"] == max(w.margin for w in rep.witnesses)
+        for w in rep.witnesses:
+            _, margin = max_principle_margin(A, w.point)
+            assert margin > 1e-9
+            assert w.margin == pytest.approx(margin, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(propagator_mutants(15)))
+    def test_propagator_mutants_fail(self, name, monkeypatch):
+        import conesemi.dirichlet as dirichlet
+
+        T = propagator_mutants(15)[name]
+        monkeypatch.setattr(dirichlet, "propagators", lambda op, cfg: iter([(0.1, "expm", T)]))
+        rep = run_dirichlet_checks(Grid(15), SemigroupConfig(t_grid=(0.1,)))
+        sub = next(s for s in rep.subreports if s.name == "positive_part_contractive[t=0.1,expm]")
+        assert rep.verdict == sub.verdict == "fails"
+        assert sub.data["worst_margin"] == max(w.margin for w in sub.witnesses)
+        for w in sub.witnesses:
+            growth = positive_part_growth(T, w.point)
+            assert growth > 1e-8
+            assert w.margin == pytest.approx(growth, rel=1e-12)
+
+    def test_sampled_failure_implies_exact_failure(self):
+        # random near-stencil generators and near-stochastic propagators:
+        # whatever the sampled loops refute, the exact checks refute too
+        rng = np.random.default_rng(144)
+        counts = {"sampled fails": 0, "exact fails only": 0, "both hold": 0}
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            off = rng.uniform(-0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+            np.fill_diagonal(off, 0.0)
+            A = off - np.diag(off.sum(axis=1) + rng.uniform(-0.3, 1.0, n))
+            T = rng.uniform(-0.1, 1.0, (n, n))
+            T *= rng.uniform(0.7, 1.1, (n, 1)) / np.abs(T).sum(axis=1, keepdims=True)
+            for M, bound, tol, exempt, loop in (
+                (A, 0.0, 1e-9, True, lambda M, r: max_principle_loop(M, 40, r)[1]),
+                (T, 1.0, 1e-8, False, lambda M, r: positive_part_loop(M, 40, r)),
+            ):
+                sampled = loop(M, np.random.default_rng(int(rng.integers(2**31))))
+                rep = _unit_gauge_report("check", M, bound, tol, exempt_diagonal=exempt)
+                if sampled:
+                    assert rep.verdict == "fails"
+                    counts["sampled fails"] += 1
+                else:
+                    counts["exact fails only" if rep.witnesses else "both hold"] += 1
+        assert min(counts.values()) > 20, counts

@@ -24,23 +24,22 @@ from scipy.optimize import linprog
 
 from conesemi.cone import PolyCone
 from conesemi.errors import (
-    EmptySubdifferential,
     NotOrderUnit,
     NotPositiveFunctional,
-    VariantPreconditionFailed,
 )
 from conesemi.halfnorm import (
     CanonicalHalfNorm,
     EuclideanNorm,
     FunctionalGauge,
     OrderUnitGauge,
-    PositivePartNorm,
     RegularizedGauge,
     WeightedNorm,
     _support,
     regularized_norm,
 )
+from conesemi.errors import ProblemFileError
 from conesemi.numerics import LpProblem, solve_lp, vertex_table
+from conesemi.problemfile import ProblemFile
 from oracles import enumerate_vertices
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -372,10 +371,7 @@ class TestClosedFormValues:
         x, y = rng.standard_normal((2, K.dim)) * scale
         a = rng.uniform(0.0, 1.0, K.generators.shape[0]) * (rng.random(K.generators.shape[0]) < 0.7)
         minus = -scale * (K.generators.T @ a)
-        gauges = [*closed_form_gauges(K, rng), *lp_gauges(K, rng)]
-        if K.is_lattice():
-            gauges.append(PositivePartNorm(K, WeightedNorm("linf", rng.uniform(0.5, 2.0, K.dim))))
-        for p in gauges:
+        for p in [*closed_form_gauges(K, rng), *lp_gauges(K, rng)]:
             bound = max(p.values(np.vstack([np.eye(K.dim), -np.eye(K.dim)])))
             size = (np.abs(x).sum() + np.abs(y).sum()) * bound
             px, py, pxy, pt = p.values(np.vstack([x, y, x + y, t * x]))
@@ -383,12 +379,8 @@ class TestClosedFormValues:
             assert min(px, py, pxy, pt) >= 0.0
             assert pt == pytest.approx(t * px, abs=1e-12 * t * size)
             assert p.value(t * x) == pytest.approx(t * p.value(x), abs=1e-12 * t * size)
-            # ||x^+|| is subadditive where the norm is monotone for the
-            # order: on the orthants and the diamond (the first four cones),
-            # not on the random simplicial cones
-            if not isinstance(p, PositivePartNorm) or which < 4:
-                assert pxy <= px + py + 1e-12 * size
-                assert p.value(x + y) <= p.value(x) + p.value(y) + 1e-12 * size
+            assert pxy <= px + py + 1e-12 * size
+            assert p.value(x + y) <= p.value(x) + p.value(y) + 1e-12 * size
             assert p.value(minus) == 0.0
             assert np.all(p.values(np.vstack([minus, 2.0 * minus])) == 0.0)
 
@@ -568,45 +560,70 @@ class TestOrderUnitValues:
                 assert not diamond.leq(x, (lam - 1e-6) * np.array([1.0, 0.0]))
 
 
+def positive_part_gauge(K, norm):
+    """The gauge that a problem file builds for ``positive_part`` with ``norm``."""
+    section = {"variant": "positive_part",
+               "norm": {"kind": norm.kind, "weights": norm.weights.tolist()}}
+    return ProblemFile({"schema_version": 1, "halfnorm": section}).halfnorm(K)
+
+
+def orthants(rng):
+    """The standard orthants of R^2, R^4 and R^7, and each with its rays
+    scaled and shuffled."""
+    out = []
+    for n in (2, 4, 7):
+        rays = np.diag(rng.uniform(0.1, 10.0, n))[rng.permutation(n)]
+        out += [PolyCone.standard_orthant(n), PolyCone.from_generators(rays)]
+    return out
+
+
 class TestPositivePartValues:
+    """``positive_part`` in a problem file: on an orthant ``||x^+||`` is the
+    functional gauge of the l1 weights or the order-unit gauge of the
+    reciprocal linf weights."""
+
     def test_example(self, orthant2):
-        p = PositivePartNorm(orthant2, WeightedNorm.sup(2))
-        assert p.value([1, -2]) == pytest.approx(1.0, abs=1e-12)
+        p = positive_part_gauge(orthant2, WeightedNorm.sup(2))
+        assert isinstance(p, OrderUnitGauge)
+        assert p.value([1, -2]) == 1.0
+        q = positive_part_gauge(orthant2, WeightedNorm.one(2))
+        assert isinstance(q, FunctionalGauge)
+        assert q.value([1, -2]) == 1.0
 
     def test_batch_matches_per_row_oracle(self):
         rng = np.random.default_rng(120)
-        for K in differential_cones()[:7]:
+        for K in orthants(rng):
             a = rng.uniform(0.0, 1.0, (10, K.dim))
             X = np.vstack([rng.standard_normal((30, K.dim)), a @ K.generators, -(a @ K.generators)])
             for kind in ("l1", "linf"):
                 norm = WeightedNorm(kind, rng.uniform(0.5, 2.0, K.dim))
-                p = PositivePartNorm(K, norm)
+                p = positive_part_gauge(K, norm)
                 for scale in (1e-12, 1.0, 1e12):
                     expected = [norm.value(K.positive_part(x)) for x in scale * X]
                     assert p.values(scale * X) == pytest.approx(expected, rel=1e-12, abs=0)
 
-    def test_needs_lattice(self):
+    def test_needs_lattice(self, diamond):
+        # a lattice is not enough: off the orthant ||x^+|| need not be sublinear
+        rng = np.random.default_rng(123)
         pyramid = PolyCone.from_generators(
             [[1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]]
         )
-        with pytest.raises(VariantPreconditionFailed):
-            PositivePartNorm(pyramid, WeightedNorm.sup(3))
+        for K in (diamond, pyramid, random_simplicial(rng, 3)):
+            for norm in (WeightedNorm.sup(K.dim), WeightedNorm.one(K.dim)):
+                with pytest.raises(ProblemFileError, match="orthant"):
+                    positive_part_gauge(K, norm)
 
-    def test_matches_canonical_on_lattice_cones(self, orthant2, diamond):
+    def test_matches_canonical_on_lattice_cones(self):
         # the classical lattice identity, for monotone norms
         rng = np.random.default_rng(104)
-        setups = [
-            (orthant2, WeightedNorm("linf", rng.uniform(0.5, 2.0, 2))),
-            (orthant2, WeightedNorm("l1", rng.uniform(0.5, 2.0, 2))),
-            (diamond, WeightedNorm.sup(2)),
-            (diamond, WeightedNorm.one(2)),
-        ]
-        for K, norm in setups:
-            canonical = CanonicalHalfNorm(K, norm)
-            npos = PositivePartNorm(K, norm)
-            for _ in range(125):
-                x = rng.standard_normal(2) * 2
-                assert npos.value(x) == pytest.approx(canonical.value(x), abs=1e-9)
+        for K in orthants(rng):
+            for kind in ("l1", "linf"):
+                norm = WeightedNorm(kind, rng.uniform(0.5, 2.0, K.dim))
+                canonical = CanonicalHalfNorm(K, norm)
+                X = rng.standard_normal((25, K.dim)) * 2
+                assert positive_part_gauge(K, norm).values(X) == pytest.approx(
+                    canonical.values(X), abs=1e-9
+                )
 
 
 class TestRegularizedGauge:
@@ -708,7 +725,6 @@ class TestSublinearity:
                 FunctionalGauge(K, phi),
                 CanonicalHalfNorm(K, WeightedNorm.sup(2)),
                 OrderUnitGauge(K, K.generators.sum(axis=0)),
-                PositivePartNorm(K, WeightedNorm.sup(2)),
             ]
         for p in variants:
             for _ in range(125):
@@ -782,7 +798,6 @@ class TestSubdifferentials:
                 CanonicalHalfNorm(K, WeightedNorm.sup(2)),
                 CanonicalHalfNorm(K, WeightedNorm.one(2)),
                 OrderUnitGauge(K, K.generators.sum(axis=0)),
-                PositivePartNorm(K, WeightedNorm.sup(2)),
             ]
             ys = rng.standard_normal((200, 2)) * 2
             for p in variants:
@@ -869,17 +884,9 @@ class TestOptimizeOverSubdiff:
                     p.pairing_extrema(np.eye(2), np.eye(2), "sup")
 
 
-def description_is_feasible(desc):
-    """Oracle: the feasibility LP that a polyhedral description once ran
-    when it was built."""
-    res = solve_lp(LpProblem(objective=np.zeros(desc.n_vars), eq_constraints=desc.eq,
-                             ineq_constraints=desc.ineq))
-    return res.optimal
-
-
 class TestDescriptionLps:
     """A description pairing solves the value LP (if any) and the face LP,
-    nothing more; an empty face shows when it is optimized."""
+    nothing more."""
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
@@ -899,32 +906,11 @@ class TestDescriptionLps:
         K = pyramid(rng, 6, 16)
         canonical = CanonicalHalfNorm(K, WeightedNorm.sup(6))
         assert canonical._table is None
-        npos = PositivePartNorm(PolyCone.standard_orthant(6), WeightedNorm.one(6))
         for x, c in zip(rng.standard_normal((4, 6)), rng.standard_normal((4, 6))):
             x[0] = abs(x[0]) + 0.1  # K lies in x_0 >= 0, so x is not in -K
-            for p, lps in ((canonical, 2), (npos, 1)):
-                lp_calls.clear()
-                p.pairing_extremum(x, c, "min")
-                assert len(lp_calls) == lps
-
-    def test_positive_part_emptiness_matches_the_feasibility_lp(self):
-        # off monotone cones the face of S at level ||x^+|| may be empty; the
-        # pairing raises exactly where the oracle finds the description empty
-        rng = np.random.default_rng(131)
-        raised = 0
-        for _ in range(20):
-            K = random_simplicial(rng, int(rng.integers(2, 5)))
-            kind = ("l1", "linf")[int(rng.integers(2))]
-            p = PositivePartNorm(K, WeightedNorm(kind, rng.uniform(0.5, 2.0, K.dim)))
-            for x, c in zip(rng.standard_normal((10, K.dim)), rng.standard_normal((10, K.dim))):
-                if description_is_feasible(p.subdifferential(unit_row(x))):
-                    value, u = p.pairing_extremum(x, c, "min")
-                    assert float(c @ u) == pytest.approx(value, abs=1e-12 * np.abs(c).sum())
-                else:
-                    raised += 1
-                    with pytest.raises(EmptySubdifferential):
-                        p.pairing_extremum(x, c, "min")
-        assert 0 < raised < 200
+            lp_calls.clear()
+            canonical.pairing_extremum(x, c, "min")
+            assert len(lp_calls) == 2
 
 
 class TestPairingBatch:
@@ -966,9 +952,6 @@ class TestPairingBatch:
         orthant3, diamond, six_rays = (differential_cones()[i] for i in (1, 3, 8))
         for K in (orthant3, diamond, six_rays):
             gauges = [*lp_gauges(K, rng)[:2], EuclideanNorm(K)]
-            if K is not six_rays:
-                # the sup norm is monotone for both orders, so S is this norm's own
-                gauges.append(PositivePartNorm(K, WeightedNorm.sup(K.dim)))
             X = np.vstack(probe_points(K, rng, 1))
             C = rng.standard_normal(X.shape)
             for p in gauges:
