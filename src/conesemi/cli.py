@@ -35,7 +35,8 @@ from .dirichlet import (
     run_dirichlet_checks,
 )
 from .dissipativity import certify_dissipative, has_positive_off_diagonal
-from .errors import ConesemiError, NotOrderUnit, NotRepresentable, ProblemFileError
+from .errors import (ConesemiError, NotOrderUnit, NotPositiveFunctional, NotRepresentable,
+                     ProblemFileError)
 from .problemfile import ProblemFile
 from .report import Report
 from .representation import build_state_space, represent_functional
@@ -230,9 +231,7 @@ def _cmd_represent(args):
         space = build_state_space(cone, pf.vector("unit"))
         phi = cone.certify_functional(pf.vector("phi"))
         measure = represent_functional(space, phi)
-    except (NotOrderUnit, NotRepresentable, ConesemiError) as exc:
-        if isinstance(exc, ProblemFileError):
-            raise
+    except (NotOrderUnit, NotRepresentable, NotPositiveFunctional) as exc:
         report = Report(
             name="represent_functional",
             verdict="fails",

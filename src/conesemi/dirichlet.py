@@ -12,14 +12,16 @@ comparison displays a clean O(h^2) decay.  :data:`RHS_CASES` and
 :func:`order_witnesses` define that comparison, and the witness of its
 failure, for the checks here and for the ``dirichlet-demo`` command alike.
 
-:func:`run_dirichlet_checks` builds its propagators with
-:func:`~conesemi.semigroup.propagators` -- the backward-Euler step as a
-tridiagonal solve, and every ``expm`` propagator of the grid from one
-exponential at its smallest time, so the ``matrix_exp`` guard bounds only
-that step and ``T(5)`` is within reach at N = 255 -- and checks their
-positivity with :func:`~conesemi.semigroup.is_positive_operator` on the
-orthant, which reads the margins off ``T(t)``, so a ``fails`` carries
-generator/facet witnesses.  The positive-part sup-norm ``||x^+||_inf`` is
+:func:`run_dirichlet_checks` runs its per-propagator checks through
+:func:`~conesemi.semigroup.grid_reports`, the one loop over
+:func:`~conesemi.semigroup.propagators` that the semigroup pipelines use
+too -- the backward-Euler step as a tridiagonal solve, and every ``expm``
+propagator of the grid from one exponential at its smallest time, so the
+``matrix_exp`` guard bounds only that step and ``T(5)`` is within reach at
+N = 255.  It checks their positivity with
+:func:`~conesemi.semigroup.is_positive_operator` on the orthant, which
+reads the margins off ``T(t)``, so a ``fails`` carries generator/facet
+witnesses.  The positive-part sup-norm ``||x^+||_inf`` is
 the order-unit gauge of ``1`` on the orthant, so its two checks are finite
 tests (Arendt, Chernoff and Kato, J. Operator Theory 8, 1982; for the
 Metzler case, the inf-logarithmic norm of Soderlind, BIT 46, 2006): ``T(t)``
@@ -41,7 +43,7 @@ from .dissipativity import LinOp, has_positive_off_diagonal
 from .errors import MalformedProblem
 from .numerics import as_vector, tridiagonal_solve
 from .report import FAILS, HOLDS, Report, Witness
-from .semigroup import SemigroupConfig, is_positive_operator, propagators
+from .semigroup import SemigroupConfig, grid_reports, is_positive_operator
 
 # right-hand sides of the resolvent cross-check, evaluated at the nodes
 RHS_CASES = {
@@ -190,17 +192,11 @@ def run_dirichlet_checks(
         pod,
         _unit_gauge_report("discrete_maximum_principle", op.matrix, 0.0, 1e-9, True),
         _cross_check_report(grid),
+        *grid_reports(op, cfg, [
+            ("positive", lambda T: is_positive_operator(T, orthant, tol=1e-12)),
+            ("positive_part_contractive", lambda T: _unit_gauge_report("", T, 1.0, 1e-8, False)),
+        ]),
     ]
-    for t, method, T in propagators(op, cfg):
-        pos = is_positive_operator(T, orthant, tol=1e-12)
-        pos.name = f"positive[t={t:g},{method}]"
-        pos.data.update({"t": t, "method": method})
-        contractive = _unit_gauge_report(
-            f"positive_part_contractive[t={t:g},{method}]", T, 1.0, 1e-8, False
-        )
-        contractive.data.update({"t": t, "method": method})
-        parts += [pos, contractive]
-
     return Report(
         name=f"dirichlet_checks[N={grid.n_interior}]",
         verdict=FAILS if any(p.verdict == FAILS for p in parts) else HOLDS,

@@ -36,6 +36,8 @@ from .numerics import (
 from .report import FAILS, HOLDS, INCONCLUSIVE, Report, Witness
 
 POINT_TOL = 1e-9
+# has_positive_off_diagonal: a pair (g, f) is orthogonal when <g, f> <= this
+POD_PAIR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +114,16 @@ class LinOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, x) -> np.ndarray:
-        return self.matrix @ as_vector(x, dim=self.dim)
-
     def in_domain(self, x, tol: float = POINT_TOL) -> bool:
         return self.domain is None or self.domain.contains(x, tol=tol)
 
 
-def _margin(op: LinOp, halfnorm: HalfNorm, x: np.ndarray, sense: str):
-    return halfnorm.pairing_extremum(x, op.matrix @ x, sense)
+def _dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float, sense: str):
+    x = as_vector(x, dim=op.dim)
+    if not op.in_domain(x):
+        raise OutsideDomain("dissipativity asked outside the operator domain")
+    m, _ = halfnorm.pairing_extremum(x, op.matrix @ x, sense)
+    return m <= tol, m
 
 
 def is_dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float = POINT_TOL):
@@ -129,20 +132,12 @@ def is_dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float = POINT_TOL):
     Returns ``(verdict, margin)`` where the margin is the exact minimum of
     ``<Ax, u>`` over the subdifferential at ``x``.
     """
-    x = as_vector(x, dim=op.dim)
-    if not op.in_domain(x):
-        raise OutsideDomain("dissipativity asked outside the operator domain")
-    m, _ = _margin(op, halfnorm, x, "min")
-    return m <= tol, m
+    return _dissipative_at(op, halfnorm, x, tol, "min")
 
 
 def is_strictly_dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float = POINT_TOL):
     """Worst-case pairing: every subgradient must satisfy ``<Ax, u> <= 0``."""
-    x = as_vector(x, dim=op.dim)
-    if not op.in_domain(x):
-        raise OutsideDomain("dissipativity asked outside the operator domain")
-    m, _ = _margin(op, halfnorm, x, "max")
-    return m <= tol, m
+    return _dissipative_at(op, halfnorm, x, tol, "max")
 
 
 def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
@@ -262,9 +257,7 @@ def _cone_inside_domain(domain: PolyhedralSet, cone: PolyCone, tol: float = POIN
     return True
 
 
-def has_positive_off_diagonal(
-    op: LinOp, cone: PolyCone, tol: float = POINT_TOL, pair_tol: float = 1e-10
-) -> Report:
+def has_positive_off_diagonal(op: LinOp, cone: PolyCone, tol: float = POINT_TOL) -> Report:
     """Exact POD check over extreme pairs.
 
     Enumerates pairs (generator g of K, generator f of K') with
@@ -300,7 +293,7 @@ def has_positive_off_diagonal(
             margin=float(image[i, j]),
             label=f"pair(g[{i}], f[{j}])",
         )
-        for i, j in zip(*np.nonzero((pairing <= pair_tol) & (image < -tol)))
+        for i, j in zip(*np.nonzero((pairing <= POD_PAIR_TOL) & (image < -tol)))
     ]
     verdict = FAILS if witnesses else HOLDS
     return Report(

@@ -35,6 +35,8 @@ from .errors import (
 
 FEAS_TOL = 1e-9
 PIVOT_REL_TOL = 1e-12
+# matrix_exp raises NormTooLarge above this ||tA||_inf
+EXP_MAX_NORM = 1e5
 # Subsets per stacked LAPACK call in the subset enumerations (facets,
 # vertices); bounds their memory
 SUBSET_BLOCK = 4096
@@ -438,7 +440,7 @@ def tridiagonal_solve(sub, diag, sup, b) -> np.ndarray:
 _TAYLOR_BLOCKS = np.append([1.0 / math.factorial(j) for j in range(19)], 0.0).reshape(5, 4)
 
 
-def matrix_exp(A, t: float = 1.0, max_norm: float = 1e5) -> np.ndarray:
+def matrix_exp(A, t: float = 1.0) -> np.ndarray:
     """Approximate ``exp(t A)`` by shifted scaling-and-squaring.
 
     The diagonal is shifted so the scaled matrix ``C`` is nonnegative
@@ -457,8 +459,8 @@ def matrix_exp(A, t: float = 1.0, max_norm: float = 1e5) -> np.ndarray:
         raise MalformedProblem(f"matrix_exp requires t >= 0, got {t}")
     B = t * A
     norm = float(np.max(np.abs(B).sum(axis=1), initial=0.0))
-    if norm > max_norm:
-        raise NormTooLarge(f"||tA||_inf = {norm:.3g} exceeds guard {max_norm:.3g}")
+    if norm > EXP_MAX_NORM:
+        raise NormTooLarge(f"||tA||_inf = {norm:.3g} exceeds guard {EXP_MAX_NORM:.3g}")
 
     shift = max(0.0, -float(np.min(np.diag(B))))
     P = B + shift * np.eye(B.shape[0])

@@ -1,19 +1,20 @@
 """Matrix semigroups from generators: resolvents, backward-Euler powers,
 and the contractivity/positivity pipelines.
 
-The exponential formula is realized at finite ``n`` as ``(I - (t/n) A)^-n``:
-:func:`euler_power` reuses one LU factorization across the ``n`` solves, and
-:func:`euler_matrix` powers the inverse, found by a tridiagonal solve for a
-tridiagonal ``A`` such as the Dirichlet stencil.  :func:`propagators` is the
-one place that builds ``T(t)`` over a time grid, by backward Euler or from
-one matrix exponential per grid and the semigroup law
-``T(s + t) = T(s) T(t)``; the pipelines here and the Dirichlet checks all
-loop over it.  Positivity of a matrix against a cone is an exact
-generator/facet check, read straight off the matrix on the orthant;
-contractivity against a half-norm is sampled.  Pipeline verdicts are
-three-valued (holds / fails / vacuous): the hypotheses themselves can only be
-sampled, and the reports keep that asymmetry explicit rather than claiming
-proofs.
+The exponential formula is realized at finite ``n`` as ``(I - (t/n) A)^-n``.
+:func:`_resolvent` is the one place that forms ``(I - lam A)^-1``: by a
+tridiagonal solve for a tridiagonal ``A`` such as the Dirichlet stencil, by
+a dense LU otherwise.  :func:`euler_power` applies it ``n`` times to a
+vector, :func:`euler_matrix` takes its ``n``-th power.  :func:`propagators`
+builds ``T(t)`` over a time grid, by backward Euler or from one matrix
+exponential per grid and the semigroup law ``T(s + t) = T(s) T(t)``, and
+:func:`grid_reports` is the one loop over it: the pipelines here and the
+Dirichlet checks all run their per-propagator checks through it.  Positivity
+of a matrix against a cone is an exact generator/facet check, read straight
+off the matrix on the orthant; contractivity against a half-norm is sampled.
+Pipeline verdicts are three-valued (holds / fails / vacuous), all decided by
+one rule in :func:`_compose`: the hypotheses themselves can only be sampled,
+and the reports keep that asymmetry explicit rather than claiming proofs.
 """
 
 from __future__ import annotations
@@ -65,24 +66,33 @@ def _op_matrix(op) -> np.ndarray:
     return op.matrix if isinstance(op, LinOp) else as_matrix(op, square=True)
 
 
-def _singular_message(lam: float, context: str) -> str:
-    return f"(I - {lam:g} A) is singular ({context})"
-
-
-def _resolvent_solver(A: np.ndarray, lam: float, context: str):
+def _resolvent(A: np.ndarray, lam: float, context: str) -> np.ndarray:
+    """``(I - lam A)^-1``: from :func:`~conesemi.numerics.tridiagonal_solve`
+    when ``A`` has no nonzero entry off its three central diagonals, as the
+    Dirichlet stencil has none, and from a dense LU otherwise.  ``context``
+    names the step in the :class:`SingularMatrix` message."""
+    dim = A.shape[0]
+    eye = np.eye(dim)
     try:
-        return factorized_solver(np.eye(A.shape[0]) - lam * A)
+        if dim >= 2 and _is_tridiagonal(A):
+            return tridiagonal_solve(-lam * np.diagonal(A, -1), 1.0 - lam * np.diagonal(A),
+                                     -lam * np.diagonal(A, 1), eye)
+        return factorized_solver(eye - lam * A)(eye)
     except SingularMatrix as exc:
-        raise SingularMatrix(_singular_message(lam, context)) from exc
+        raise SingularMatrix(f"(I - {lam:g} A) is singular ({context})") from exc
+
+
+def _resolvent_matrix(op, lam: float) -> np.ndarray:
+    if lam <= 0:
+        raise MalformedProblem(f"resolvent parameter must be positive, got {lam}")
+    return _resolvent(_op_matrix(op), lam, "resolvent")
 
 
 def resolvent_apply(op, lam: float, y) -> np.ndarray:
     """Solve ``(I - lam A) x = y`` for ``lam > 0``."""
     A = _op_matrix(op)
-    if lam <= 0:
-        raise MalformedProblem(f"resolvent parameter must be positive, got {lam}")
     y = as_vector(y, dim=A.shape[0])
-    return _resolvent_solver(A, lam, "resolvent")(y)
+    return _resolvent_matrix(A, lam) @ y
 
 
 def euler_power(op, t: float, n: int, x) -> np.ndarray:
@@ -95,39 +105,23 @@ def euler_power(op, t: float, n: int, x) -> np.ndarray:
         raise MalformedProblem(f"step count must be >= 1, got {n}")
     if t == 0:
         return x.copy()
-    solve = _resolvent_solver(A, t / n, f"euler step for t={t:g}, n={n}")
+    R = _resolvent(A, t / n, f"euler step for t={t:g}, n={n}")
     for _ in range(n):
-        x = solve(x)
+        x = R @ x
     return x
 
 
 def euler_matrix(op, t: float, n: int) -> np.ndarray:
-    """Matrix form of the backward-Euler approximation of T(t).
-
-    ``(I - (t/n) A)^-1`` comes from :func:`~conesemi.numerics.tridiagonal_solve`
-    when ``A`` has no nonzero entry off its three central diagonals, as the
-    Dirichlet stencil has none, and from a dense LU otherwise; its ``n``-th
-    power from ``matrix_power``.
-    """
+    """Matrix form of the backward-Euler approximation of T(t): the ``n``-th
+    power of :func:`_resolvent` at ``t/n``."""
     A = _op_matrix(op)
     if t < 0:
         raise MalformedProblem(f"time must be nonnegative, got {t}")
     if n < 1:
         raise MalformedProblem(f"step count must be >= 1, got {n}")
-    dim = A.shape[0]
     if t == 0:
-        return np.eye(dim)
-    lam = t / n
-    context = f"euler step for t={t:g}, n={n}"
-    if dim >= 2 and _is_tridiagonal(A):
-        try:
-            R = tridiagonal_solve(-lam * np.diagonal(A, -1), 1.0 - lam * np.diagonal(A),
-                                  -lam * np.diagonal(A, 1), np.eye(dim))
-        except SingularMatrix as exc:
-            raise SingularMatrix(_singular_message(lam, context)) from exc
-    else:
-        R = _resolvent_solver(A, lam, context)(np.eye(dim))
-    return np.linalg.matrix_power(R, n)
+        return np.eye(A.shape[0])
+    return np.linalg.matrix_power(_resolvent(A, t / n, f"euler step for t={t:g}, n={n}"), n)
 
 
 def _is_tridiagonal(A: np.ndarray) -> bool:
@@ -151,6 +145,20 @@ def propagators(op, cfg: SemigroupConfig):
                 yield t, method, expm(t)
             else:
                 yield t, method, euler_matrix(A, t, cfg.euler_steps)
+
+
+def grid_reports(op, cfg: SemigroupConfig, checks) -> list[Report]:
+    """For each propagator ``(t, method, T)`` of :func:`propagators` and each
+    ``(label, check)`` of ``checks``, in that order, the report ``check(T)``
+    named ``label[t=...,method]`` with ``t`` and ``method`` in its data."""
+    reports = []
+    for t, method, T in propagators(op, cfg):
+        for label, check in checks:
+            rep = check(T)
+            rep.name = f"{label}[t={t:g},{method}]"
+            rep.data.update({"t": t, "method": method})
+            reports.append(rep)
+    return reports
 
 
 def _exp_chain(A: np.ndarray, t_grid: tuple[float, ...]):
@@ -266,6 +274,33 @@ def _point_label(i: int, k: int) -> str:
     return f"sample[{i - 2 * k}]"
 
 
+def _compose(
+    name: str, hypotheses: list[Report], conclusions: list[Report], tolerance: float,
+    notes: dict[str, str],
+) -> Report:
+    """The composite report of an implication.  Tags each part's
+    ``data.role``; the verdict is ``vacuous`` when a hypothesis fails (the
+    conclusion is then not asserted), else ``fails`` when a conclusion
+    fails, else ``holds``, with ``notes[verdict]`` as its note."""
+    for role, group in (("hypothesis", hypotheses), ("conclusion", conclusions)):
+        for part in group:
+            part.data["role"] = role
+    verdict = (VACUOUS if any(p.verdict == FAILS for p in hypotheses)
+               else FAILS if any(p.verdict == FAILS for p in conclusions) else HOLDS)
+    parts = [*hypotheses, *conclusions]
+    return Report(name=name, verdict=verdict, samples_used=sum(p.samples_used for p in parts),
+                  tolerance=tolerance, notes=[notes[verdict]], subreports=parts)
+
+
+def _dissipativity_hypothesis(
+    op: LinOp, gauge: HalfNorm, n_samples: int, seed: int, name: str | None = None
+) -> Report:
+    """Sampled dissipativity certificate, named as a hypothesis."""
+    rep = certify_dissipative(op, gauge, n_samples=n_samples, seed=seed)
+    rep.name = "hypothesis:" + (name or rep.name)
+    return rep
+
+
 def check_resolvent_contractivity(
     op: LinOp,
     cone: PolyCone,
@@ -283,45 +318,15 @@ def check_resolvent_contractivity(
     """
     gauge = FunctionalGauge(cone, phi)
     hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
-    resolvent = _resolvent_matrix(op, lam)
-    conclusion = is_contractive(resolvent, gauge, n_samples=n_samples, seed=seed)
+    conclusion = is_contractive(_resolvent_matrix(op, lam), gauge, n_samples=n_samples, seed=seed)
     conclusion.name = f"conclusion:contractive[lam={lam:g}]"
-    conclusion.data["role"] = "conclusion"
     conclusion.data["lambda"] = float(lam)
-    if hypothesis.verdict == FAILS:
-        verdict = VACUOUS
-        notes = ["hypothesis (dissipativity) failed on a sample; conclusion not asserted"]
-    elif conclusion.verdict == FAILS:
-        verdict = FAILS
-        notes = ["resolvent contractivity violated despite sampled dissipativity"]
-    else:
-        verdict = HOLDS
-        notes = ["hypothesis sampled-pass; resolvent contractive on all test points"]
-    return Report(
-        name=f"resolvent_contractivity[lam={lam:g}]",
-        verdict=verdict,
-        samples_used=hypothesis.samples_used + conclusion.samples_used,
-        tolerance=conclusion.tolerance,
-        notes=notes,
-        subreports=[hypothesis, conclusion],
-    )
-
-
-def _dissipativity_hypothesis(
-    op: LinOp, gauge: HalfNorm, n_samples: int, seed: int, name: str | None = None
-) -> Report:
-    """Sampled dissipativity certificate, named and tagged as a hypothesis."""
-    rep = certify_dissipative(op, gauge, n_samples=n_samples, seed=seed)
-    rep.name = "hypothesis:" + (name or rep.name)
-    rep.data["role"] = "hypothesis"
-    return rep
-
-
-def _resolvent_matrix(op, lam: float) -> np.ndarray:
-    A = _op_matrix(op)
-    if lam <= 0:
-        raise MalformedProblem(f"resolvent parameter must be positive, got {lam}")
-    return _resolvent_solver(A, lam, "resolvent")(np.eye(A.shape[0]))
+    return _compose(f"resolvent_contractivity[lam={lam:g}]", [hypothesis], [conclusion],
+                    conclusion.tolerance, {
+        VACUOUS: "hypothesis (dissipativity) failed on a sample; conclusion not asserted",
+        FAILS: "resolvent contractivity violated despite sampled dissipativity",
+        HOLDS: "hypothesis sampled-pass; resolvent contractive on all test points",
+    })
 
 
 def check_semigroup_contractivity(
@@ -337,27 +342,14 @@ def check_semigroup_contractivity(
     cfg = cfg or SemigroupConfig()
     gauge = FunctionalGauge(cone, phi)
     hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
-    conclusions = []
-    for t, method, T in propagators(op, cfg):
-        rep = is_contractive(T, gauge, n_samples=n_samples, seed=seed)
-        rep.name = f"contractive[t={t:g},{method}]"
-        rep.data.update({"role": "conclusion", "t": t, "method": method})
-        conclusions.append(rep)
-    parts = [hypothesis, *conclusions]
-    if hypothesis.verdict == FAILS:
-        verdict, notes = VACUOUS, ["dissipativity hypothesis failed on a sample"]
-    elif any(p.verdict == FAILS for p in conclusions):
-        verdict, notes = FAILS, ["T(t) contractivity violated despite sampled hypothesis"]
-    else:
-        verdict, notes = HOLDS, ["hypothesis sampled-pass; T(t) contractive on all test points"]
-    return Report(
-        name="semigroup_contractivity",
-        verdict=verdict,
-        samples_used=sum(p.samples_used for p in parts),
-        tolerance=1e-8,
-        notes=notes,
-        subreports=parts,
-    )
+    conclusions = grid_reports(op, cfg, [
+        ("contractive", lambda T: is_contractive(T, gauge, n_samples=n_samples, seed=seed)),
+    ])
+    return _compose("semigroup_contractivity", [hypothesis], conclusions, 1e-8, {
+        VACUOUS: "dissipativity hypothesis failed on a sample",
+        FAILS: "T(t) contractivity violated despite sampled hypothesis",
+        HOLDS: "hypothesis sampled-pass; T(t) contractive on all test points",
+    })
 
 
 def check_semigroup_positivity(
@@ -371,50 +363,22 @@ def check_semigroup_positivity(
     """Pipeline: total set + per-functional dissipativity, then exact
     positivity of T(t) built by the configured methods on the time grid."""
     cfg = cfg or SemigroupConfig()
-    parts: list[Report] = []
-
     totality = cone.is_total(phi_set)
     totality.name = "hypothesis:" + totality.name
-    totality.data["role"] = "hypothesis"
-    parts.append(totality)
     if totality.verdict != HOLDS:
-        return Report(
-            name="semigroup_positivity",
-            verdict=VACUOUS,
-            notes=["the functional family is not total; the positivity implication is not asserted"],
-            subreports=parts,
-        )
-
+        return _compose("semigroup_positivity", [totality], [], 0.0, {
+            VACUOUS: "the functional family is not total; "
+                     "the positivity implication is not asserted",
+        })
     hypotheses = [
         _dissipativity_hypothesis(
             op, FunctionalGauge(cone, phi), n_samples, seed + i, name=f"dissipative[phi[{i}]]"
         )
         for i, phi in enumerate(phi_set)
     ]
-    conclusions = []
-    for t, method, T in propagators(op, cfg):
-        rep = is_positive_operator(T, cone)
-        rep.name = f"positive[t={t:g},{method}]"
-        rep.data.update({"role": "conclusion", "t": t, "method": method})
-        conclusions.append(rep)
-    parts += hypotheses + conclusions
-
-    if any(p.verdict == FAILS for p in hypotheses):
-        verdict = VACUOUS
-        notes = ["a dissipativity hypothesis failed; positivity results are informational"]
-    elif any(p.verdict == FAILS for p in conclusions):
-        verdict = FAILS
-        notes = ["T(t) left the cone on the grid despite sampled hypotheses"]
-    else:
-        verdict = HOLDS
-        notes = [
-            "total set exact, dissipativity sampled, positivity exact per grid point"
-        ]
-    return Report(
-        name="semigroup_positivity",
-        verdict=verdict,
-        samples_used=sum(p.samples_used for p in parts),
-        tolerance=1e-9,
-        notes=notes,
-        subreports=parts,
-    )
+    conclusions = grid_reports(op, cfg, [("positive", lambda T: is_positive_operator(T, cone))])
+    return _compose("semigroup_positivity", [totality, *hypotheses], conclusions, 1e-9, {
+        VACUOUS: "a dissipativity hypothesis failed; positivity results are informational",
+        FAILS: "T(t) left the cone on the grid despite sampled hypotheses",
+        HOLDS: "total set exact, dissipativity sampled, positivity exact per grid point",
+    })

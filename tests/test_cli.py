@@ -143,6 +143,15 @@ class TestRepresent:
         payload["phi"] = [1, 1]
         assert run(["represent", "--file", write(tmp_path, payload), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("field", ["unit", "phi"])
+    def test_wrong_length_exits_2(self, tmp_path, capsys, field):
+        payload = dict(BASE)
+        payload["unit"] = [1, 1]
+        payload["phi"] = [1, 1]
+        payload[field] = [1, 1, 1]
+        assert run(["represent", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDirichletDemo:
     def test_default_flags_pass(self, capsys):

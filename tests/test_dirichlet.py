@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import conesemi.semigroup as semigroup
 from conesemi.dirichlet import (
     Grid,
     _unit_gauge_report,
@@ -218,11 +219,9 @@ class TestPipeline:
     def test_positivity_failure_carries_witnesses(self, monkeypatch):
         """A propagator with a negative entry fails with a generator/facet
         witness at that entry."""
-        import conesemi.dirichlet as dirichlet
-
         bad = np.eye(7)
         bad[2, 5] = -1e-6
-        monkeypatch.setattr(dirichlet, "propagators", lambda op, cfg: iter([(0.1, "expm", bad)]))
+        monkeypatch.setattr(semigroup, "propagators", lambda op, cfg: iter([(0.1, "expm", bad)]))
         rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)))
         pos = next(s for s in rep.subreports if s.name == "positive[t=0.1,expm]")
         assert rep.verdict == "fails" and pos.verdict == "fails"
@@ -240,7 +239,7 @@ class TestPipeline:
             lambda n_values, rhs: [r if r["ratio"] is None else {**r, "ratio": 2.0}
                                    for r in study(n_values, rhs)],
         )
-        monkeypatch.setattr(dirichlet, "propagators",
+        monkeypatch.setattr(semigroup, "propagators",
                             lambda op, cfg: iter([(0.1, "expm", 1.5 * np.eye(7))]))
         rep = run_dirichlet_checks(Grid(7), SemigroupConfig(t_grid=(0.1,)))
         failing = {s.name: s for s in rep.subreports if s.verdict == "fails"}
@@ -311,10 +310,8 @@ class TestExactChecks:
 
     @pytest.mark.parametrize("name", list(propagator_mutants(15)))
     def test_propagator_mutants_fail(self, name, monkeypatch):
-        import conesemi.dirichlet as dirichlet
-
         T = propagator_mutants(15)[name]
-        monkeypatch.setattr(dirichlet, "propagators", lambda op, cfg: iter([(0.1, "expm", T)]))
+        monkeypatch.setattr(semigroup, "propagators", lambda op, cfg: iter([(0.1, "expm", T)]))
         rep = run_dirichlet_checks(Grid(15), SemigroupConfig(t_grid=(0.1,)))
         sub = next(s for s in rep.subreports if s.name == "positive_part_contractive[t=0.1,expm]")
         assert rep.verdict == sub.verdict == "fails"

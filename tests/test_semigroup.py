@@ -9,7 +9,7 @@ import scipy.linalg
 
 import conesemi.semigroup as semigroup
 from conesemi.cone import PolyCone
-from conesemi.dirichlet import Grid, dirichlet_laplacian
+from conesemi.dirichlet import Grid, dirichlet_laplacian, run_dirichlet_checks
 from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal
 from conesemi.errors import MalformedProblem, NormTooLarge, SingularMatrix
 from conesemi.halfnorm import FunctionalGauge, RegularizedGauge, WeightedNorm
@@ -365,6 +365,150 @@ class TestTridiagonalEuler:
         A[0, 5] = 1.0
         monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
         assert np.array_equal(euler_matrix(LinOp(A), 1.0, 16), dense_lu_euler(A, 1.0, 16))
+
+
+def dense_lu_resolvent(A, lam):
+    eye = np.eye(A.shape[0])
+    return factorized_solver(eye - lam * A)(eye)
+
+
+def assert_close(got, expected):
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def resolvent_users(A, monkeypatch):
+    """What each user of the resolvent gives for ``A``: ``resolvent_apply``
+    at lam = 0.3, ``euler_power`` and ``euler_matrix`` at t = 1 in 16
+    steps, and the matrix ``check_resolvent_contractivity`` tests at 0.3."""
+    n = A.shape[0]
+    x = np.linspace(1.0, 2.0, n)
+    seen = []
+    contractive = semigroup.is_contractive
+    monkeypatch.setattr(semigroup, "is_contractive",
+                        lambda T, *args, **kwargs: seen.append(T) or contractive(T, *args, **kwargs))
+    cone = PolyCone.standard_orthant(n)
+    check_resolvent_contractivity(LinOp(A), cone, cone.certify_functional(np.ones(n)), 0.3, 10, 0)
+    return {
+        "resolvent_apply": resolvent_apply(LinOp(A), 0.3, x),
+        "euler_power": euler_power(LinOp(A), 1.0, 16, x),
+        "euler_matrix": euler_matrix(LinOp(A), 1.0, 16),
+        "check_resolvent_contractivity": seen[0],
+    }
+
+
+def dense_lu_users(A):
+    x = np.linspace(1.0, 2.0, A.shape[0])
+    E = np.linalg.matrix_power(dense_lu_resolvent(A, 1.0 / 16), 16)
+    R = dense_lu_resolvent(A, 0.3)
+    return {"resolvent_apply": R @ x, "euler_power": E @ x, "euler_matrix": E,
+            "check_resolvent_contractivity": R}
+
+
+class TestOneResolvent:
+    """Every user of ``(I - lam A)^-1`` takes the tridiagonal solve for a
+    tridiagonal ``A`` and the dense LU otherwise."""
+
+    @pytest.mark.parametrize("n", [2, 15])
+    def test_tridiagonal_generator_skips_the_lu(self, n, monkeypatch):
+        A = stencil(n)
+        expected = dense_lu_users(A)
+        monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        got = resolvent_users(A, monkeypatch)
+        for name, value in got.items():
+            assert_close(value, expected[name])
+
+    def test_an_entry_off_the_band_keeps_the_lu_path(self, monkeypatch):
+        A = stencil(15).copy()
+        A[0, 5] = 1.0
+        expected = dense_lu_users(A)
+        monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
+        got = resolvent_users(A, monkeypatch)
+        for name, value in got.items():
+            assert_close(value, expected[name])
+
+
+def count_propagators(monkeypatch):
+    """Patch ``semigroup.propagators`` with a wrapper that records, per
+    call, the ``(t, method)`` of every propagator it yields."""
+    calls = []
+    original = semigroup.propagators
+
+    def counted(op, cfg):
+        order = []
+        calls.append(order)
+        for t, method, T in original(op, cfg):
+            order.append((t, method))
+            yield t, method, T
+
+    monkeypatch.setattr(semigroup, "propagators", counted)
+    return calls
+
+
+def grid_pipelines():
+    """The pipelines that loop over the time grid, on the Metzler instance
+    of the orthant in R^2, and the Dirichlet checks at N = 7."""
+    cone = PolyCone.standard_orthant(2)
+    op = LinOp(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+    phi = cone.certify_functional([1, 1])
+    phis = [cone.certify_functional(f) for f in cone.facets]
+    cfg = SemigroupConfig(t_grid=(0.0, 0.5, 1.0), euler_steps=8, method="both")
+    return {
+        "semigroup_contractivity": lambda: check_semigroup_contractivity(op, cone, phi, cfg, 20, 0),
+        "semigroup_positivity": lambda: check_semigroup_positivity(op, phis, cone, cfg, 20, 0),
+        "dirichlet_checks": lambda: run_dirichlet_checks(Grid(7), cfg),
+    }
+
+
+class TestOneGridLoop:
+    @pytest.mark.parametrize("name", list(grid_pipelines()))
+    def test_one_call_in_propagator_order(self, name, monkeypatch):
+        calls = count_propagators(monkeypatch)
+        rep = grid_pipelines()[name]()
+        assert len(calls) == 1
+        per_propagator = [(s.data["t"], s.data["method"]) for s in rep.subreports if "t" in s.data]
+        checks = 2 if name == "dirichlet_checks" else 1
+        assert per_propagator == [key for key in calls[0] for _ in range(checks)]
+
+    def test_resolvent_pipeline_builds_no_propagator(self, orthant2, monkeypatch):
+        calls = count_propagators(monkeypatch)
+        phi = orthant2.certify_functional([1, 1])
+        check_resolvent_contractivity(LinOp(-np.eye(2)), orthant2, phi, 0.5, 10, 0)
+        assert calls == []
+
+
+def semigroup_pipelines():
+    """The three semigroup pipelines on the orthant in R^2, with positivity
+    also on a family that is not total, and contractivity also on a
+    generator that is not dissipative."""
+    cone = PolyCone.standard_orthant(2)
+    op = LinOp(np.array([[-2.0, 1.0], [1.0, -2.0]]))
+    phi = cone.certify_functional([1, 1])
+    phis = [cone.certify_functional(f) for f in cone.facets]
+    cfg = SemigroupConfig(t_grid=(0.5, 1.0), euler_steps=8, method="both")
+    return {
+        "resolvent": lambda: check_resolvent_contractivity(op, cone, phi, 0.5, 20, 0),
+        "contractivity": lambda: check_semigroup_contractivity(op, cone, phi, cfg, 20, 0),
+        "positivity": lambda: check_semigroup_positivity(op, phis, cone, cfg, 20, 0),
+        "positivity, not total": lambda: check_semigroup_positivity(op, [phi], cone, cfg, 20, 0),
+        "vacuous": lambda: check_semigroup_contractivity(
+            LinOp(np.ones((2, 2))), cone, phi, cfg, 20, 0),
+    }
+
+
+class TestOneVerdictRule:
+    @pytest.mark.parametrize("name", list(semigroup_pipelines()))
+    def test_every_subreport_has_a_role(self, name):
+        rep = semigroup_pipelines()[name]()
+        assert rep.subreports
+        for sub in rep.subreports:
+            assert sub.data["role"] in ("hypothesis", "conclusion"), sub.name
+        roles = [sub.data["role"] for sub in rep.subreports]
+        assert roles == sorted(roles, reverse=True)  # hypotheses first
+
+    def test_not_total_family_is_one_tagged_hypothesis(self):
+        rep = semigroup_pipelines()["positivity, not total"]()
+        assert [s.data["role"] for s in rep.subreports] == ["hypothesis"]
+        assert rep.tolerance == 0.0 and rep.samples_used == 0
 
 
 def generic_twin(cone):
