@@ -2,11 +2,12 @@
 
 Subcommands read a JSON problem file (see :mod:`conesemi.problemfile`),
 dispatch to the certification modules, and print a human-readable report;
-``--json-out`` additionally writes the machine-readable report.  Exit codes
-follow the 0/1/2 convention: 0 the checked property passed, 1 it failed
-with a printed witness, 2 the input could not be parsed or a numerical
-guard tripped.  Sampled passes are always labelled as evidence rather than
-proof, both in text and in the JSON body.
+``--json-out`` additionally writes the machine-readable report, before any
+text.  Exit codes follow the 0/1/2 convention: 0 the checked property
+passed, 1 it failed with a printed witness, 2 the input could not be parsed,
+the report could not be written, or a numerical guard tripped.  Sampled
+passes are always labelled as evidence rather than proof, both in text and
+in the JSON body.
 
 The ``CONESEMI_SEED`` environment variable overrides the file's ``seed``
 field; an explicit ``--seed`` beats both.  Seeds and sample counts must be
@@ -79,16 +80,20 @@ def main(argv=None) -> int:
         "checks": [c.to_dict() for c in checks],
         "wall_time_s": wall,
     }
+    if args.json_out:
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                json.dump(run_report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: --json-out: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     if not args.quiet:
         for check in checks:
             _print_report(check)
         for line in extra_text:
             print(line)
         print(f"exit: {code} ({'pass' if code == 0 else 'fail'})")
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(run_report, fh, indent=2)
-            fh.write("\n")
     return code
 
 

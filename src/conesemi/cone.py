@@ -7,8 +7,8 @@ rays.  Cones here are pointed and full-dimensional; pointedness makes the
 induced relation a partial order, full-dimensionality makes every vector
 majorizable and keeps the facet description exact.  Both restrictions are
 validated, not assumed: a full-dimensional cone is pointed exactly when its
-facet normals span the space, and only a cone that fails that test pays
-for the per-ray LPs that name the offending ray.
+facet normals span the space; only a cone that fails that test, or whose
+rays do not span, re-enumerates facets in the rays' span to name a ray on a line.
 
 Membership uses the tight tolerance 1e-10 since it is the primitive that all
 other checks compose.
@@ -88,9 +88,10 @@ class PolyCone:
         extreme ones.
         Pointedness is read off the facets: a full-dimensional cone is pointed
         exactly when its dual is, that is, when the facet normals span the
-        space.  Only when they do not (or when no facet exists) do the per-ray
-        LPs run, to name a ray whose negative lies in the cone.  Guarded to
-        dimension 10.
+        space.  Only when they do not (or when no facet exists, or the rays
+        do not span) does :func:`_check_pointed` name a ray whose negative
+        lies in the cone, from the facets of the cone within the rays' span;
+        no LP runs.  Guarded to dimension 10.
         """
         R = as_matrix(rays)
         k, n = R.shape
@@ -254,12 +255,24 @@ def _dedup_directions(R: np.ndarray) -> np.ndarray:
 
 
 def _check_pointed(R: np.ndarray) -> None:
-    """No ray's negative may be a conic combination of the rays."""
-    zero = np.zeros(R.shape[0])
-    for i in range(R.shape[0]):
-        problem = LpProblem(objective=zero, eq_constraints=(R.T, -R[i]), nonneg=True)
-        if solve_lp(problem).optimal:
-            raise NotPointed(f"both ray {i} and its negative belong to the cone")
+    """No ray's negative may lie in ``cone(R)``.
+
+    In coordinates of the rays' span (SVD, rank at 1e-10 relative), with the
+    rays scaled to unit length, the cone is solid, and a ray lies on a line
+    of it exactly when every facet normal from :func:`_enumerate_facets`
+    vanishes on it at that enumerator's 1e-10.  With no facet every ray
+    does; in a 1-D span every ray does when their signs are mixed.
+    """
+    U, s, _ = np.linalg.svd(R, full_matrices=False)
+    span = s > 1e-10 * s[0]
+    C = U[:, span] * s[span]
+    C = C / np.linalg.norm(C, axis=1, keepdims=True)
+    if C.shape[1] == 1:
+        on_line = np.full(C.shape[0], np.min(C) < 0.0 < np.max(C))
+    else:
+        on_line = np.all(np.abs(C @ _enumerate_facets(C).T) <= 1e-10, axis=1)
+    if on_line.any():
+        raise NotPointed(f"both ray {int(np.argmax(on_line))} and its negative belong to the cone")
 
 
 def _enumerate_facets(R: np.ndarray) -> np.ndarray:

@@ -74,17 +74,13 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min/max ``objective @ x`` subject to ``A_eq x = b_eq`` and ``G x >= h``.
-
-    Variables are free by default; ``nonneg=True`` constrains all of them to
-    ``x >= 0`` as bounds (cheaper than identity inequality rows).
-    """
+    """min/max ``objective @ x`` subject to ``A_eq x = b_eq`` and ``G x >= h``,
+    over free variables."""
 
     objective: np.ndarray
     eq_constraints: tuple[np.ndarray, np.ndarray] | None = None
     ineq_constraints: tuple[np.ndarray, np.ndarray] | None = None
     sense: str = "min"
-    nonneg: bool = False
 
     def __post_init__(self):
         c = as_vector(self.objective)
@@ -243,61 +239,32 @@ def _standard_form_simplex(A, b, c, tol=FEAS_TOL):
 def solve_lp(problem: LpProblem) -> LpResult:
     """Solve a dense LP; deterministic for a fixed input.
 
-    Free variables are split into positive and negative parts (skipped for
-    ``nonneg`` problems), inequalities get surplus variables, and the
-    standard form is handed to the two-phase simplex.  When the status is
-    ``optimal`` the returned point is re-checked against every constraint at
-    the feasibility tolerance.
+    Free variables are split into positive and negative parts, inequalities
+    (stacked below the equalities) get surplus variables, and the standard
+    form is handed to the two-phase simplex.  When the status is ``optimal``
+    the returned point is re-checked against every constraint at the
+    feasibility tolerance.
     """
     n = problem.dim
     c = problem.objective if problem.sense == "min" else -problem.objective
-
-    blocks = []
-    rhs = []
-    if problem.eq_constraints is not None:
-        A_eq, b_eq = problem.eq_constraints
-        blocks.append((A_eq, 0))
-        rhs.append(b_eq)
-    n_ineq = 0
-    if problem.ineq_constraints is not None:
-        G, h = problem.ineq_constraints
-        n_ineq = G.shape[0]
-        blocks.append((G, 1))
-        rhs.append(h)
+    blocks = [blk for blk in (problem.eq_constraints, problem.ineq_constraints) if blk is not None]
     if not blocks:
-        if problem.nonneg:
-            if np.min(c) < 0:
-                return LpResult(UNBOUNDED)
-            return LpResult(OPTIMAL, 0.0, np.zeros(n))
         if np.any(np.abs(c) > 0):
             return LpResult(UNBOUNDED)
         return LpResult(OPTIMAL, 0.0, np.zeros(n))
 
-    m = sum(mat.shape[0] for mat, _ in blocks)
-    width = n if problem.nonneg else 2 * n
-    A = np.zeros((m, width + n_ineq))
-    row = 0
-    surplus = width
-    for mat, is_ineq in blocks:
-        k = mat.shape[0]
-        A[row : row + k, :n] = mat
-        if not problem.nonneg:
-            A[row : row + k, n : 2 * n] = -mat
-        if is_ineq:
-            A[row : row + k, surplus : surplus + k] = -np.eye(k)
-            surplus += k
-        row += k
-    b = np.concatenate(rhs)
-    if problem.nonneg:
-        cost = np.concatenate([c, np.zeros(n_ineq)])
-    else:
-        cost = np.concatenate([c, -c, np.zeros(n_ineq)])
+    M = np.vstack([mat for mat, _ in blocks])
+    b = np.concatenate([rhs for _, rhs in blocks])
+    n_ineq = 0 if problem.ineq_constraints is None else problem.ineq_constraints[0].shape[0]
+    surplus = np.vstack([np.zeros((M.shape[0] - n_ineq, n_ineq)), -np.eye(n_ineq)])
+    A = np.hstack([M, -M, surplus])
+    cost = np.concatenate([c, -c, np.zeros(n_ineq)])
 
     status, value, z = _standard_form_simplex(A, b, cost)
     if status != OPTIMAL:
         return LpResult(status)
 
-    x = z[:n] if problem.nonneg else z[:n] - z[n : 2 * n]
+    x = z[:n] - z[n : 2 * n]
     _check_feasible(problem, x)
     signed = value if problem.sense == "min" else -value
     return LpResult(OPTIMAL, signed, x)
@@ -455,8 +422,8 @@ def matrix_exp(A, t: float = 1.0) -> np.ndarray:
     and safely within 1e-9 across the guarded range.
     """
     A = as_matrix(A, square=True)
-    if t < 0:
-        raise MalformedProblem(f"matrix_exp requires t >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise MalformedProblem(f"matrix_exp requires a finite t >= 0, got {t}")
     B = t * A
     norm = float(np.max(np.abs(B).sum(axis=1), initial=0.0))
     if norm > EXP_MAX_NORM:

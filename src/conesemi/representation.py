@@ -5,9 +5,10 @@ dual cone (the facet normals), rescaled so each evaluates to 1 on ``u``.
 Mapping a vector to its state evaluations is a bipositive embedding into
 functions on that finite set, and every positive functional is a
 nonnegative weighting of states.  Every state is 1 on ``u``, so every such
-weighting of ``phi`` has total mass ``<phi, u>``.  A simplicial cone has
-exactly one weighting, found by one linear solve; otherwise finding one is
-an LP feasibility problem.
+weighting of ``phi`` has total mass ``<phi, u>``.  The cone's generators are
+the facet normals of the dual cone, so they locate every functional on the
+faces of K', and a Caratheodory walk down those faces finds a weighting
+with at most ``dim`` states, exactly and without an LP.
 """
 
 from __future__ import annotations
@@ -17,22 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DualVector, PolyCone
-from .errors import NotOrderUnit, NotPositiveFunctional, NotRepresentable, SingularMatrix
-from .numerics import LpProblem, as_vector, linear_solve, solve_lp
+from .errors import NotOrderUnit, NotPositiveFunctional, NotRepresentable
+from .numerics import as_vector
 
 RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Normalized extreme dual rays of a cone, with the unit they evaluate 1 on."""
+    """Normalized extreme dual rays of a cone, with the unit they evaluate 1 on
+    and the cone's generators, which are the facet normals of the dual cone."""
 
     states: np.ndarray  # one state per row
     unit: np.ndarray
+    generators: np.ndarray  # one facet normal of K' per row
 
     def __post_init__(self):
         self.states.flags.writeable = False
         self.unit.flags.writeable = False
+        self.generators.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -66,7 +70,7 @@ def build_state_space(cone: PolyCone, unit) -> StateSpace:
         raise NotOrderUnit("state normalization needs an interior unit")
     scale = cone.facets @ unit
     states = cone.facets / scale[:, None]
-    return StateSpace(states=states, unit=unit.copy())
+    return StateSpace(states=states, unit=unit.copy(), generators=cone.generators)
 
 
 def embed(space: StateSpace, x) -> np.ndarray:
@@ -76,53 +80,48 @@ def embed(space: StateSpace, x) -> np.ndarray:
 
 
 def represent_functional(space: StateSpace, phi: DualVector) -> Measure:
-    """Nonnegative weights with ``sum_w weights * state = phi``.
+    """Nonnegative weights with ``sum_w weights * state = phi``, at most
+    ``dim`` of them nonzero, by a Caratheodory walk down the faces of K'.
 
-    Existence is guaranteed because the states generate the dual cone, and
-    every feasible weighting has total mass ``<phi, u>``.  With as many
-    independent states as dimensions the weighting is unique and comes from
-    one linear solve; a weight below ``-1e-9`` relative to the size of ``phi`` raises
-    :class:`NotRepresentable`, and smaller ones are clamped to 0.  Otherwise
-    a feasibility LP over ``weights >= 0`` answers, and the weighting is the
-    basic solution that its phase 1 reaches under Bland's rule over the
-    states in order: deterministic for a fixed input.  The reproduction
-    residual is re-checked at 1e-9.
+    ``phi`` must be nonnegative on the generators up to ``1e-10 ||phi||_inf``,
+    else :class:`NotRepresentable`.  Each step takes the first state, in
+    state order, of the smallest face of K' that holds the remainder ``r``
+    (the face cut out by the generator rows with ``G r <= 1e-12 ||phi||_inf``),
+    and subtracts the largest multiple of it that keeps ``r`` in K'.  That
+    makes a row active that the state was off, so the face shrinks and the
+    walk ends within ``dim`` steps.  Every tolerance is relative to
+    ``||phi||_inf``, so scaling ``phi`` by a power of two scales the weights
+    exactly.  A reproduction residual above ``1e-9 ||phi||_inf`` raises
+    :class:`NotRepresentable`.
     """
     if not isinstance(phi, DualVector) or not phi.certified_positive:
         raise NotPositiveFunctional("representation needs a certified functional")
     target = as_vector(phi.coords, dim=space.dim)
-    weights = _unique_weights(space, target) if space.size == space.dim else None
-    if weights is None:
-        res = solve_lp(
-            LpProblem(
-                objective=np.zeros(space.size),
-                eq_constraints=(space.states.T, target),
-                nonneg=True,
-            )
+    scale = float(np.max(np.abs(target)))
+    G = space.generators
+    if np.min(G @ target) < -1e-10 * scale:
+        raise NotRepresentable(
+            "the functional is negative on a generator; its positivity certificate "
+            "is inconsistent"
         )
-        if not res.optimal:
-            raise NotRepresentable(
-                "no nonnegative weighting reproduces the functional; its positivity "
-                "certificate is inconsistent"
-            )
-        weights = res.point
+    GS = G @ space.states.T  # column j: state j on every facet row of K'
+    off = GS > 1e-12 * np.max(np.abs(GS))
+    weights = np.zeros(space.size)
+    rest = target
+    for _ in range(space.dim):
+        values = G @ rest
+        face = np.flatnonzero(~off[values <= 1e-12 * scale].any(axis=0))
+        if not face.size:
+            break
+        j = face[0]
+        rows = off[:, j]
+        step = np.min(values[rows] / GS[rows, j])
+        weights[j] += step
+        rest = rest - step * space.states[j]
     measure = Measure(weights)
     residual = float(np.max(np.abs(space.states.T @ measure.weights - target)))
-    if residual > RESIDUAL_TOL:
-        raise NotRepresentable(f"reproduction residual {residual:.3g} exceeds 1e-9")
-    return measure
-
-
-def _unique_weights(space: StateSpace, target: np.ndarray) -> np.ndarray | None:
-    """The one weighting on a simplicial state set, or None when its states
-    are too close to dependent for the LU pivot guard."""
-    try:
-        weights = linear_solve(space.states.T, target)
-    except SingularMatrix:
-        return None
-    if np.min(weights) < -RESIDUAL_TOL * max(1.0, float(np.max(np.abs(target)))):
+    if residual > RESIDUAL_TOL * scale:
         raise NotRepresentable(
-            f"the unique weighting has a negative weight {np.min(weights):.3g}; the "
-            "functional's positivity certificate is inconsistent"
+            f"reproduction residual {residual:.3g} exceeds 1e-9 relative to the functional"
         )
-    return weights
+    return measure

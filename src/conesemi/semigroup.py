@@ -48,8 +48,8 @@ class SemigroupConfig:
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.t_grid)
-        if any(t < 0 for t in grid):
-            raise MalformedProblem("t_grid entries must be nonnegative")
+        if not all(0 <= t < math.inf for t in grid):
+            raise MalformedProblem("t_grid entries must be finite and nonnegative")
         if list(grid) != sorted(grid):
             raise MalformedProblem("t_grid must be sorted ascending")
         object.__setattr__(self, "t_grid", grid)

@@ -9,7 +9,9 @@ Paterson-Stockmeyer evaluation.  ``max_principle_loop`` and
 ``positive_part_loop`` are the sampled Dirichlet checks that the package
 replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``.
 ``dirichlet_exp`` is the scipy-free exponential of the Dirichlet stencil,
-from its closed-form eigenpairs.
+from its closed-form eigenpairs.  ``lp_first_ray_on_a_line`` is the per-ray
+LP loop that ``cone._check_pointed`` replaced by a test on the facets of the
+cone within the rays' span.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from conesemi.errors import DimensionTooLarge, MalformedProblem
-from conesemi.numerics import FEAS_TOL, as_matrix, as_vector
+from conesemi.numerics import FEAS_TOL, LpProblem, as_matrix, as_vector, solve_lp
 from conesemi.report import Witness
 
 
@@ -146,3 +148,17 @@ def positive_part_loop(T, n_samples: int, rng) -> list[Witness]:
         if growth > 1e-8:
             witnesses.append(Witness(point=x, functional=None, margin=growth, label=f"sample[{i}]"))
     return witnesses
+
+
+def lp_first_ray_on_a_line(R) -> int | None:
+    """The first ray ``i`` whose negative is a conic combination of the rays,
+    one feasibility LP per ray with ``w >= 0`` as identity rows; ``None``
+    when the cone is pointed."""
+    R = as_matrix(R)
+    k = R.shape[0]
+    for i in range(k):
+        problem = LpProblem(objective=np.zeros(k), eq_constraints=(R.T, -R[i]),
+                            ineq_constraints=(np.eye(k), np.zeros(k)))
+        if solve_lp(problem).optimal:
+            return i
+    return None

@@ -188,6 +188,12 @@ class TestDirichletDemo:
         assert run(["dirichlet-demo", "--grid-sizes", 7, "--t-grid", -1.0,
                     "--quiet"]) == 2
 
+    @pytest.mark.parametrize("times", [[0.1, "nan"], ["nan"], ["inf"]])
+    def test_non_finite_time_exits_2(self, times, capsys):
+        # exit 1 would claim a failed property with a witness
+        assert run(["dirichlet-demo", "--grid-sizes", 15, "--t-grid", *times, "--quiet"]) == 2
+        assert "t_grid entries must be finite" in capsys.readouterr().err
+
     def test_tiny_grid_size_exits_2(self):
         assert run(["dirichlet-demo", "--grid-sizes", 1, "--quiet"]) == 2
 
@@ -276,6 +282,16 @@ class TestJsonReport:
             "dirichlet_checks[N=7]",
             "dirichlet_checks[N=15]",
         ]
+
+
+    def test_unwritable_json_out_exits_2(self, tmp_path, capsys):
+        code = run(["check-pod", "--file", FIXTURES / "example52_matrix1_pod.json",
+                    "--json-out", tmp_path / "missing" / "out.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "exit: 0" not in captured.out
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: --json-out")
 
 
 class TestSeedResolution:

@@ -14,7 +14,13 @@ from scipy.optimize import linprog
 
 from conesemi import cone as cone_module
 from conesemi import numerics
-from conesemi.cone import PolyCone, _dedup_directions, _enumerate_facets, _facet_lp_witnesses
+from conesemi.cone import (
+    PolyCone,
+    _check_pointed,
+    _dedup_directions,
+    _enumerate_facets,
+    _facet_lp_witnesses,
+)
 from conesemi.errors import (
     DimensionMismatch,
     EmptyPhi,
@@ -27,6 +33,7 @@ from conesemi.errors import (
 )
 from conesemi.numerics import LpProblem, solve_lp
 from conesemi.report import FAILS, HOLDS
+from oracles import lp_first_ray_on_a_line
 
 TOTALITY_TOL = 1e-9
 
@@ -197,7 +204,7 @@ class TestConstruction:
             PolyCone.from_generators([[1, 1]])
 
     def test_whole_space_not_pointed(self):
-        # no facet at all: the per-ray LPs name the line
+        # no facet at all: every ray lies on a line
         with pytest.raises(NotPointed):
             PolyCone.from_generators(np.vstack([np.eye(3), -np.eye(3)]))
 
@@ -241,6 +248,77 @@ class TestConstruction:
     def test_pyramid_has_four_facets(self, pyramid):
         assert pyramid.facets.shape[0] == 4
         assert pyramid.generators.shape[0] == 4
+
+
+REJECTED_RAY_SETS = [
+    ([[1, 0], [-1, 0]], NotPointed, 0),
+    ([[1, 1], [1, -1], [-1, 0]], NotPointed, 0),
+    ([[1, 1]], NotGenerating, None),
+    ([[1, 0, 0], [0, 1, 0]], NotGenerating, None),
+    ([[1, 1, 0], [1, -1, 0], [0, 1, 0], [-1, 0, 0]], NotPointed, 0),
+    ([[2, 1, 0], [0, 0, 1], [-4, -2, 0]], NotPointed, 0),
+    ([[1], [-1]], NotPointed, 0),
+    (np.vstack([np.eye(3), -np.eye(3)]), NotPointed, 0),
+    ([[0, 0, 1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], NotPointed, 1),
+]
+
+
+class TestPointedness:
+    @pytest.mark.parametrize("rays, error, ray", REJECTED_RAY_SETS)
+    def test_rejections_run_no_lp_and_no_lu(self, rays, error, ray, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointedness is read off the facets: no LP, no LU")
+
+        for name in ("solve_lp", "linear_solve"):
+            monkeypatch.setattr(numerics, name, refuse)
+            monkeypatch.setattr(cone_module, name, refuse)
+        match = None if ray is None else f"ray {ray} and its negative"
+        with pytest.raises(error, match=match):
+            PolyCone.from_generators(rays)
+
+    @staticmethod
+    def ray_sets(rng, n):
+        """Rays spanning a random r-dimensional subspace of R^n, r = 1..n:
+        with a line (a ray and its negative), a hidden plane (three rays
+        that positively span it) or neither, among random rays in the span,
+        shuffled and rescaled."""
+        r = int(rng.integers(1, n + 1))
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :r]
+        kind = rng.choice(["line", "plane", "pointed"] if r > 1 else ["line", "pointed"])
+        if kind == "pointed":
+            axis = rng.standard_normal(r)
+            C = rng.standard_normal((int(rng.integers(1, 8)), r))
+            C *= np.sign(C @ axis)[:, None]
+        else:
+            C = rng.standard_normal((int(rng.integers(0, 6)), r))
+            if kind == "line":
+                v = rng.standard_normal(r)
+                C = np.vstack([C, v, -rng.uniform(0.5, 2.0) * v])
+            else:
+                a, b = rng.standard_normal((2, r))
+                C = np.vstack([C, a, b, -(rng.uniform(0.5, 2.0) * a + rng.uniform(0.5, 2.0) * b)])
+        C = C[rng.permutation(C.shape[0])] * np.ldexp(1.0, rng.integers(-3, 4, (C.shape[0], 1)))
+        return kind, C @ basis.T
+
+    def test_same_ray_as_the_lp_loop(self):
+        rng = np.random.default_rng(37)
+        kinds = set()
+        for n in range(1, 7):
+            for _ in range(40):
+                kind, R = self.ray_sets(rng, n)
+                kinds.add((kind, int(np.linalg.matrix_rank(R)), n))
+                want = lp_first_ray_on_a_line(R)
+                assert (want is None) == (kind == "pointed")
+                if want is None:
+                    _check_pointed(R)
+                    continue
+                with pytest.raises(NotPointed, match=f"ray {want} and its negative"):
+                    _check_pointed(R)
+        # every kind in a full and in a rank-deficient span, and 1-D spans in R^n, n > 1
+        seen = {(k, r < n, r == 1 < n) for k, r, n in kinds}
+        assert {("line", False, False), ("plane", False, False), ("pointed", False, False),
+                ("line", True, False), ("plane", True, False), ("pointed", True, False),
+                ("line", True, True), ("pointed", True, True)} <= seen
 
 
 class TestFacetEnumeration:
@@ -363,11 +441,12 @@ class TestMembershipAndOrder:
             for _ in range(40):
                 x = rng.standard_normal(K.dim)
                 via_facets = K.contains(x, tol=1e-9)
+                k = R.shape[0]
                 res = solve_lp(
                     LpProblem(
-                        objective=np.zeros(R.shape[0]),
+                        objective=np.zeros(k),
                         eq_constraints=(R.T, x),
-                        nonneg=True,
+                        ineq_constraints=(np.eye(k), np.zeros(k)),
                     )
                 )
                 assert via_facets == res.optimal

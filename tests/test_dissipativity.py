@@ -387,7 +387,7 @@ def sampled_pod_oracle(A, cone, rng, n_boundary=60, tol=1e-9):
                     np.vstack([F @ x, (F @ R.T).sum(axis=1)]),
                     np.array([0.0, 1.0]),
                 ),
-                nonneg=True,
+                ineq_constraints=(np.eye(F.shape[0]), np.zeros(F.shape[0])),
             )
         )
         if res.optimal and res.value < -tol:

@@ -69,7 +69,9 @@ def lp_functional_gauge(cone, phi, x):
     """min <y, phi> over majorants y = R^T a, a >= 0, with y - x in K: the
     primal LP in ray coordinates, independent of the description of S."""
     R, F = cone.generators, cone.facets
-    res = solve_lp(LpProblem(objective=R @ phi, ineq_constraints=(F @ R.T, F @ x), nonneg=True))
+    k = R.shape[0]
+    res = solve_lp(LpProblem(objective=R @ phi, ineq_constraints=(
+        np.vstack([F @ R.T, np.eye(k)]), np.concatenate([F @ x, np.zeros(k)]))))
     assert res.optimal
     return max(0.0, res.value)
 

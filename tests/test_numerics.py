@@ -34,13 +34,12 @@ from conesemi.semigroup import DEFAULT_T_GRID
 from oracles import adaptive_taylor_exp, enumerate_vertices
 
 
-def lp(c, G=None, h=None, A=None, b=None, sense="min", nonneg=False):
+def lp(c, G=None, h=None, A=None, b=None, sense="min"):
     return LpProblem(
         objective=c,
         eq_constraints=(np.atleast_2d(A), b) if A is not None else None,
         ineq_constraints=(np.atleast_2d(G), h) if G is not None else None,
         sense=sense,
-        nonneg=nonneg,
     )
 
 
@@ -77,22 +76,6 @@ class TestSolveLp:
                           G=[[1, 0], [0, 1]], h=[0, 0]))
         assert res.status == "optimal"
         assert res.value == pytest.approx(2.0, abs=1e-9)
-
-    def test_nonneg_flag_matches_explicit_rows(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 5))
-            m = int(rng.integers(1, 6))
-            G = rng.normal(size=(m, n))
-            h = rng.normal(size=m) - 1.0
-            c = rng.uniform(0.5, 2.0, size=n)
-            with_flag = solve_lp(lp(c, G=G, h=h, nonneg=True))
-            explicit = solve_lp(
-                lp(c, G=np.vstack([G, np.eye(n)]), h=np.concatenate([h, np.zeros(n)]))
-            )
-            assert with_flag.status == explicit.status
-            if with_flag.optimal:
-                assert with_flag.value == pytest.approx(explicit.value, abs=1e-8)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(MalformedProblem):
@@ -335,6 +318,11 @@ class TestMatrixExp:
     def test_negative_time_rejected(self):
         with pytest.raises(MalformedProblem):
             matrix_exp(np.eye(2), -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(MalformedProblem):
+            matrix_exp(np.eye(2), t)
 
     def test_norm_guard(self):
         with pytest.raises(NormTooLarge):

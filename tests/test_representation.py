@@ -1,20 +1,20 @@
 """State spaces, embeddings, and nonnegative representations of functionals.
 
-``represent_functional`` is checked against scipy's HiGHS for the
-representable / not-representable outcome, and on simplicial cones against
-the minimal-mass LP with identity rows for ``w >= 0`` that it replaced.
+``represent_functional``'s face walk is checked against scipy's HiGHS for
+the representable / not-representable outcome, on simplicial cones against
+the unique weighting that an LP with identity rows for ``w >= 0`` finds, and
+for exact covariance under scaling by powers of two.
 """
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conesemi import representation
+from conesemi import numerics, representation
 from conesemi.cone import DualVector, PolyCone
 from conesemi.errors import NotOrderUnit, NotPositiveFunctional, NotRepresentable
 from conesemi.numerics import LpProblem, solve_lp
 from conesemi.representation import (
-    StateSpace,
     build_state_space,
     embed,
     represent_functional,
@@ -52,6 +52,12 @@ class TestBuildStates:
     def test_unit_must_be_interior(self, orthant2):
         with pytest.raises(NotOrderUnit):
             build_state_space(orthant2, [1, 0])
+
+    def test_generators_are_the_cones(self, diamond):
+        space = build_state_space(diamond, [1, 0])
+        assert space.generators is diamond.generators
+        with pytest.raises(ValueError):
+            space.generators[0, 0] = 5.0
 
     def test_states_evaluate_one_on_unit(self, diamond):
         space = build_state_space(diamond, [1.5, 0.2])
@@ -252,42 +258,12 @@ class TestRepresentDifferential:
         space = build_state_space(K, [1, 0])
         with pytest.raises(NotRepresentable):
             represent_functional(space, DualVector(np.array([1.0, 2.0]), certified_positive=True))
-        # the state (0, 1e-6) turns a 5e-10 violation into the weight -5e-4,
-        # which clamping at 0 would hide from the residual check
+        # a 5e-10 violation on a generator: with the state (0, 1e-6) it is
+        # the weight -5e-4, which clamping at 0 would hide from the residual
         K = PolyCone.standard_orthant(2)
         space = build_state_space(K, [1, 1e6])
         with pytest.raises(NotRepresentable):
             represent_functional(space, DualVector(np.array([1.0, -5e-10]), certified_positive=True))
-
-    def test_lp_only_off_simplicial_cones_and_without_identity_rows(self, monkeypatch):
-        problems = []
-
-        def recorded(problem):
-            problems.append(problem)
-            return solve_lp(problem)
-
-        monkeypatch.setattr(representation, "solve_lp", recorded)
-        rng = np.random.default_rng(136)
-        shapes = []
-        for n, k in ((3, 3), (3, 9), (6, 6), (6, 10)):
-            K, unit = sphere_cone(rng, n, k)
-            space = build_state_space(K, unit)
-            represent_functional(space, K.certify_functional(K.facets.sum(axis=0)))
-            if k > n:
-                shapes.append((n, space.size))
-        # one row per dimension and one column per state
-        assert [p.eq_constraints[0].shape for p in problems] == shapes
-        assert all(p.nonneg and p.ineq_constraints is None for p in problems)
-
-    def test_dependent_states_fall_back_to_the_lp(self):
-        # as many states as dimensions, but no basis: the LU guard refuses
-        space = StateSpace(states=np.array([[1.0, 0.0], [1.0, 0.0]]), unit=np.array([1.0, 0.0]))
-        phi = DualVector(np.array([2.0, 0.0]), certified_positive=True)
-        mu = represent_functional(space, phi)
-        assert np.max(np.abs(space.states.T @ mu.weights - phi.coords)) <= 1e-12
-        assert mu.total_mass == pytest.approx(2.0, abs=1e-12)
-        with pytest.raises(NotRepresentable):
-            represent_functional(space, DualVector(np.array([1.0, 1.0]), certified_positive=True))
 
     def test_every_weighting_has_the_same_mass(self):
         # two different nonnegative weightings of one phi: both weigh phi(u)
@@ -300,3 +276,57 @@ class TestRepresentDifferential:
         assert np.max(np.abs(space.states.T @ mu.weights - phi_vec)) <= 1e-9
         assert mu.total_mass == pytest.approx(float(np.sum(spread)), abs=1e-12)
         assert mu.total_mass == pytest.approx(float(phi_vec @ space.unit), abs=1e-12)
+
+
+def refuse_lp_and_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the face walk runs no LP and no LU solve")
+
+    for name in ("solve_lp", "linear_solve"):
+        monkeypatch.setattr(numerics, name, refuse)
+        monkeypatch.setattr(representation, name, refuse, raising=False)
+
+
+def workload_functionals(rng, K, count):
+    """Nonnegative mixes of the dual rays, about half of them on a face."""
+    m = K.facets.shape[0]
+    return [K.facets.T @ (rng.uniform(0, 1, m) * (rng.uniform(size=m) < 0.5))
+            for _ in range(count)]
+
+
+class TestFaceWalk:
+    def test_power_of_two_scaling_is_exact(self):
+        # the certificate is attached directly: certify_functional's
+        # absolute tolerance is not what this checks
+        rng = np.random.default_rng(137)
+        for n, k in WORKLOAD_SHAPES:
+            K, unit = sphere_cone(rng, n, k)
+            space = build_state_space(K, unit)
+            for phi_vec in workload_functionals(rng, K, 2):
+                base = represent_functional(space, DualVector(phi_vec, True)).weights
+                for e in range(-40, 41):
+                    phi = DualVector(np.ldexp(phi_vec, e), certified_positive=True)
+                    got = represent_functional(space, phi).weights
+                    assert np.array_equal(got, np.ldexp(base, e)), (n, k, e)
+
+    def test_at_most_dim_states_carry_weight(self):
+        rng = np.random.default_rng(138)
+        for n, k in WORKLOAD_SHAPES:
+            K, unit = sphere_cone(rng, n, k)
+            space = build_state_space(K, unit)
+            for phi_vec in workload_functionals(rng, K, 6) + [K.facets.sum(axis=0)]:
+                mu = represent_functional(space, K.certify_functional(phi_vec))
+                assert np.count_nonzero(mu.weights) <= n
+                assert np.max(np.abs(space.states.T @ mu.weights - phi_vec)) <= 1e-9
+
+    def test_no_lp_and_no_lu(self, monkeypatch):
+        rng = np.random.default_rng(139)
+        cones = [sphere_cone(rng, n, k) for n, k in WORKLOAD_SHAPES]
+        cones.append((PolyCone.standard_orthant(3), np.ones(3)))
+        refuse_lp_and_lu(monkeypatch)
+        for K, unit in cones:
+            space = build_state_space(K, unit)
+            for phi_vec in workload_functionals(rng, K, 3):
+                represent_functional(space, K.certify_functional(phi_vec))
+            with pytest.raises(NotRepresentable):
+                represent_functional(space, DualVector(-K.facets[0], certified_positive=True))

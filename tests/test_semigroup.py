@@ -190,6 +190,13 @@ def oracle_cones(rng):
     ]
 
 
+class TestConfig:
+    @pytest.mark.parametrize("grid", [(np.nan,), (0.1, np.nan), (1.0, np.inf)])
+    def test_non_finite_times_rejected(self, grid):
+        with pytest.raises(MalformedProblem, match="finite"):
+            SemigroupConfig(t_grid=grid)
+
+
 class TestPropagators:
     def test_t_major_method_minor_with_the_library_matrices(self):
         rng = np.random.default_rng(24)
