@@ -40,8 +40,8 @@ import numpy as np
 
 from .cone import PolyCone
 from .dissipativity import LinOp, has_positive_off_diagonal
-from .errors import MalformedProblem
-from .numerics import as_vector, tridiagonal_solve
+from .errors import DimensionMismatch, MalformedProblem
+from .numerics import as_matrix, as_vector, tridiagonal_solve
 from .report import FAILS, HOLDS, Report, Witness
 from .semigroup import SemigroupConfig, grid_reports, is_positive_operator
 
@@ -84,48 +84,86 @@ def dirichlet_laplacian(grid: Grid) -> LinOp:
 
 def fd_resolvent(grid: Grid, y) -> np.ndarray:
     """Finite-difference solve of ``(I - A) x = y`` on the interior nodes,
-    as the tridiagonal system it is."""
+    as the tridiagonal system it is.  ``y`` is a vector or an ``(n, k)``
+    block with one right-hand side per column."""
     n = grid.n_interior
-    y = as_vector(y, dim=n)
+    y = _rhs(grid, y)
     scale = 1.0 / grid.h**2
     off = np.full(n - 1, -scale)
     return tridiagonal_solve(off, np.full(n, 1.0 + 2.0 * scale), off, y)
 
 
 def resolvent_closed_form(grid: Grid, y) -> np.ndarray:
-    """Continuum solution of ``x - x'' = y`` with zero boundary values.
+    """Continuum solution of ``x - x'' = y`` with zero boundary values, for
+    a vector ``y`` or for each column of an ``(n, k)`` block.
 
     Builds the particular solution from the two exponential-weighted tail
     integrals of ``y`` (extended by zero to the boundary, harmless because
     the subsequent boundary fit absorbs any homogeneous contamination),
     then fixes the two free coefficients from ``x(0) = x(1) = 0``.
     """
-    y = as_vector(y, dim=grid.n_interior)
-    s = np.concatenate([[0.0], grid.nodes, [1.0]])
-    vals = np.concatenate([[0.0], y, [0.0]])
+    y = _rhs(grid, y)
+    # the nodes run down the first axis, the right-hand sides across
+    s = np.concatenate([[0.0], grid.nodes, [1.0]]).reshape((-1,) + (1,) * (y.ndim - 1))
+    zero = np.zeros((1,) + y.shape[1:])
+    vals = np.concatenate([zero, y, zero])
 
-    decay = np.exp(-s) * vals
-    growth = np.exp(s) * vals
-    tail_decay = _right_cumulative_trapezoid(s, decay)
-    tail_growth = _right_cumulative_trapezoid(s, growth)
+    grow, fall = np.exp(s), np.exp(-s)
+    tail_decay = _right_cumulative_trapezoid(s, fall * vals)
+    tail_growth = _right_cumulative_trapezoid(s, grow * vals)
 
-    particular = 0.5 * (np.exp(s) * tail_decay - np.exp(-s) * tail_growth)
+    particular = 0.5 * (grow * tail_decay - fall * tail_growth)
     # x(0) = x(1) = 0 fixes a, b in a e^s + b e^-s: Cramer's rule on
     # [[1, 1], [e, 1/e]] (a, b) = -(particular[0], particular[-1])
     e = math.e
     det = 1.0 / e - e
     a = (particular[-1] - particular[0] / e) / det
     b = (e * particular[0] - particular[-1]) / det
-    full = particular + a * np.exp(s) + b * np.exp(-s)
+    full = particular + a * grow + b * fall
     return full[1:-1]
 
 
+def _rhs(grid: Grid, y) -> np.ndarray:
+    """``y`` as a finite vector or ``(n, k)`` block on the interior nodes."""
+    y = as_vector(y) if np.ndim(y) == 1 else as_matrix(y)
+    if y.shape[0] != grid.n_interior:
+        raise DimensionMismatch(f"expected {grid.n_interior} rows of right-hand sides, got {y.shape[0]}")
+    return y
+
+
 def _right_cumulative_trapezoid(s: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """tail[j] = composite-trapezoid integral of f from s[j] to s[-1]."""
-    panels = 0.5 * np.diff(s) * (f[:-1] + f[1:])
+    """tail[j] = composite-trapezoid integral of f from s[j] to s[-1],
+    along the first axis."""
+    panels = 0.5 * np.diff(s, axis=0) * (f[:-1] + f[1:])
     tail = np.zeros_like(f)
-    tail[:-1] = np.cumsum(panels[::-1])[::-1]
+    tail[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
     return tail
+
+
+def _sup_errors(grid: Grid, y) -> np.ndarray:
+    """Sup-error of the FD resolvent against the closed form for ``y``, one
+    per column of a block: one solve and one closed form for all of them."""
+    return np.max(np.abs(fd_resolvent(grid, y) - resolvent_closed_form(grid, y)), axis=0)
+
+
+def _convergence_rows(n_values, errors) -> list[dict]:
+    """The rows of a convergence study from its sup-errors on the grids
+    ``n_values``, each with the error ratio against the previous (coarser)
+    grid."""
+    rows = []
+    prev = None
+    for n, err in zip(n_values, errors):
+        err = float(err)
+        rows.append(
+            {
+                "n_interior": int(n),
+                "h": Grid(n).h,
+                "sup_error": err,
+                "ratio": (prev / err) if (prev is not None and err > 0) else None,
+            }
+        )
+        prev = err
+    return rows
 
 
 def convergence_study(n_values, rhs) -> list[dict]:
@@ -135,22 +173,8 @@ def convergence_study(n_values, rhs) -> list[dict]:
     error ratio against the previous (coarser) grid; for doubled resolution
     a second-order method shows ratios near 4.
     """
-    rows = []
-    prev = None
-    for n in n_values:
-        grid = Grid(n)
-        y = rhs(grid.nodes)
-        err = float(np.max(np.abs(fd_resolvent(grid, y) - resolvent_closed_form(grid, y))))
-        rows.append(
-            {
-                "n_interior": int(n),
-                "h": grid.h,
-                "sup_error": err,
-                "ratio": (prev / err) if (prev is not None and err > 0) else None,
-            }
-        )
-        prev = err
-    return rows
+    grids = [Grid(n) for n in n_values]
+    return _convergence_rows(n_values, [_sup_errors(g, rhs(g.nodes)) for g in grids])
 
 
 def format_convergence_table(rows: list[dict], label: str = "") -> str:
@@ -249,12 +273,15 @@ def _unit_gauge_report(
 
 
 def _cross_check_report(grid: Grid) -> Report:
-    """FD vs closed form on this grid and the once-refined grid."""
-    fine = 2 * grid.n_interior + 1
+    """FD vs closed form on this grid and the once-refined grid, with every
+    case of :data:`RHS_CASES` in one block per grid."""
+    sizes = [grid.n_interior, 2 * grid.n_interior + 1]
+    errors = [_sup_errors(g, np.column_stack([rhs(g.nodes) for rhs in RHS_CASES.values()]))
+              for g in map(Grid, sizes)]
     data = {}
     witnesses = []
-    for label, rhs in RHS_CASES.items():
-        rows = convergence_study([grid.n_interior, fine], rhs)
+    for label, case_errors in zip(RHS_CASES, np.transpose(errors)):
+        rows = _convergence_rows(sizes, case_errors)
         data[label] = {
             "sup_error": rows[0]["sup_error"],
             "refined_sup_error": rows[1]["sup_error"],

@@ -37,6 +37,10 @@ FEAS_TOL = 1e-9
 PIVOT_REL_TOL = 1e-12
 # matrix_exp raises NormTooLarge above this ||tA||_inf
 EXP_MAX_NORM = 1e5
+# matrix_exp zeroes entries below this fraction of the largest magnitude
+# before a squaring: the products of the rest, at least 2^-1022 max^2, stay
+# normal
+FLUSH_REL = 2.0**-511
 # Subsets per stacked LAPACK call in the subset enumerations (facets,
 # vertices); bounds their memory
 SUBSET_BLOCK = 4096
@@ -420,7 +424,34 @@ def matrix_exp(A, t: float = 1.0) -> np.ndarray:
     so entrywise positivity of the true exponential survives rounding
     exactly for such ``A``.  Relative accuracy is ~1e-12 for moderate norms
     and safely within 1e-9 across the guarded range.
+
+    Before each squaring ``S = S @ S``, entries below ``FLUSH_REL`` times
+    the largest magnitude of ``S`` are set to zero, so no product meets a
+    subnormal number (the band edges of the Dirichlet stencil underflow
+    there, and subnormal arithmetic made most of the time at N = 255).  The
+    threshold is relative: an absolute one would wipe out every entry of an
+    exponential that is tiny as a whole.  Zeroing keeps a nonnegative entry
+    nonnegative.  The scans stop after the first that finds no entry to
+    zero; an exact zero counts, so a banded ``S`` is scanned until its band
+    fills.  Raises :class:`NormTooLarge` when a squaring overflows.
     """
+    S, k = _scaled_exp(A, t)
+    flush = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            if flush:
+                tiny = max(float(S.max()), -float(S.min())) * FLUSH_REL
+                small = S < tiny
+                np.logical_and(small, S > -tiny, out=small)
+                flush = bool(small.any())
+                S[small] = 0.0
+            S = S @ S
+    return require_finite(S, f"exp({t:g} A)")
+
+
+def _scaled_exp(A, t: float) -> tuple[np.ndarray, int]:
+    """``exp(tA / 2^k)`` and ``k``: the guard, shift, scaling and Taylor
+    phase of :func:`matrix_exp`, which squares the result ``k`` times."""
     A = as_matrix(A, square=True)
     if not 0 <= t < math.inf:
         raise MalformedProblem(f"matrix_exp requires a finite t >= 0, got {t}")
@@ -444,6 +475,12 @@ def matrix_exp(A, t: float = 1.0) -> np.ndarray:
     for block in blocks[3::-1]:
         S = S @ C4 + block
     S *= math.exp(-shift / 2.0**k)
-    for _ in range(k):
-        S = S @ S
-    return S
+    return S, k
+
+
+def require_finite(M: np.ndarray, what: str) -> np.ndarray:
+    """``M`` itself when every entry is finite; :class:`NormTooLarge` naming
+    ``what`` when a product overflowed on the way to it."""
+    if not (math.isfinite(M.max()) and math.isfinite(M.min())):
+        raise NormTooLarge(f"{what} overflows: an entry is not finite")
+    return M

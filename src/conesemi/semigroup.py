@@ -28,7 +28,8 @@ from .cone import DualVector, PolyCone
 from .dissipativity import LinOp, certify_dissipative
 from .errors import MalformedProblem, SingularMatrix
 from .halfnorm import FunctionalGauge, HalfNorm
-from .numerics import as_matrix, as_vector, factorized_solver, matrix_exp, tridiagonal_solve
+from .numerics import (as_matrix, as_vector, factorized_solver, matrix_exp, require_finite,
+                       tridiagonal_solve)
 from .report import FAILS, HOLDS, INCONCLUSIVE, VACUOUS, Report, Witness
 
 DEFAULT_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -167,13 +168,16 @@ def _exp_chain(A: np.ndarray, t_grid: tuple[float, ...]):
     and the semigroup law: ``T(t) = T(d)^m T(r)`` with ``m = floor(t/d)``
     (rounded up when ``t`` is within ``1e-12 t`` of ``(m+1) d``) and
     ``r = t - m d``.  The power multiplies cached squares ``T(2^j d)``;
-    ``T(r)`` is one more ``matrix_exp``, taken only when ``r > 1e-12 t``.
+    ``T(r)`` is one more ``matrix_exp``, taken only when ``r > 1e-12 t``
+    and no remainder within ``1e-12 t`` of ``r`` has been taken before.
     ``t = 0`` gives ``I``, and a ``t`` beyond ``CHAIN_MAX_POWER`` steps its
     own ``matrix_exp(A, t)``.  Every factor of a Metzler ``A`` is
     nonnegative, and so is every product of them.  The guard of
-    ``matrix_exp`` applies to ``d`` and ``r``, not to ``t``."""
+    ``matrix_exp`` applies to ``d`` and ``r``, not to ``t``; a product that
+    overflows raises :class:`~conesemi.errors.NormTooLarge`."""
     d = min((t for t in t_grid if t > 0), default=0.0)
     squares: list[np.ndarray] = []  # squares[j] = T(2^j d), built on demand
+    remainders: list[tuple[float, np.ndarray]] = []  # (r, T(r)) taken so far
 
     def at(t: float) -> np.ndarray:
         if t == 0:
@@ -185,13 +189,19 @@ def _exp_chain(A: np.ndarray, t_grid: tuple[float, ...]):
             m += 1
         r = t - m * d
         T = None
-        for j in range(m.bit_length()):
-            if j == len(squares):
-                squares.append(squares[-1] @ squares[-1] if squares else matrix_exp(A, d))
-            if (m >> j) & 1:
-                T = squares[j] if T is None else T @ squares[j]
-        if r > 1e-12 * t:
-            T = T @ matrix_exp(A, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(m.bit_length()):
+                if j == len(squares):
+                    squares.append(squares[-1] @ squares[-1] if squares else matrix_exp(A, d))
+                if (m >> j) & 1:
+                    T = squares[j] if T is None else T @ squares[j]
+            if r > 1e-12 * t:
+                R = next((R for s, R in remainders if abs(s - r) <= 1e-12 * t), None)
+                if R is None:
+                    R = matrix_exp(A, r)
+                    remainders.append((r, R))
+                T = T @ R
+        require_finite(T, f"T({t:g})")
         return T.copy() if any(T is S for S in squares) else T
 
     return at

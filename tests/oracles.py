@@ -5,7 +5,8 @@ replaced in the package: one least-squares solve per active set, kept here
 so the batched enumeration and everything built on it have a reference
 that shares none of their code.  ``adaptive_taylor_exp`` is the term-by-term
 Taylor loop that ``numerics.matrix_exp`` replaced by a fixed-degree
-Paterson-Stockmeyer evaluation.  ``max_principle_loop`` and
+Paterson-Stockmeyer evaluation, and ``unflushed_exp`` its squaring loop from
+before it zeroed sub-threshold entries.  ``max_principle_loop`` and
 ``positive_part_loop`` are the sampled Dirichlet checks that the package
 replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``.
 ``dirichlet_exp`` is the scipy-free exponential of the Dirichlet stencil,
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from conesemi import numerics
 from conesemi.errors import DimensionTooLarge, MalformedProblem
 from conesemi.numerics import FEAS_TOL, LpProblem, as_matrix, as_vector, solve_lp
 from conesemi.report import Witness
@@ -79,6 +81,16 @@ def adaptive_taylor_exp(A, t: float = 1.0) -> np.ndarray:
         if float(np.max(np.abs(term))) < 1e-19 * float(np.max(np.abs(S))):
             break
     S *= math.exp(-shift / 2.0**k)
+    for _ in range(k):
+        S = S @ S
+    return S
+
+
+def unflushed_exp(A, t: float = 1.0) -> np.ndarray:
+    """``matrix_exp`` with its squarings as they were before the flush:
+    ``exp(tA / 2^k)`` from the same Taylor phase, squared ``k`` times with
+    every entry kept, subnormal or not."""
+    S, k = numerics._scaled_exp(A, t)
     for _ in range(k):
         S = S @ S
     return S

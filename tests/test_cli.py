@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, witnesses, JSON reports, round-trips."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,18 @@ class TestSimulate:
         payload["phi_set"] = [[1, 0], [0, 1]]
         payload["semigroup"] = {"t_grid": []}
         assert run(["simulate", "--file", write(tmp_path, payload), "--quiet"]) == 2
+
+    def test_overflowing_exponential_exits_2(self, tmp_path, capsys):
+        # ||A||_inf = 800 is inside the matrix_exp guard; e^800 is not a float
+        payload = dict(BASE)
+        payload["operator"] = {"matrix": [[800, 0], [0, -800]]}
+        payload["phi_set"] = [[1, 0], [0, 1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", "--file", write(tmp_path, payload), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "overflow" in err and "RuntimeWarning" not in err
 
     def test_needs_phi_or_phi_set(self, tmp_path):
         payload = dict(BASE)

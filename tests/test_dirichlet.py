@@ -5,6 +5,7 @@ import pytest
 
 import conesemi.semigroup as semigroup
 from conesemi.dirichlet import (
+    RHS_CASES,
     Grid,
     _unit_gauge_report,
     convergence_study,
@@ -15,7 +16,7 @@ from conesemi.dirichlet import (
     run_dirichlet_checks,
 )
 from conesemi.dissipativity import is_metzler
-from conesemi.errors import MalformedProblem
+from conesemi.errors import DimensionMismatch, MalformedProblem
 from conesemi.numerics import linear_solve, matrix_exp
 from conesemi.semigroup import SemigroupConfig, propagators
 from oracles import (
@@ -106,6 +107,39 @@ class TestFdResolvent:
         for n in (7, 15, 31, 63):
             g = Grid(n)
             fd_resolvent(g, np.ones(n))  # LU must succeed
+
+
+class TestBlockedCrossCheck:
+    """The cross-check solves every case of ``RHS_CASES`` in one block per
+    grid, with the same arithmetic per column as one solve per case."""
+
+    @pytest.mark.parametrize("n", [7, 15, 255])
+    def test_bit_identical_to_the_per_case_loop(self, n):
+        import conesemi.dirichlet as dirichlet
+
+        rep = dirichlet._cross_check_report(Grid(n))
+        for label, rhs in RHS_CASES.items():
+            rows = convergence_study([n, 2 * n + 1], rhs)
+            assert rep.data[label] == {"sup_error": rows[0]["sup_error"],
+                                       "refined_sup_error": rows[1]["sup_error"],
+                                       "ratio": rows[1]["ratio"]}
+        assert rep.verdict == "holds" and not rep.witnesses
+
+    @pytest.mark.parametrize("n", [2, 7, 15, 255])
+    def test_block_columns_equal_single_solves(self, n):
+        g = Grid(n)
+        cases = [np.ones(n), np.sin(np.pi * g.nodes), g.nodes * (1.0 - g.nodes)]
+        Y = np.column_stack(cases)
+        fd, closed = fd_resolvent(g, Y), resolvent_closed_form(g, Y)
+        assert fd.shape == closed.shape == (n, 3)
+        for j, y in enumerate(cases):
+            assert np.array_equal(fd[:, j], fd_resolvent(g, y))
+            assert np.array_equal(closed[:, j], resolvent_closed_form(g, y))
+
+    def test_block_of_the_wrong_height_rejected(self):
+        for solve in (fd_resolvent, resolvent_closed_form):
+            with pytest.raises(DimensionMismatch):
+                solve(Grid(7), np.ones((8, 2)))
 
 
 class TestConvergence:
@@ -233,11 +267,11 @@ class TestPipeline:
         error ratio is 2: each failing check names its witnesses."""
         import conesemi.dirichlet as dirichlet
 
-        study = dirichlet.convergence_study
+        rows = dirichlet._convergence_rows
         monkeypatch.setattr(
-            dirichlet, "convergence_study",
-            lambda n_values, rhs: [r if r["ratio"] is None else {**r, "ratio": 2.0}
-                                   for r in study(n_values, rhs)],
+            dirichlet, "_convergence_rows",
+            lambda n_values, errors: [r if r["ratio"] is None else {**r, "ratio": 2.0}
+                                      for r in rows(n_values, errors)],
         )
         monkeypatch.setattr(semigroup, "propagators",
                             lambda op, cfg: iter([(0.1, "expm", 1.5 * np.eye(7))]))

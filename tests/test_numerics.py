@@ -30,8 +30,8 @@ from conesemi.numerics import (
     tridiagonal_solve,
     vertex_table,
 )
-from conesemi.semigroup import DEFAULT_T_GRID
-from oracles import adaptive_taylor_exp, enumerate_vertices
+from conesemi.semigroup import DEFAULT_T_GRID, SemigroupConfig, propagators
+from oracles import adaptive_taylor_exp, enumerate_vertices, unflushed_exp
 
 
 def lp(c, G=None, h=None, A=None, b=None, sense="min"):
@@ -387,6 +387,63 @@ class TestMatrixExp:
                 assert np.max(np.abs(matrix_exp(A, t) - ref)) <= 1e-10 * np.max(np.abs(ref))
                 checked += 1
         assert checked == 13
+
+    @pytest.mark.parametrize("n", [15, 31, 63, 127, 255])
+    def test_stencil_bit_identical_to_the_unflushed_squarings(self, n):
+        # the flush only removes entries whose products vanish in every sum
+        A = (n + 1) ** 2 * (-2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+        for t in (0.01, 0.3, *DEFAULT_T_GRID):
+            if t * 4 * (n + 1) ** 2 > numerics.EXP_MAX_NORM:
+                continue
+            E = matrix_exp(A, t)
+            assert np.array_equal(E, unflushed_exp(A, t)), (n, t)
+            assert np.min(E) >= 0.0
+
+    def test_random_bit_identical_to_the_unflushed_squarings(self):
+        rng = np.random.default_rng(17)
+        for i in range(300):
+            n = int(rng.integers(2, 40))
+            A = rng.normal(size=(n, n)) * rng.uniform(0.1, 5.0)
+            if i % 2:
+                A = np.abs(A)
+                np.fill_diagonal(A, -rng.uniform(0, 200, size=n))
+            t = float(rng.uniform(0.0, 3.0))
+            assert np.array_equal(matrix_exp(A, t), unflushed_exp(A, t)), i
+
+    def test_tiny_exponential_keeps_its_relative_accuracy(self):
+        # every entry of exp(A) is below 2e-306: a flush threshold of 2^-511
+        # taken absolutely, not relative to the largest entry, zeroes factors
+        # that carry half of the result
+        A = -np.diag(np.linspace(712.0, 716.0, 10))
+        A += np.triu(np.random.default_rng(1).uniform(0.0, 10.0, (10, 10)), 1)
+        ref = math.exp(-712.0) * scipy.linalg.expm(A + 712.0 * np.eye(10))
+        assert 1e-306 < np.max(ref) < 2e-306
+        assert np.max(np.abs(matrix_exp(A, 1.0) - ref)) <= 1e-12 * np.max(ref)
+
+    def test_flushed_metzler_exponential_stays_nonnegative(self):
+        # strong decay on a sparse pattern drives entries through the flush
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            A = rng.uniform(0, 5, size=(n, n)) * (rng.random((n, n)) < 0.2)
+            np.fill_diagonal(A, -rng.uniform(0, 2000, size=n))
+            E = matrix_exp(A, float(rng.uniform(0.1, 40.0)))
+            assert np.min(E) >= 0.0
+
+    @pytest.mark.parametrize("A", [[[800.0]], [[800.0, 0.0], [0.0, -800.0]]])
+    def test_overflow_raises_norm_too_large(self, A):
+        # ||A||_inf = 800 is inside the guard, but e^800 is not a float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormTooLarge, match="overflow"):
+                matrix_exp(A, 1.0)
+
+    def test_overflowing_chain_raises_norm_too_large(self):
+        # T(0.1) = e is finite; T(100) = T(0.1)^1000 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormTooLarge, match="overflow"):
+                list(propagators([[10.0]], SemigroupConfig(t_grid=(0.1, 100.0), method="expm")))
 
     def test_metzler_exponential_exactly_nonnegative(self):
         # diagonal shift keeps every float operation nonnegative

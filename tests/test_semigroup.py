@@ -279,9 +279,21 @@ class TestChainedExponential:
         rng = np.random.default_rng(28)
         A = rng.standard_normal((5, 5)) - 2.0 * np.eye(5)
         got = list(propagators(A, SemigroupConfig(t_grid=(0.3, 0.7, 1.0), method="expm")))
-        # 0.7 = 2 (0.3) + 0.1 and 1.0 = 3 (0.3) + 0.1
+        # 0.7 = 2 (0.3) + 0.1 and 1.0 = 3 (0.3) + 0.1: the two remainders
+        # differ by ulps, so T(0.1) is taken once
         assert calls[0] == 0.3
-        assert calls[1:] == pytest.approx([0.1, 0.1], rel=1e-12)
+        assert calls[1:] == pytest.approx([0.1], rel=1e-12)
+        for t, _, T in got:
+            expected = scipy.linalg.expm(t * A)
+            assert np.max(np.abs(T - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_distinct_remainders_get_their_own_exponentials(self, monkeypatch):
+        calls = record_matrix_exp(monkeypatch)
+        A = np.random.default_rng(29).standard_normal((4, 4))
+        got = list(propagators(A, SemigroupConfig(t_grid=(0.3, 0.7, 0.8, 1.0), method="expm")))
+        # remainders 0.1, 0.2 and 0.1 again
+        assert calls[0] == 0.3
+        assert calls[1:] == pytest.approx([0.1, 0.2], rel=1e-12)
         for t, _, T in got:
             expected = scipy.linalg.expm(t * A)
             assert np.max(np.abs(T - expected)) <= 1e-12 * np.max(np.abs(expected))
