@@ -11,9 +11,9 @@ in the JSON body.
 
 The ``CONESEMI_SEED`` environment variable overrides the file's ``seed``
 field; an explicit ``--seed`` beats both.  Seeds and sample counts must be
-nonnegative.  ``dirichlet-demo`` reads no file and samples nothing, so it
-takes no ``--seed`` or ``--samples``, and its JSON report has ``null``
-for both.
+nonnegative.  ``check-pod``, ``represent`` and ``dirichlet-demo`` sample
+nothing, so they take no ``--seed`` or ``--samples``, and their JSON
+reports have ``null`` for both.
 """
 
 from __future__ import annotations
@@ -107,16 +107,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, with_file=True):
+    def common(p, with_file=True, sampled=True):
         if with_file:
             p.add_argument("--file", required=True, help="JSON problem file")
+        if sampled:
             p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
             p.add_argument("--samples", type=int, default=None, help="override sample count")
         p.add_argument("--json-out", default=None, help="write the JSON report here")
         p.add_argument("--quiet", action="store_true", help="suppress text output")
 
     p = sub.add_parser("check-pod", help="positive off-diagonal property of the operator")
-    common(p)
+    common(p, sampled=False)
     p.set_defaults(handler=_cmd_check_pod)
 
     p = sub.add_parser("check-dissipative", help="sampled dissipativity certificate")
@@ -128,11 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("represent", help="represent a positive functional over the states")
-    common(p)
+    common(p, sampled=False)
     p.set_defaults(handler=_cmd_represent)
 
     p = sub.add_parser("dirichlet-demo", help="grid checks for the boundary-value example")
-    common(p, with_file=False)
+    common(p, with_file=False, sampled=False)
     p.add_argument(
         "--grid-sizes", type=int, nargs="+", default=[15, 31, 63], help="interior node counts"
     )
@@ -175,8 +176,6 @@ def _resolve_samples(args, pf: ProblemFile, default: int = 100) -> int:
 
 def _cmd_check_pod(args):
     pf = ProblemFile.load(args.file)
-    _resolve_seed(args, pf)
-    _resolve_samples(args, pf)
     cone = pf.cone()
     op = pf.operator()
     report = has_positive_off_diagonal(op, cone)
@@ -228,8 +227,6 @@ def _cmd_simulate(args):
 
 def _cmd_represent(args):
     pf = ProblemFile.load(args.file)
-    _resolve_seed(args, pf)
-    _resolve_samples(args, pf)
     cone = pf.cone()
     lines = []
     try:

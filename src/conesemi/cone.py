@@ -31,7 +31,8 @@ from .errors import (
     NotPositiveFunctional,
     NumericalFailure,
 )
-from .numerics import LpProblem, as_matrix, as_vector, linear_solve, solve_lp, subset_blocks
+from .numerics import (LpProblem, as_matrix, as_vector, distinct_rows, linear_solve, ordered_rows,
+                       solve_lp, subset_blocks)
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
@@ -239,19 +240,8 @@ class PolyCone:
 
 
 def _dedup_directions(R: np.ndarray) -> np.ndarray:
-    """The rays whose direction differs from every earlier kept ray's, unit
-    vectors compared in the max norm at 1e-10.  One pairwise comparison
-    settles every ray without an earlier near-duplicate; the greedy pass
-    runs only over the others, in order."""
-    unit = R / np.linalg.norm(R, axis=1, keepdims=True)
-    near = np.ones((R.shape[0], R.shape[0]), dtype=bool)
-    for col in unit.T:
-        near &= np.abs(col[:, None] - col[None, :]) <= 1e-10
-    near = np.tril(near, k=-1)
-    kept = ~near.any(axis=1)
-    for i in np.flatnonzero(~kept):
-        kept[i] = not np.any(near[i] & kept)
-    return R[kept]
+    """The rays whose unit vectors :func:`~conesemi.numerics.distinct_rows` keeps at 1e-10."""
+    return R[distinct_rows(R / np.linalg.norm(R, axis=1, keepdims=True), 1e-10)]
 
 
 def _check_pointed(R: np.ndarray) -> None:
@@ -284,11 +274,11 @@ def _enumerate_facets(R: np.ndarray) -> np.ndarray:
     and zero exactly when the rows span less than a hyperplane.  A block of
     :func:`~conesemi.numerics.subset_blocks` costs one stacked determinant
     per deleted column and one matrix product for the sign test against
-    every ray; facets are de-duplicated on keys rounded to 10 decimals, the
-    first occurrence kept.
+    every ray; the facets are the rows :func:`~conesemi.numerics.distinct_rows`
+    keeps at 1e-10, sorted by :func:`~conesemi.numerics.ordered_rows`.
     """
     k, n = R.shape
-    found: list[np.ndarray] = []
+    found = [np.empty((0, n))]
     scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
     cols = np.arange(n)
     signs = (-1.0) ** cols
@@ -302,10 +292,7 @@ def _enumerate_facets(R: np.ndarray) -> np.ndarray:
         ok = np.stack([np.min(P, axis=1) >= -1e-10, np.max(P, axis=1) <= 1e-10], axis=1)
         found.append(np.stack([normals, -normals], axis=1)[ok] + 0.0)
     cands = np.concatenate(found)
-    if not cands.size:
-        return np.empty((0, n))
-    _, first = np.unique(np.round(cands, 10) + 0.0, axis=0, return_index=True)
-    return np.vstack(sorted(cands[np.sort(first)], key=lambda f: tuple(np.round(f, 12))))
+    return ordered_rows(cands[distinct_rows(cands, 1e-10)])
 
 
 def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list[Witness]:

@@ -73,6 +73,7 @@ from .numerics import (
     LpProblem,
     as_matrix,
     as_vector,
+    distinct_rows,
     linear_solve,
     solve_lp,
     vertex_table,
@@ -221,21 +222,11 @@ class SubdiffDesc:
             return [self.point]
         if self.kind == "ball":
             raise VariantUnsupported("a ball has no vertex description")
-        rows = []
-        rhs = []
-        if self.ineq is not None:
-            rows.append(self.ineq[0])
-            rhs.append(self.ineq[1])
+        blocks = [] if self.ineq is None else [self.ineq]
         if self.eq is not None:
-            A, b = self.eq
-            rows.extend([A, -A])
-            rhs.extend([b, -b])
-        out: list[np.ndarray] = []
-        for v in vertex_table((np.vstack(rows), np.concatenate(rhs))):
-            p = v[: self.n_primary]
-            if not any(np.max(np.abs(p - q)) <= 1e-9 for q in out):
-                out.append(p)
-        return out
+            blocks += [self.eq, (-self.eq[0], -self.eq[1])]
+        P = vertex_table(tuple(np.concatenate(part) for part in zip(*blocks)))[:, : self.n_primary]
+        return list(P[distinct_rows(P, 1e-9)])
 
 
 class HalfNorm:

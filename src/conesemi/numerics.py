@@ -9,7 +9,11 @@ variables at most for the finest Dirichlet grid), so a transparent,
 deterministic tableau beats a sophisticated solver.
 
 Tolerances: feasibility 1e-9, relative pivot threshold 1e-12.  Downstream
-modules inherit these.
+modules inherit these.  Every enumerated table keeps the rows that
+:func:`distinct_rows` keeps, in the order of :func:`ordered_rows` (12-decimal
+keys): facet normals, largest entry +-1, at 1e-10; unit ray directions at
+1e-10; vertices, after a collapse of 12-decimal repeats, at
+``1e-9 (1 + ||x||_inf)``; the vertices of a subdifferential at 1e-9.
 
 The LU and tridiagonal solvers import ``scipy.linalg`` on first use: it is
 most of the cost of importing the package, and many runs never factor a
@@ -297,15 +301,16 @@ def subset_blocks(m: int, r: int):
 
 
 def vertex_table(ineq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """All vertices of ``{x : G x >= h}``, one per row, sorted, from batched
+    """All vertices of ``{x : G x >= h}``, one per row, from batched
     active-set solves.
 
     The ``C(m, n)`` active sets are solved ``SUBSET_BLOCK`` at a time, each
     block in one stacked LAPACK call, so memory stays bounded; callers bound
     ``C(m, n)`` themselves.  A set counts as singular when the determinant
     of its rows, scaled to unit length (a zero row stays zero), is at most
-    1e-10.  Repeats within 1e-9 keep their first occurrence.  Unbounded
-    polyhedra without a full active set yield fewer (possibly zero) rows.
+    1e-10.  Repeats to 12 decimals collapse, then :func:`distinct_rows`
+    and :func:`ordered_rows` apply.  Unbounded polyhedra without a full
+    active set yield fewer (possibly zero) rows.
     """
     G, h = ineq
     G = as_matrix(G)
@@ -323,19 +328,35 @@ def vertex_table(ineq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         ok &= np.min(X @ G.T - h, axis=1) >= -FEAS_TOL * (1.0 + np.max(np.abs(X), axis=1))
         found.append(X[ok])
     X = np.concatenate(found)
-    # repeats to 12 decimals (degenerate vertices) first, then 1e-9 against
-    # every earlier survivor
+    # exact repeats (degenerate vertices) collapse on 12-decimal keys first
     _, first = np.unique(np.round(X, 12) + 0.0, axis=0, return_index=True)
     X = X[np.sort(first)]
-    close_tol = 1e-9 * (1.0 + np.max(np.abs(X), axis=1))
-    order = np.arange(len(X))
-    repeat = np.zeros(len(X), dtype=bool)
-    for start in range(0, len(X), 256):
-        rows = slice(start, start + 256)
-        dist = np.max(np.abs(X[rows, None, :] - X[None, :, :]), axis=2)
-        earlier = order[None, :] < order[rows, None]
-        repeat[rows] = np.any((dist <= close_tol) & earlier, axis=1)
-    X = X[~repeat]
+    return ordered_rows(X[distinct_rows(X, 1e-9 * (1.0 + np.max(np.abs(X), axis=1)))])
+
+
+def distinct_rows(X: np.ndarray, tol) -> np.ndarray:
+    """Indices, ascending, of the rows of ``X`` more than ``tol`` (a scalar,
+    or each row's own bound) in the max norm from every earlier kept row.
+
+    One pairwise comparison, 256 rows at a time to bound memory, settles
+    every row without an earlier near repeat, and a greedy pass in order the
+    others: a chain of rows, each near the next, keeps every other row.
+    """
+    k = X.shape[0]
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
+    kept = np.ones(k, dtype=bool)
+    for start in range(0, k, 256):
+        stop = min(start + 256, k)
+        near = np.arange(stop) < np.arange(start, stop)[:, None]
+        for col in X.T:
+            near &= np.abs(col[start:stop, None] - col[None, :stop]) <= tol[start:stop, None]
+        for i in np.flatnonzero(near.any(axis=1)):
+            kept[start + i] = not np.any(near[i] & kept[:stop])
+    return np.flatnonzero(kept)
+
+
+def ordered_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of ``X`` sorted by their 12-decimal keys, ties in input order."""
     return X[np.lexsort(np.round(X, 12).T[::-1])]
 
 

@@ -107,9 +107,10 @@ def euler_power(op, t: float, n: int, x) -> np.ndarray:
     if t == 0:
         return x.copy()
     R = _resolvent(A, t / n, f"euler step for t={t:g}, n={n}")
-    for _ in range(n):
-        x = R @ x
-    return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            x = R @ x
+    return require_finite(x, f"euler power for t={t:g}, n={n}")
 
 
 def euler_matrix(op, t: float, n: int) -> np.ndarray:
@@ -122,7 +123,9 @@ def euler_matrix(op, t: float, n: int) -> np.ndarray:
         raise MalformedProblem(f"step count must be >= 1, got {n}")
     if t == 0:
         return np.eye(A.shape[0])
-    return np.linalg.matrix_power(_resolvent(A, t / n, f"euler step for t={t:g}, n={n}"), n)
+    R = _resolvent(A, t / n, f"euler step for t={t:g}, n={n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(np.linalg.matrix_power(R, n), f"euler matrix for t={t:g}, n={n}")
 
 
 def _is_tridiagonal(A: np.ndarray) -> bool:

@@ -12,7 +12,9 @@ replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``.
 ``dirichlet_exp`` is the scipy-free exponential of the Dirichlet stencil,
 from its closed-form eigenpairs.  ``lp_first_ray_on_a_line`` is the per-ray
 LP loop that ``cone._check_pointed`` replaced by a test on the facets of the
-cone within the rays' span.
+cone within the rays' span.  ``loop_distinct_rows`` is the one-row-at-a-time
+greedy loop behind ``numerics.distinct_rows``, which de-duplicates every
+enumerated table.
 """
 
 import itertools
@@ -60,6 +62,19 @@ def enumerate_vertices(
             vertices.append(x)
     vertices.sort(key=lambda v: tuple(np.round(v, 12)))
     return vertices
+
+
+def loop_distinct_rows(X, tol) -> np.ndarray:
+    """Greedy de-duplication one row at a time: the indices of the rows of
+    ``X`` more than ``tol`` (a scalar, or one bound per row for comparing
+    that row) in the max norm from every earlier kept row."""
+    X = np.asarray(X, dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (X.shape[0],))
+    kept: list[int] = []
+    for i in range(X.shape[0]):
+        if not any(np.max(np.abs(X[i] - X[j])) <= tol[i] for j in kept):
+            kept.append(i)
+    return np.array(kept, dtype=np.intp)
 
 
 def adaptive_taylor_exp(A, t: float = 1.0) -> np.ndarray:

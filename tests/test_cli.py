@@ -133,6 +133,20 @@ class TestSimulate:
         assert code == 2
         assert "overflow" in err and "RuntimeWarning" not in err
 
+    def test_overflowing_euler_power_exits_2(self, tmp_path, capsys):
+        # (1 - 800/10^4)^-10^4 is about e^834 at t = 1: no float either
+        payload = dict(BASE)
+        payload["operator"] = {"matrix": [[800, 0], [0, -800]]}
+        payload["phi_set"] = [[1, 0], [0, 1]]
+        payload["semigroup"] = {"euler_steps": 10000, "method": "euler"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", "--file", write(tmp_path, payload), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "overflow" in err and "RuntimeWarning" not in err
+        assert "NaN or Inf" not in err
+
     def test_needs_phi_or_phi_set(self, tmp_path):
         payload = dict(BASE)
         payload["operator"] = {"matrix": [[-1, 0], [0, -1]]}
@@ -212,10 +226,13 @@ class TestDirichletDemo:
 
     @pytest.mark.parametrize("flag", ["--seed", "--samples"])
     def test_sampling_flags_are_refused(self, flag):
-        # nothing in the demo is sampled
-        with pytest.raises(SystemExit) as exc:
-            main(["dirichlet-demo", flag, "5", "--quiet"])
-        assert exc.value.code == 2
+        # nothing in the demo, the POD check or a representation is sampled
+        for argv in (["dirichlet-demo"],
+                     ["check-pod", "--file", str(FIXTURES / "example52_matrix1_pod.json")],
+                     ["represent", "--file", str(FIXTURES / "represent_diamond.json")]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "5", "--quiet"])
+            assert exc.value.code == 2
 
     def test_every_grid_is_decided(self, tmp_path):
         out = tmp_path / "report.json"
@@ -241,6 +258,21 @@ class TestJsonReport:
             assert key in body
         assert body["exit_code"] == 0
         assert body["checks"][0]["verdict"] == "holds"
+
+    @pytest.mark.parametrize("command, fixture", [
+        ("check-pod", "example52_matrix1_pod.json"),
+        ("represent", "represent_diamond.json"),
+    ])
+    def test_unsampled_commands_report_no_seed(self, tmp_path, monkeypatch, command, fixture):
+        # a seed from the environment or the file does not apply to them
+        monkeypatch.setenv("CONESEMI_SEED", "not-a-number")
+        payload = json.loads((FIXTURES / fixture).read_text())
+        payload.update(seed=7, samples=50)
+        out = tmp_path / "report.json"
+        assert run([command, "--file", write(tmp_path, payload), "--json-out", out,
+                    "--quiet"]) == 0
+        body = json.loads(out.read_text())
+        assert body["seed"] is None and body["samples"] is None
 
     def test_fixture_reports_validate(self, tmp_path):
         cases = [

@@ -33,7 +33,7 @@ from conesemi.errors import (
 )
 from conesemi.numerics import LpProblem, solve_lp
 from conesemi.report import FAILS, HOLDS
-from oracles import lp_first_ray_on_a_line
+from oracles import loop_distinct_rows, lp_first_ray_on_a_line
 
 TOTALITY_TOL = 1e-9
 
@@ -148,12 +148,7 @@ def loop_extreme_rays(R, facets):
 def loop_dedup_directions(R):
     """Greedy de-duplication one ray at a time: the oracle for the pairwise
     ``_dedup_directions``."""
-    unit = R / np.linalg.norm(R, axis=1, keepdims=True)
-    kept = []
-    for i in range(R.shape[0]):
-        if not any(np.max(np.abs(unit[i] - unit[j])) <= 1e-10 for j in kept):
-            kept.append(i)
-    return R[kept]
+    return R[loop_distinct_rows(R / np.linalg.norm(R, axis=1, keepdims=True), 1e-10)]
 
 
 def count_lp_calls(monkeypatch):
@@ -352,6 +347,20 @@ class TestFacetEnumeration:
 
     def test_no_facet_is_an_empty_table(self):
         assert _enumerate_facets(np.vstack([np.eye(3), -np.eye(3)])).shape == (0, 3)
+
+    def test_rotated_cube_cone_has_six_facets(self):
+        # rays (1, v) over a rotated, rescaled cube, each ray rescaled: two
+        # candidate normals of one facet differ by 2.8e-16 yet fell on the
+        # two sides of a 10-decimal rounding edge, which made a 7th facet
+        cube = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+        rng = np.random.default_rng(5)
+        for _ in range(1180):
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            V = cube @ Q.T * rng.uniform(0.2, 0.9)
+            R = np.hstack([np.ones((8, 1)), V]) * rng.uniform(0.5, 2.0, (8, 1))
+        K = PolyCone.from_generators(R)
+        assert K.facets.shape == (6, 4)
+        assert K.generators.shape == (8, 4)
 
 
 class TestBuildOracle:

@@ -23,15 +23,17 @@ from conesemi.errors import (
 )
 from conesemi.numerics import (
     LpProblem,
+    distinct_rows,
     linear_solve,
     matrix_exp,
+    ordered_rows,
     solve_lp,
     subset_blocks,
     tridiagonal_solve,
     vertex_table,
 )
 from conesemi.semigroup import DEFAULT_T_GRID, SemigroupConfig, propagators
-from oracles import adaptive_taylor_exp, enumerate_vertices, unflushed_exp
+from oracles import adaptive_taylor_exp, enumerate_vertices, loop_distinct_rows, unflushed_exp
 
 
 def lp(c, G=None, h=None, A=None, b=None, sense="min"):
@@ -183,12 +185,68 @@ class TestVertexTable:
         for v, w in zip(table, expected):
             assert np.max(np.abs(v - w)) <= 1e-12
 
+    def test_near_repeat_chain_is_compared_with_kept_rows(self):
+        # the polytope [0.6e-9, 1.2e-9] with the redundant x >= 0: its three
+        # candidates 0, 0.6e-9 and 1.2e-9 are feasible within the tolerance
+        # and form a chain, each within 1e-9 of the next; 0.6e-9 repeats 0,
+        # and 1.2e-9 is compared with the kept 0 only, so it stays
+        G = np.array([[1.0], [1.0], [-1.0]])
+        h = np.array([0.0, 0.6e-9, -1.2e-9])
+        table = vertex_table((G, h))
+        assert table.tobytes() == np.array([[0.0], [1.2e-9]]).tobytes()
+        assert len(enumerate_vertices((G, h))) == 2
+
     def test_subset_blocks_are_lexicographic(self, monkeypatch):
         monkeypatch.setattr(numerics, "SUBSET_BLOCK", 4)
         blocks = list(subset_blocks(6, 3))
         assert [b.shape for b in blocks] == [(4, 3)] * 5
         assert [tuple(r) for b in blocks for r in b] == list(itertools.combinations(range(6), 3))
         assert list(subset_blocks(2, 3)) == []
+
+
+class TestDistinctRows:
+    """The blocked pairwise de-duplication against the greedy loop."""
+
+    def test_matches_the_greedy_loop(self):
+        rng = np.random.default_rng(2027)
+        for k, n in ((1, 3), (7, 2), (40, 3), (300, 4), (600, 2)):
+            base = rng.standard_normal((k, n))
+            picks = rng.integers(0, k, k // 2 + 1)
+            jitter = 1e-11 * rng.standard_normal((picks.size, n))
+            X = np.vstack([base, base[picks], base[picks] + jitter])
+            X = X[rng.permutation(X.shape[0])]
+            per_row = 1e-10 * (1.0 + np.max(np.abs(X), axis=1))
+            for tol in (1e-10, per_row, 0.5):
+                got = distinct_rows(X, tol)
+                assert np.array_equal(got, loop_distinct_rows(X, tol))
+                assert got.dtype == np.intp and np.all(np.diff(got) > 0)
+
+    def test_exact_repeats_keep_the_first(self):
+        X = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert distinct_rows(X, 0.0).tolist() == [0, 1, 4]
+
+    def test_chain_keeps_every_other_row(self):
+        # each row within the tolerance of the next, rows two apart are not;
+        # a chain longer than one block of 256 rows crosses a block edge
+        X = np.arange(601.0)[:, None] * np.array([[0.6, 0.0]])
+        got = distinct_rows(X, 1.0)
+        assert got.tolist() == list(range(0, 601, 2))
+        assert np.array_equal(got, loop_distinct_rows(X, 1.0))
+
+    def test_per_row_tolerance_is_the_later_row_s(self):
+        # row 1 is within its own bound of row 0, row 2 is not within its own
+        X = np.array([[0.0], [1.0], [2.5]])
+        assert distinct_rows(X, np.array([0.0, 1.0, 1.0])).tolist() == [0, 2]
+        assert distinct_rows(X, np.array([0.0, 0.5, 2.0])).tolist() == [0, 1]
+
+    def test_empty_input(self):
+        assert distinct_rows(np.empty((0, 3)), 1e-9).shape == (0,)
+        assert ordered_rows(np.empty((0, 3))).shape == (0, 3)
+
+    def test_ordered_rows_sorts_by_12_decimal_keys_ties_in_input_order(self):
+        X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0], [0.0, 2.0 + 1e-14], [0.0, 1.0]])
+        got = ordered_rows(X)
+        assert got.tobytes() == X[[4, 1, 3, 2, 0]].tobytes()
 
 
 class TestLpAgainstVertexOracle:

@@ -133,6 +133,17 @@ class TestEulerPower:
             with pytest.raises(MalformedProblem):
                 euler_matrix(LinOp(-np.eye(2)), t, n)
 
+    def test_overflow_raises_norm_too_large(self):
+        # (1 - 800/10^4)^-10^4 is about e^834: a named NormTooLarge, not an
+        # inf with a raw numpy warning (which the test settings make an error)
+        with pytest.raises(NormTooLarge, match="euler matrix for t=1, n=10000 overflows"):
+            euler_matrix([[800.0]], 1.0, 10000)
+        with pytest.raises(NormTooLarge, match="euler power for t=1, n=10000 overflows"):
+            euler_power([[800.0]], 1.0, 10000, [1.0])
+        # just inside the float range, both stay finite
+        assert np.isfinite(euler_matrix([[800.0]], 0.5, 10000)).all()
+        assert np.isfinite(euler_power([[800.0]], 0.5, 10000, [1.0])).all()
+
 
 def loop_is_positive_operator(T, cone, tol):
     """The per-generator loop :func:`is_positive_operator` replaced, kept as
