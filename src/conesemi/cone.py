@@ -2,13 +2,16 @@
 
 A :class:`PolyCone` carries both descriptions of the same set -- generating
 rays and inward facet normals.  :meth:`PolyCone.from_generators` finds the
-facets by batched enumeration of hyperplanes through (dim-1)-subsets of
-rays.  Cones here are pointed and full-dimensional; pointedness makes the
-induced relation a partial order, full-dimensionality makes every vector
-majorizable and keeps the facet description exact.  Both restrictions are
-validated, not assumed: a full-dimensional cone is pointed exactly when its
-facet normals span the space; only a cone that fails that test, or whose
-rays do not span, re-enumerates facets in the rays' span to name a ray on a line.
+facets from the unit rays as the vertices of a slice of the dual cone, by
+the one active-set loop of :mod:`~conesemi.numerics` and its singularity
+and feasibility rules; a facet normal must also leave every unit ray at
+least -1e-10.  Cones here are pointed and full-dimensional; pointedness
+makes the induced relation a partial order, full-dimensionality makes
+every vector majorizable and keeps the facet description exact.  Both
+restrictions are validated, not assumed: a full-dimensional cone is
+pointed exactly when its facet normals span the space; only a cone that
+fails that test, or whose rays do not span, re-enumerates facets in the
+rays' span to name a ray on a line.
 
 Membership uses the tight tolerance 1e-10 since it is the primitive that all
 other checks compose.
@@ -31,8 +34,8 @@ from .errors import (
     NotPositiveFunctional,
     NumericalFailure,
 )
-from .numerics import (LpProblem, as_matrix, as_vector, distinct_rows, linear_solve, ordered_rows,
-                       solve_lp, subset_blocks)
+from .numerics import (LpProblem, _active_set_vertices, as_matrix, as_vector, distinct_rows,
+                       linear_solve, ordered_rows, solve_lp)
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
@@ -82,11 +85,9 @@ class PolyCone:
     def from_generators(cls, rays) -> "PolyCone":
         """Build the cone spanned by ``rays``; compute facets by enumeration.
 
-        Facet normals come from (dim-1)-subsets of rays whose span is a
-        hyperplane with all rays on one side, enumerated in the blocks of
-        :func:`~conesemi.numerics.subset_blocks` by stacked determinants and
-        one sign test per block; the surviving rays are then reduced to the
-        extreme ones.
+        The rays are scaled to unit length once; the facets come from
+        :func:`_enumerate_facets`, and the extreme rays, judged on their
+        directions, are returned at the caller's lengths.
         Pointedness is read off the facets: a full-dimensional cone is pointed
         exactly when its dual is, that is, when the facet normals span the
         space.  Only when they do not (or when no facet exists, or the rays
@@ -102,9 +103,11 @@ class PolyCone:
         if np.any(norms < 1e-14):
             raise MalformedProblem("zero ray among the generators")
 
-        R = _dedup_directions(R)
+        U = R / norms[:, None]
+        keep = _dedup_directions(U)
+        R, U = R[keep], U[keep]
         if np.linalg.matrix_rank(R, tol=1e-10) < n:
-            _check_pointed(R)
+            _check_pointed(U)
             raise NotGenerating(
                 "rays do not span the ambient space; the facet description of a "
                 "lower-dimensional cone needs equalities, which PolyCone does not carry"
@@ -112,17 +115,16 @@ class PolyCone:
 
         if n == 1:
             if R.shape[0] > 1:
-                _check_pointed(R)
+                _check_pointed(U)
             facets = np.array([[1.0 if R[0, 0] > 0 else -1.0]])
             return cls(R[:1], facets)
 
-        facets = _enumerate_facets(R)
+        facets = _enumerate_facets(U)
         if np.linalg.matrix_rank(facets, tol=1e-10) < n:
-            _check_pointed(R)
+            _check_pointed(U)
             if facets.shape[0] == 0:
                 raise NotGenerating("no facet found; rays do not describe a solid cone")
-        gens = _extreme_rays(R, facets)
-        return cls(gens, facets)
+        return cls(R[_extreme_rays(U, facets)], facets)
 
     @classmethod
     def standard_orthant(cls, n: int) -> "PolyCone":
@@ -239,23 +241,23 @@ class PolyCone:
         )
 
 
-def _dedup_directions(R: np.ndarray) -> np.ndarray:
-    """The rays whose unit vectors :func:`~conesemi.numerics.distinct_rows` keeps at 1e-10."""
-    return R[distinct_rows(R / np.linalg.norm(R, axis=1, keepdims=True), 1e-10)]
+def _dedup_directions(U: np.ndarray) -> np.ndarray:
+    """Indices of the unit rays :func:`~conesemi.numerics.distinct_rows` keeps at 1e-10."""
+    return distinct_rows(U, 1e-10)
 
 
-def _check_pointed(R: np.ndarray) -> None:
-    """No ray's negative may lie in ``cone(R)``.
+def _check_pointed(U: np.ndarray) -> None:
+    """No ray's negative may lie in ``cone(U)``, ``U`` unit rays.
 
     In coordinates of the rays' span (SVD, rank at 1e-10 relative), with the
-    rays scaled to unit length, the cone is solid, and a ray lies on a line
+    rays rescaled to unit length, the cone is solid, and a ray lies on a line
     of it exactly when every facet normal from :func:`_enumerate_facets`
     vanishes on it at that enumerator's 1e-10.  With no facet every ray
     does; in a 1-D span every ray does when their signs are mixed.
     """
-    U, s, _ = np.linalg.svd(R, full_matrices=False)
+    W, s, _ = np.linalg.svd(U, full_matrices=False)
     span = s > 1e-10 * s[0]
-    C = U[:, span] * s[span]
+    C = W[:, span] * s[span]
     C = C / np.linalg.norm(C, axis=1, keepdims=True)
     if C.shape[1] == 1:
         on_line = np.full(C.shape[0], np.min(C) < 0.0 < np.max(C))
@@ -265,34 +267,18 @@ def _check_pointed(R: np.ndarray) -> None:
         raise NotPointed(f"both ray {int(np.argmax(on_line))} and its negative belong to the cone")
 
 
-def _enumerate_facets(R: np.ndarray) -> np.ndarray:
-    """Facet normals of ``cone(R)``, scaled to a largest entry of +-1, sorted;
-    an empty (0, n) array when there is none.
+def _enumerate_facets(U: np.ndarray) -> np.ndarray:
+    """Facet normals of the solid ``cone(U)``, ``U`` unit rays, at a largest
+    entry of +-1, sorted; an empty (0, n) array when there is none.
 
-    The normal of the span of n-1 rays is their generalized cross product,
-    the signed minors of the (n-1) x n matrix: exact for small integer data,
-    and zero exactly when the rows span less than a hyperplane.  A block of
-    :func:`~conesemi.numerics.subset_blocks` costs one stacked determinant
-    per deleted column and one matrix product for the sign test against
-    every ray; the facets are the rows :func:`~conesemi.numerics.distinct_rows`
-    keeps at 1e-10, sorted by :func:`~conesemi.numerics.ordered_rows`.
-    """
-    k, n = R.shape
-    found = [np.empty((0, n))]
-    scale = max(1.0, float(np.max(np.abs(R)))) ** max(n - 1, 1)
-    cols = np.arange(n)
-    signs = (-1.0) ** cols
-    for block in subset_blocks(k, n - 1):
-        M = R[block]
-        normals = np.stack([np.linalg.det(M[:, :, cols != i]) for i in range(n)], axis=1) * signs
-        normals = normals[np.max(np.abs(normals), axis=1) > 1e-10 * scale]
-        pivots = normals[np.arange(normals.shape[0]), np.argmax(np.abs(normals), axis=1)]
-        normals = normals / pivots[:, None]
-        P = normals @ R.T
-        ok = np.stack([np.min(P, axis=1) >= -1e-10, np.max(P, axis=1) <= 1e-10], axis=1)
-        found.append(np.stack([normals, -normals], axis=1)[ok] + 0.0)
-    cands = np.concatenate(found)
-    return ordered_rows(cands[distinct_rows(cands, 1e-10)])
+    The rays' sum ``c`` is interior, so the facet normals, rescaled, are the
+    vertices of the slice ``{f : U f >= 0, <c, f> = 1}``.  The loop's
+    feasibility rule grows with the slice, so a normal must also leave no
+    ray more than 1e-10 on its far side; facets are distinct at 1e-10."""
+    F = _active_set_vertices(U, np.zeros(U.shape[0]), U.sum(axis=0)[None, :], np.ones(1))
+    F = F / np.max(np.abs(F), axis=1, keepdims=True) + 0.0
+    F = F[np.min(F @ U.T, axis=1) >= -1e-10]
+    return ordered_rows(F[distinct_rows(F, 1e-10)])
 
 
 def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list[Witness]:
@@ -328,14 +314,13 @@ def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list
     return witnesses
 
 
-def _extreme_rays(R: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    """The rays on which the facets active at them have rank ``dim - 1``.
+def _extreme_rays(U: np.ndarray, facets: np.ndarray) -> np.ndarray:
+    """A mask of the unit rays whose active facets have rank ``dim - 1``.
 
     One stacked rank call: ray i's matrix is the facet table with its
-    inactive rows zeroed, which leaves the singular values unchanged.
-    """
-    active = np.abs(R @ facets.T) <= 1e-9 * (1.0 + np.max(np.abs(R), axis=1, keepdims=True))
-    keep = np.linalg.matrix_rank(active[:, :, None] * facets, tol=1e-10) == R.shape[1] - 1
+    inactive rows zeroed, which leaves the singular values unchanged."""
+    active = np.abs(U @ facets.T) <= 1e-9 * (1.0 + np.max(np.abs(U), axis=1, keepdims=True))
+    keep = np.linalg.matrix_rank(active[:, :, None] * facets, tol=1e-10) == U.shape[1] - 1
     if not keep.any():
         raise NotGenerating("no extreme ray survived facet reduction")
-    return R[keep]
+    return keep

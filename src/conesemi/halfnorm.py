@@ -380,8 +380,9 @@ def _face_extrema(V: np.ndarray, U: np.ndarray, C: np.ndarray, sense: str):
 
 def _projected_vertices(G: np.ndarray, h: np.ndarray, dim: int) -> np.ndarray:
     """The vertices of ``{w : G w >= h}`` in their first ``dim`` coordinates,
-    read-only."""
-    table = np.ascontiguousarray(vertex_table((G, h))[:, :dim])
+    exact repeats after the projection dropped (ties keep the first), read-only."""
+    P = vertex_table((G, h))[:, :dim]
+    table = np.ascontiguousarray(P[distinct_rows(P, 0.0)])
     table.flags.writeable = False
     return table
 

@@ -1,19 +1,23 @@
 """Dense linear-algebra and linear-programming kernel.
 
 Everything downstream (cones, half-norms, dissipativity certificates) reduces
-to the operations in this module: the LP solver, the vertex enumeration,
-dense LU solves, the O(n) tridiagonal solve of the Dirichlet stencil, and
-the matrix exponential.  The LP solver is a two-phase dense simplex with
-Bland's anti-cycling rule: problem sizes here are tiny (a few hundred
-variables at most for the finest Dirichlet grid), so a transparent,
-deterministic tableau beats a sophisticated solver.
+to the operations in this module: the LP solver, the active-set enumeration
+of vertices and facet normals, dense LU solves, the O(n) tridiagonal solve of
+the Dirichlet stencil, and the matrix exponential.  The LP solver is a
+two-phase dense simplex with Bland's anti-cycling rule: problem sizes here
+are tiny (a few hundred variables at most for the finest Dirichlet grid), so
+a transparent, deterministic tableau beats a sophisticated solver.
 
 Tolerances: feasibility 1e-9, relative pivot threshold 1e-12.  Downstream
-modules inherit these.  Every enumerated table keeps the rows that
-:func:`distinct_rows` keeps, in the order of :func:`ordered_rows` (12-decimal
-keys): facet normals, largest entry +-1, at 1e-10; unit ray directions at
-1e-10; vertices, after a collapse of 12-decimal repeats, at
-``1e-9 (1 + ||x||_inf)``; the vertices of a subdifferential at 1e-9.
+modules inherit these.  :func:`_active_set_vertices`, the one active-set
+loop, skips a set ``[G_S; E]`` whose determinant is 0 or whose unit rows
+``G_S`` span a volume of at most 1e-10, and keeps a solution whose residual
+is within ``1e-8 (1 + max |rhs|)`` and with ``G x >= h - 1e-9 (1 + ||x||_inf)``.
+Every enumerated table keeps the rows that :func:`distinct_rows` keeps, in
+the order of :func:`ordered_rows` (12-decimal keys): facet normals, largest
+entry +-1, at 1e-10; unit ray directions at 1e-10; vertices, after a
+collapse of 12-decimal repeats, at ``1e-9 (1 + ||x||_inf)``; the vertices of
+a subdifferential at 1e-9.
 
 The LU and tridiagonal solvers import ``scipy.linalg`` on first use: it is
 most of the cost of importing the package, and many runs never factor a
@@ -45,9 +49,9 @@ EXP_MAX_NORM = 1e5
 # before a squaring: the products of the rest, at least 2^-1022 max^2, stay
 # normal
 FLUSH_REL = 2.0**-511
-# Subsets per stacked LAPACK call in the subset enumerations (facets,
-# vertices); bounds their memory
-SUBSET_BLOCK = 4096
+# Active sets per stacked LAPACK call in _active_set_vertices, the one
+# enumeration loop behind facets and vertices; bounds its memory
+SUBSET_BLOCK = 2048
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -301,37 +305,46 @@ def subset_blocks(m: int, r: int):
 
 
 def vertex_table(ineq: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """All vertices of ``{x : G x >= h}``, one per row, from batched
-    active-set solves.
-
-    The ``C(m, n)`` active sets are solved ``SUBSET_BLOCK`` at a time, each
-    block in one stacked LAPACK call, so memory stays bounded; callers bound
-    ``C(m, n)`` themselves.  A set counts as singular when the determinant
-    of its rows, scaled to unit length (a zero row stays zero), is at most
-    1e-10.  Repeats to 12 decimals collapse, then :func:`distinct_rows`
-    and :func:`ordered_rows` apply.  Unbounded polyhedra without a full
-    active set yield fewer (possibly zero) rows.
-    """
-    G, h = ineq
-    G = as_matrix(G)
-    h = as_vector(h, dim=G.shape[0])
-    m, n = G.shape
-    norms = np.linalg.norm(G, axis=1, keepdims=True)
-    unit = np.divide(G, norms, out=np.zeros_like(G), where=norms > 0)
-    scale = 1.0 + float(np.max(np.abs(h), initial=0.0))
-    found = [np.empty((0, n))]
-    for subsets in subset_blocks(m, n):
-        idx = subsets[np.abs(np.linalg.det(unit[subsets])) > 1e-10]
-        M, rhs = G[idx], h[idx]
-        X = np.linalg.solve(M, rhs[..., None])[..., 0].reshape(-1, n)
-        ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - rhs), axis=1, initial=0.0) <= 1e-8 * scale
-        ok &= np.min(X @ G.T - h, axis=1) >= -FEAS_TOL * (1.0 + np.max(np.abs(X), axis=1))
-        found.append(X[ok])
-    X = np.concatenate(found)
+    """All vertices of ``{x : G x >= h}``, one per row: the candidates of
+    :func:`_active_set_vertices` (callers bound ``C(m, n)``), repeats to 12
+    decimals collapsed, then :func:`distinct_rows` and :func:`ordered_rows`.
+    Unbounded polyhedra without a full active set yield fewer (possibly
+    zero) rows."""
+    G = as_matrix(ineq[0])
+    h = as_vector(ineq[1], dim=G.shape[0])
+    X = _active_set_vertices(G, h, np.empty((0, G.shape[1])), np.empty(0))
     # exact repeats (degenerate vertices) collapse on 12-decimal keys first
     _, first = np.unique(np.round(X, 12) + 0.0, axis=0, return_index=True)
     X = X[np.sort(first)]
     return ordered_rows(X[distinct_rows(X, 1e-9 * (1.0 + np.max(np.abs(X), axis=1)))])
+
+
+def _active_set_vertices(G: np.ndarray, h: np.ndarray, E: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The vertices of ``{x : G x >= h, E x = d}``, in subset order with
+    repeats: the solutions of ``M x = [h_S; d]``, ``M = [G_S; E]``, over the
+    ``(n - r)``-subsets ``S`` of the rows of ``G`` that pass the module's
+    rules.  The volume of ``G_S`` is ``|det M|`` times that of ``Y``, the
+    last ``r`` columns of ``M^-1``."""
+    (m, n), r = G.shape, E.shape[0]
+    rows, rhs = np.vstack([G, E]), np.concatenate([h, d])
+    norms = np.linalg.norm(G, axis=1)
+    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
+    found = [np.empty((0, n))]
+    for subsets in subset_blocks(m, n - r):
+        idx = np.hstack([subsets, np.broadcast_to(np.arange(m, m + r), (len(subsets), r))])
+        M = rows[idx]
+        det = np.abs(np.linalg.det(M))
+        bound = 1e-10 * np.prod(norms[subsets], axis=1)
+        regular = det > (0.0 if r else bound)
+        M, det, bound, b = M[regular], det[regular], bound[regular], rhs[idx[regular]]
+        X = np.linalg.solve(M, b[..., None])[..., 0].reshape(-1, n)
+        ok = np.max(np.abs(np.einsum("kij,kj->ki", M, X) - b), axis=1, initial=0.0) <= 1e-8 * scale
+        ok &= np.min(X @ G.T - h, axis=1) >= -FEAS_TOL * (1.0 + np.max(np.abs(X), axis=1))
+        if r:  # the volume test, on the feasible sets only
+            Y = np.linalg.solve(M[ok], np.broadcast_to(np.eye(n, r, r - n), (int(ok.sum()), n, r)))
+            ok[ok] = det[ok] * np.sqrt(np.abs(np.linalg.det(Y.transpose(0, 2, 1) @ Y))) > bound[ok]
+        found.append(X[ok])
+    return np.concatenate(found)
 
 
 def distinct_rows(X: np.ndarray, tol) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Cone algebra: dual descriptions, order queries, positive parts, totality.
 
-The batched facet enumeration is checked bit for bit against the loop it
-replaced, kept here as the oracle.  ``is_total`` is checked against its own
+The facet enumeration, which solves for the vertices of the slice
+``{f : U f >= 0, <c, f> = 1}`` of the dual cone, is checked to 1e-11 against
+the generalized-cross-product loops it replaced, kept here as independent
+oracles.  ``is_total`` is checked against its own
 per-facet LP run on every facet, and against scipy's HiGHS where that LP
 gives up.
 """
@@ -84,8 +86,8 @@ def hyperplane_normal(M):
 
 
 def loop_enumerate_facets(R):
-    """Facet enumeration one subset at a time: the oracle for the batched
-    ``_enumerate_facets``."""
+    """Facet enumeration one subset at a time by generalized cross products:
+    an independent oracle for ``_enumerate_facets``."""
     k, n = R.shape
     found = []
     seen = set()
@@ -109,8 +111,8 @@ def loop_enumerate_facets(R):
 
 
 def seen_set_enumerate_facets(R):
-    """The batched enumeration with a per-candidate ``seen`` set in place of
-    ``np.unique``: the oracle for its de-duplication."""
+    """Batched generalized cross products, de-duplicated by a per-candidate
+    ``seen`` set: an independent oracle for the facets of a build."""
     k, n = R.shape
     found = []
     seen = set()
@@ -135,20 +137,25 @@ def seen_set_enumerate_facets(R):
 
 
 def loop_extreme_rays(R, facets):
-    """One rank call per ray: the oracle for the stacked ``_extreme_rays``."""
+    """One rank call per ray, activity judged on its unit direction: the
+    oracle for the stacked ``_extreme_rays``."""
     n = R.shape[1]
     keep = []
-    for i, g in enumerate(R):
+    for i, g in enumerate(R / np.linalg.norm(R, axis=1, keepdims=True)):
         active = facets[np.abs(facets @ g) <= 1e-9 * (1.0 + np.max(np.abs(g)))]
         if active.shape[0] >= n - 1 and np.linalg.matrix_rank(active, tol=1e-10) == n - 1:
             keep.append(i)
     return R[keep]
 
 
+def unit_rows(R):
+    return R / np.linalg.norm(R, axis=1, keepdims=True)
+
+
 def loop_dedup_directions(R):
     """Greedy de-duplication one ray at a time: the oracle for the pairwise
     ``_dedup_directions``."""
-    return R[loop_distinct_rows(R / np.linalg.norm(R, axis=1, keepdims=True), 1e-10)]
+    return R[loop_distinct_rows(unit_rows(R), 1e-10)]
 
 
 def count_lp_calls(monkeypatch):
@@ -245,6 +252,65 @@ class TestConstruction:
         assert pyramid.generators.shape[0] == 4
 
 
+class TestRayScale:
+    """A cone depends only on its rays' directions, so rescaling rays must
+    not change how many extreme rays and facets a build finds."""
+
+    @pytest.mark.parametrize("s", [1e4, 1e5, 1e8, 1e12])
+    def test_orthant_with_one_long_ray(self, s):
+        K = PolyCone.from_generators(np.diag([1.0, 1.0, s]))
+        assert K.generators.shape == (3, 3)
+        assert K.facets.shape == (3, 3)
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6])
+    def test_uniformly_shrunk_pyramid(self, s):
+        rays = np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1], [0.7, 0.7, 1]])
+        K = PolyCone.from_generators(s * rays)
+        assert K.generators.shape == (5, 3)
+        assert K.facets.shape == (5, 3)
+
+    def test_pyramids_with_rays_scaled_by_powers_of_two(self):
+        # every ray of sphere_rays is extreme, so a build finds all k or
+        # raises; the builds that raise (18 of 200) trip PolyCone's absolute
+        # MEMBER_TOL check on the caller's long rays (ROADMAP item 6)
+        rng = np.random.default_rng(14)
+        built = 0
+        for _ in range(200):
+            n, k = int(rng.integers(3, 5)), int(rng.integers(5, 9))
+            rays = sphere_rays(rng, n, k) * 2.0 ** rng.integers(-20, 21, (k, 1))
+            try:
+                K = PolyCone.from_generators(rays)
+            except MalformedProblem:
+                continue
+            assert K.generators.shape[0] == k
+            built += 1
+        assert built >= 180
+
+    @pytest.mark.parametrize("n, eps", [(3, 1e-6), (3, 1e-8), (4, 1e-4), (6, 0.01), (10, 0.08)])
+    def test_narrow_simplicial_cones(self, n, eps):
+        # every facet normal is nearly orthogonal to the interior point that
+        # slices the dual cone; the facets must still all be found
+        K = PolyCone.from_generators(np.vstack([np.eye(n)[0], np.eye(n)[0] + eps * np.eye(n)[1:]]))
+        assert K.generators.shape == (n, n)
+        assert K.facets.shape == (n, n)
+
+    def test_narrow_pyramid(self):
+        z = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0.7, 0.7]])
+        K = PolyCone.from_generators(np.hstack([np.ones((5, 1)), 1e-6 * z]))
+        assert K.generators.shape == (5, 3)
+        assert K.facets.shape == (5, 3)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e3])
+    def test_ray_just_off_an_edge(self, s):
+        # the hyperplane through (1, 0, 1) and (0, 1, 1) leaves the fifth ray
+        # about 1.6e-9 outside at unit length: it is no facet, and every ray
+        # is extreme
+        R = np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1], [0.5 + 1e-9, 0.5 + 1e-9, 1]])
+        K = PolyCone.from_generators(s * R)
+        assert K.generators.shape == (5, 3)
+        assert K.facets.shape == (5, 3)
+
+
 REJECTED_RAY_SETS = [
     ([[1, 0], [-1, 0]], NotPointed, 0),
     ([[1, 1], [1, -1], [-1, 0]], NotPointed, 0),
@@ -334,16 +400,17 @@ class TestFacetEnumeration:
                 sets.append(np.hstack([np.ones((k + 2, 1)), grid]).astype(float))
         square = [[1.0, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1], [0, 1, 1], [1, 0, 1]]
         sets.append(np.array(square))
-        return sets
+        # a solid cone is the contract: its rays' sum is an interior point
+        return [R for R in sets if np.linalg.matrix_rank(R) == R.shape[1]]
 
-    def test_batched_equals_loop_bit_for_bit(self, monkeypatch):
+    def test_batched_matches_the_cross_product_loop(self, monkeypatch):
         for R in self.ray_sets():
             expected = loop_enumerate_facets(R)
             for block in (7, numerics.SUBSET_BLOCK):
                 monkeypatch.setattr(numerics, "SUBSET_BLOCK", block)
-                got = _enumerate_facets(R)
+                got = _enumerate_facets(unit_rows(R))
                 assert got.shape == expected.shape
-                assert got.tobytes() == expected.tobytes()
+                assert np.max(np.abs(got - expected)) <= 1e-11
 
     def test_no_facet_is_an_empty_table(self):
         assert _enumerate_facets(np.vstack([np.eye(3), -np.eye(3)])).shape == (0, 3)
@@ -388,13 +455,14 @@ class TestBuildOracle:
                               [0.5 + 1e-8, 0.5 + 1e-8, 1]]))
         return [R for R in sets if np.linalg.matrix_rank(R) == R.shape[1]]
 
-    def test_stacked_build_equals_the_loops_bit_for_bit(self):
+    def test_stacked_build_matches_the_loops(self):
         for R in self.ray_sets():
             K = PolyCone.from_generators(R)
-            kept = _dedup_directions(R)
+            kept = R[_dedup_directions(unit_rows(R))]
             facets = seen_set_enumerate_facets(kept)
-            assert K.facets.tobytes() == facets.tobytes()
-            assert K.generators.tobytes() == loop_extreme_rays(kept, facets).tobytes()
+            assert K.facets.shape == facets.shape
+            assert np.max(np.abs(K.facets - facets)) <= 1e-11
+            assert K.generators.tobytes() == loop_extreme_rays(kept, K.facets).tobytes()
 
 
 class TestDedupDirections:
@@ -408,14 +476,14 @@ class TestDedupDirections:
             sets.append(np.vstack([rays, rays[picks] * rng.uniform(0.5, 3.0, (2 * n, 1))]))
             sets.append(np.vstack([rays, rays[picks] + 1e-12 * rng.standard_normal((2 * n, n))]))
         for R in sets:
-            assert _dedup_directions(R).tobytes() == loop_dedup_directions(R).tobytes()
+            assert R[_dedup_directions(unit_rows(R))].tobytes() == loop_dedup_directions(R).tobytes()
 
     def test_chain_of_near_duplicates(self):
         # each ray within the tolerance of the next, every second one apart:
         # the greedy pass keeps rays 0, 2 and 4, and e1 repeats ray 0
         chain = [np.array([1.0, j * 0.6e-10, 0.0]) for j in range(5)]
         R = np.vstack([*chain, np.eye(3)])
-        got = _dedup_directions(R)
+        got = R[_dedup_directions(unit_rows(R))]
         assert got.tobytes() == loop_dedup_directions(R).tobytes()
         assert got.tobytes() == R[[0, 2, 4, 6, 7]].tobytes()
 

@@ -34,11 +34,13 @@ from conesemi.halfnorm import (
     OrderUnitGauge,
     RegularizedGauge,
     WeightedNorm,
+    _face_extrema,
     _support,
+    _unit_rows,
     regularized_norm,
 )
 from conesemi.errors import ProblemFileError
-from conesemi.numerics import LpProblem, solve_lp, vertex_table
+from conesemi.numerics import LpProblem, distinct_rows, solve_lp, vertex_table
 from conesemi.problemfile import ProblemFile
 from oracles import enumerate_vertices
 
@@ -500,6 +502,26 @@ class TestTablePath:
         kinds = {(p.variant, p.norm.kind) for p, _, _ in cases}
         assert len(kinds) == 4
         assert len(cases) == 41
+
+    def test_projected_repeats_leave_every_answer_bitwise(self, cases):
+        # the table drops the rows that repeat exactly after the projection;
+        # values and face extrema equal those of the unreduced table bit for bit
+        rng = np.random.default_rng(130)
+        dropped = 0
+        for p, X, C in cases:
+            full = vertex_table(p._polar)[:, : p.dim]
+            table = p._table
+            assert distinct_rows(table, 0.0).size == table.shape[0]
+            dropped += full.shape[0] - table.shape[0]
+            U = _unit_rows(np.vstack([X, rng.standard_normal((40, p.dim))]))[0]
+            D = rng.standard_normal(U.shape)
+            assert np.max(U @ table.T, axis=1).tobytes() == np.max(U @ full.T, axis=1).tobytes()
+            for sense in ("min", "max"):
+                got = _face_extrema(table, U, D, sense)
+                expected = _face_extrema(full, U, D, sense)
+                assert got[0].tobytes() == expected[0].tobytes()
+                assert got[1].tobytes() == expected[1].tobytes()
+        assert dropped > 0
 
     def test_values_against_lps(self, cases):
         for p, X, _ in cases:

@@ -196,6 +196,26 @@ class TestVertexTable:
         assert table.tobytes() == np.array([[0.0], [1.2e-9]]).tobytes()
         assert len(enumerate_vertices((G, h))) == 2
 
+    def test_held_equality_rows_match_the_oracle(self, monkeypatch):
+        # the kernel holds E x = d active in every set; the oracle takes it
+        # as the two inequality blocks E x >= d and -E x >= -d
+        rng = np.random.default_rng(2027)
+        for trial in range(40):
+            n = int(rng.integers(2, 5))
+            r = int(rng.integers(1, n))
+            m = int(rng.integers(1, 6))
+            G = np.vstack([rng.normal(size=(m, n)), np.eye(n), -np.eye(n)])
+            h = -rng.uniform(0.1, 2.0, G.shape[0])
+            E = rng.normal(size=(r, n))
+            d = 0.3 * rng.normal(size=r)
+            monkeypatch.setattr(numerics, "SUBSET_BLOCK", 7 if trial % 2 else 2048)
+            X = numerics._active_set_vertices(G, h, E, d)
+            got = ordered_rows(X[distinct_rows(X, 1e-9 * (1.0 + np.max(np.abs(X), axis=1)))])
+            expected = enumerate_vertices((np.vstack([G, E, -E]), np.concatenate([h, d, -d])))
+            assert got.shape == (len(expected), n)
+            for v in expected:
+                assert np.min(np.max(np.abs(got - v), axis=1)) <= 1e-9
+
     def test_subset_blocks_are_lexicographic(self, monkeypatch):
         monkeypatch.setattr(numerics, "SUBSET_BLOCK", 4)
         blocks = list(subset_blocks(6, 3))
