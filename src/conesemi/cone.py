@@ -39,6 +39,7 @@ from .numerics import (LpProblem, _active_set_vertices, as_matrix, as_vector, di
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
+TOTALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +74,11 @@ class PolyCone:
         self.is_orthant = bool(
             np.array_equal(self.generators, eye) and np.array_equal(self.facets, eye)
         )
-        if not self.is_orthant and np.min(self.generators @ self.facets.T) < -MEMBER_TOL:
-            raise MalformedProblem("a generator violates a facet inequality")
+        if not self.is_orthant:  # judged on unit rows: no length of a ray or normal counts
+            G, F = (X / np.fmax(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
+                    for X in (self.generators, self.facets))
+            if np.min(G @ F.T) < -MEMBER_TOL:
+                raise MalformedProblem("a generator violates a facet inequality")
         self.generators.flags.writeable = False
         self.facets.flags.writeable = False
         self._memo_slot: tuple[bytes, object] | None = None
@@ -150,15 +154,15 @@ class PolyCone:
 
     # -- order queries -----------------------------------------------------
 
-    def contains(self, x, tol: float = MEMBER_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, dim=self.dim)
-        return bool(np.min(self.facets @ x) >= -tol)
+        return bool(np.min(self.facets @ x) >= -MEMBER_TOL)
 
-    def leq(self, x, y, tol: float = MEMBER_TOL) -> bool:
+    def leq(self, x, y) -> bool:
         """Order relation: x <= y when y - x lies in the cone."""
         x = as_vector(x, dim=self.dim)
         y = as_vector(y, dim=self.dim)
-        return self.contains(y - x, tol=tol)
+        return self.contains(y - x)
 
     def is_lattice(self) -> bool:
         """Simplicial test: exactly dim independent extreme rays."""
@@ -176,10 +180,10 @@ class PolyCone:
         coords = linear_solve(self.generators.T, x)
         return self.generators.T @ np.maximum(coords, 0.0)
 
-    def is_order_unit(self, u, tol: float = MEMBER_TOL) -> bool:
+    def is_order_unit(self, u) -> bool:
         """Interior-point test: strictly positive against every facet."""
         u = as_vector(u, dim=self.dim)
-        return bool(np.min(self.facets @ u) > tol)
+        return bool(np.min(self.facets @ u) > MEMBER_TOL)
 
     def certify_functional(self, coords) -> DualVector:
         """Check dual-cone membership and attach the certificate."""
@@ -191,7 +195,7 @@ class PolyCone:
             )
         return DualVector(v, certified_positive=True)
 
-    def is_total(self, phis: list[DualVector], tol: float = 1e-9) -> Report:
+    def is_total(self, phis: list[DualVector]) -> Report:
         """Decide whether joint nonnegativity against ``phis`` implies membership.
 
         Every member is certified, so ``cone(phis)`` lies in the dual cone K',
@@ -200,37 +204,38 @@ class PolyCone:
         an extreme ray of K', so it lies in ``cone(phis)`` only as a positive
         multiple of a member.  Hence a facet passes at once when the member
         phi most parallel to it satisfies ``||f - c phi||_1 <= tol`` with
-        ``c = max(<f,phi>, 0) / <phi,phi>``: on the box ``||x||_inf <= 1``
-        that gives ``<x,f> >= c <x,phi> - tol >= -tol``, the verdict the
-        facet's LP reaches.  Only the facets with no such member go to that
-        LP, ``min <x,f>`` over ``{<x,phi> >= 0, ||x||_inf <= 1}``; the family
-        is total exactly when every optimum clears ``-tol``, and the LP point
-        is the witness of a ``fails``.  The box bound is lossless by
-        homogeneity.  This is a complete check, not a sampled one.
+        ``c = max(<f,phi>, 0) / <phi,phi>`` and ``tol = TOTALITY_TOL``: on the
+        box ``||x||_inf <= 1`` that gives ``<x,f> >= c <x,phi> - tol >= -tol``,
+        the verdict the facet's LP reaches.  Only the facets with no such
+        member go to that LP, ``min <x,f>`` over ``{<x,phi> >= 0,
+        ||x||_inf <= 1}``; the family is total exactly when every optimum
+        clears ``-tol``, and the LP point is the witness of a ``fails``.  The
+        box bound is lossless by homogeneity.  This is a complete check, not a
+        sampled one.
         """
         if not phis:
             raise EmptyPhi("totality asked for an empty functional family")
-        rows = []
         for i, phi in enumerate(phis):
             if not isinstance(phi, DualVector) or not phi.certified_positive:
                 raise NotPositiveFunctional(f"phi[{i}] lacks a positivity certificate")
-            rows.append(as_vector(phi.coords, dim=self.dim))
-        Phi = np.vstack(rows)
+            if phi.dim != self.dim:
+                raise DimensionMismatch(f"phi[{i}] has dimension {phi.dim}, not {self.dim}")
+        Phi = np.vstack([phi.coords for phi in phis])
         F = self.facets
         sq = np.sum(Phi * Phi, axis=1)
         sq[sq == 0.0] = 1.0  # a zero member gets c = 0: its residual is ||f||_1
         best = np.argmax((F @ Phi.T) / np.sqrt(sq), axis=1)
         near = Phi[best]
         c = np.maximum(np.sum(F * near, axis=1), 0.0) / sq[best]
-        matched = np.sum(np.abs(F - c[:, None] * near), axis=1) <= tol
-        witnesses = _facet_lp_witnesses(Phi, F[~matched], tol)
+        matched = np.sum(np.abs(F - c[:, None] * near), axis=1) <= TOTALITY_TOL
+        witnesses = _facet_lp_witnesses(Phi, F[~matched], TOTALITY_TOL)
         verdict = FAILS if witnesses else HOLDS
         return Report(
             name="total_set",
             verdict=verdict,
             witnesses=witnesses,
             samples_used=0,
-            tolerance=tol,
+            tolerance=TOTALITY_TOL,
             notes=["exact facet-LP check"],
         )
 
@@ -317,9 +322,11 @@ def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list
 def _extreme_rays(U: np.ndarray, facets: np.ndarray) -> np.ndarray:
     """A mask of the unit rays whose active facets have rank ``dim - 1``.
 
-    One stacked rank call: ray i's matrix is the facet table with its
-    inactive rows zeroed, which leaves the singular values unchanged."""
-    active = np.abs(U @ facets.T) <= 1e-9 * (1.0 + np.max(np.abs(U), axis=1, keepdims=True))
+    A facet is active on a ray within 1e-10, the tolerance of the facet sign
+    test in :func:`_enumerate_facets`.  One stacked rank call: ray i's matrix
+    is the facet table with its inactive rows zeroed, which leaves the
+    singular values unchanged."""
+    active = np.abs(U @ facets.T) <= 1e-10
     keep = np.linalg.matrix_rank(active[:, :, None] * facets, tol=1e-10) == U.shape[1] - 1
     if not keep.any():
         raise NotGenerating("no extreme ray survived facet reduction")

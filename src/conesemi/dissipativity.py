@@ -36,6 +36,7 @@ from .numerics import (
 from .report import FAILS, HOLDS, INCONCLUSIVE, Report, Witness
 
 POINT_TOL = 1e-9
+METZLER_TOL = 1e-12
 # has_positive_off_diagonal: a pair (g, f) is orthogonal when <g, f> <= this
 POD_PAIR_TOL = 1e-10
 
@@ -79,14 +80,14 @@ class PolyhedralSet:
                 return block[0].shape[1]
         return None
 
-    def contains(self, x, tol: float = POINT_TOL) -> bool:
+    def contains(self, x) -> bool:
         """One row of :meth:`contains_rows`."""
-        return bool(self.contains_rows(as_vector(x)[None, :], tol)[0])
+        return bool(self.contains_rows(as_vector(x)[None, :])[0])
 
-    def contains_rows(self, X, tol: float = POINT_TOL) -> np.ndarray:
-        """Membership of each row of ``X``, at ``tol`` times ``1 + ||x||_inf``."""
+    def contains_rows(self, X) -> np.ndarray:
+        """Membership of each row of ``X``, at ``POINT_TOL`` times ``1 + ||x||_inf``."""
         X = as_matrix(X)
-        slack = tol * (1.0 + np.max(np.abs(X), axis=1))
+        slack = POINT_TOL * (1.0 + np.max(np.abs(X), axis=1))
         inside = np.ones(X.shape[0], dtype=bool)
         if self.ineq is not None:
             G, h = self.ineq
@@ -114,30 +115,30 @@ class LinOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def in_domain(self, x, tol: float = POINT_TOL) -> bool:
-        return self.domain is None or self.domain.contains(x, tol=tol)
+    def in_domain(self, x) -> bool:
+        return self.domain is None or self.domain.contains(x)
 
 
-def _dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float, sense: str):
+def _dissipative_at(op: LinOp, halfnorm: HalfNorm, x, sense: str):
     x = as_vector(x, dim=op.dim)
     if not op.in_domain(x):
         raise OutsideDomain("dissipativity asked outside the operator domain")
     m, _ = halfnorm.pairing_extremum(x, op.matrix @ x, sense)
-    return m <= tol, m
+    return m <= POINT_TOL, m
 
 
-def is_dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float = POINT_TOL):
+def is_dissipative_at(op: LinOp, halfnorm: HalfNorm, x):
     """Best-case pairing: exists a subgradient with ``<Ax, u> <= 0``?
 
     Returns ``(verdict, margin)`` where the margin is the exact minimum of
     ``<Ax, u>`` over the subdifferential at ``x``.
     """
-    return _dissipative_at(op, halfnorm, x, tol, "min")
+    return _dissipative_at(op, halfnorm, x, "min")
 
 
-def is_strictly_dissipative_at(op: LinOp, halfnorm: HalfNorm, x, tol: float = POINT_TOL):
+def is_strictly_dissipative_at(op: LinOp, halfnorm: HalfNorm, x):
     """Worst-case pairing: every subgradient must satisfy ``<Ax, u> <= 0``."""
-    return _dissipative_at(op, halfnorm, x, tol, "max")
+    return _dissipative_at(op, halfnorm, x, "max")
 
 
 def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
@@ -201,11 +202,7 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
 
 
 def certify_dissipative(
-    op: LinOp,
-    halfnorm: HalfNorm,
-    n_samples: int = 100,
-    seed: int = 0,
-    tol: float = POINT_TOL,
+    op: LinOp, halfnorm: HalfNorm, n_samples: int = 100, seed: int = 0
 ) -> Report:
     """Sampled certificate of dissipativity over the operator domain.
 
@@ -223,7 +220,7 @@ def certify_dissipative(
         witnesses = [
             Witness(point=X[i], functional=functionals[i], margin=float(margins[i]),
                     label=labels[i])
-            for i in np.flatnonzero(margins > tol)
+            for i in np.flatnonzero(margins > POINT_TOL)
         ]
     verdict = FAILS if witnesses else INCONCLUSIVE
     if witnesses:
@@ -235,33 +232,33 @@ def certify_dissipative(
         verdict=verdict,
         witnesses=witnesses,
         samples_used=len(labels),
-        tolerance=tol,
+        tolerance=POINT_TOL,
         notes=notes + sampler_notes,
     )
 
 
-def _cone_inside_domain(domain: PolyhedralSet, cone: PolyCone, tol: float = POINT_TOL) -> bool:
+def _cone_inside_domain(domain: PolyhedralSet, cone: PolyCone) -> bool:
     """Conic containment: 0 in the domain and every ray direction admissible."""
     if domain.ineq is not None:
         G, h = domain.ineq
-        if np.max(h) > tol:
+        if np.max(h) > POINT_TOL:
             return False
-        if np.min(G @ cone.generators.T) < -tol:
+        if np.min(G @ cone.generators.T) < -POINT_TOL:
             return False
     if domain.eq is not None:
         E, d = domain.eq
-        if np.max(np.abs(d)) > tol:
+        if np.max(np.abs(d)) > POINT_TOL:
             return False
-        if np.max(np.abs(E @ cone.generators.T)) > tol:
+        if np.max(np.abs(E @ cone.generators.T)) > POINT_TOL:
             return False
     return True
 
 
-def has_positive_off_diagonal(op: LinOp, cone: PolyCone, tol: float = POINT_TOL) -> Report:
+def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
     """Exact POD check over extreme pairs.
 
     Enumerates pairs (generator g of K, generator f of K') with
-    ``<g, f> = 0`` and requires ``<A g, f> >= -tol``.  Sufficiency of the
+    ``<g, f> = 0`` and requires ``<A g, f> >= -POINT_TOL``.  Sufficiency of the
     extreme-pair reduction is a property of polyhedral cones validated by a
     sampled LP oracle in the test-suite.  When the domain does not contain
     the whole cone the check restricts to the rays inside and says so.  On
@@ -293,7 +290,7 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone, tol: float = POINT_TOL)
             margin=float(image[i, j]),
             label=f"pair(g[{i}], f[{j}])",
         )
-        for i, j in zip(*np.nonzero((pairing <= POD_PAIR_TOL) & (image < -tol)))
+        for i, j in zip(*np.nonzero((pairing <= POD_PAIR_TOL) & (image < -POINT_TOL)))
     ]
     verdict = FAILS if witnesses else HOLDS
     return Report(
@@ -301,13 +298,13 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone, tol: float = POINT_TOL)
         verdict=verdict,
         witnesses=witnesses,
         samples_used=0,
-        tolerance=tol,
+        tolerance=POINT_TOL,
         notes=notes + ["exact extreme-pair check"],
     )
 
 
-def is_metzler(matrix, tol: float = 1e-12) -> bool:
+def is_metzler(matrix) -> bool:
     """Off-diagonal sign test; agrees with the POD check on the orthant."""
     A = as_matrix(matrix, square=True)
     off = A - np.diag(np.diag(A))
-    return bool(np.min(off) >= -tol)
+    return bool(np.min(off) >= -METZLER_TOL)

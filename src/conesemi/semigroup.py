@@ -37,6 +37,7 @@ DEFAULT_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 # a near-identity T(d) carries about m ulps of rounding (6e-11 measured at
 # m = 1e6), so a time further out gets its own exponential.
 CHAIN_MAX_POWER = 2**20
+CONTRACTIVE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -245,12 +246,10 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     )
 
 
-def is_contractive(
-    T, halfnorm: HalfNorm, n_samples: int = 100, seed: int = 0, tol: float = 1e-8
-) -> Report:
-    """Sampled contractivity: ``p(Tx) <= p(x) + tol`` on generators, their
-    negatives, and seeded Gaussian points, all evaluated through one
-    :meth:`HalfNorm.values` batch per side."""
+def is_contractive(T, halfnorm: HalfNorm, n_samples: int = 100, seed: int = 0) -> Report:
+    """Sampled contractivity: ``p(Tx) <= p(x) + CONTRACTIVE_TOL`` on
+    generators, their negatives, and seeded Gaussian points, all evaluated
+    through one :meth:`HalfNorm.values` batch per side."""
     T = as_matrix(T, square=True)
     n = halfnorm.dim
     if T.shape[0] != n:
@@ -264,14 +263,14 @@ def is_contractive(
     witnesses = [
         Witness(point=X[i].copy(), functional=None, margin=float(margins[i]),
                 label=_point_label(i, k))
-        for i in np.nonzero(margins > tol)[0]
+        for i in np.nonzero(margins > CONTRACTIVE_TOL)[0]
     ]
     return Report(
         name=f"contractive[{halfnorm.variant}]",
         verdict=FAILS if witnesses else INCONCLUSIVE,
         witnesses=witnesses,
         samples_used=X.shape[0],
-        tolerance=tol,
+        tolerance=CONTRACTIVE_TOL,
         notes=["sampled check: a pass is evidence, not a proof"],
         data={"worst_margin": worst},
     )
@@ -358,7 +357,7 @@ def check_semigroup_contractivity(
     conclusions = grid_reports(op, cfg, [
         ("contractive", lambda T: is_contractive(T, gauge, n_samples=n_samples, seed=seed)),
     ])
-    return _compose("semigroup_contractivity", [hypothesis], conclusions, 1e-8, {
+    return _compose("semigroup_contractivity", [hypothesis], conclusions, CONTRACTIVE_TOL, {
         VACUOUS: "dissipativity hypothesis failed on a sample",
         FAILS: "T(t) contractivity violated despite sampled hypothesis",
         HOLDS: "hypothesis sampled-pass; T(t) contractive on all test points",

@@ -675,7 +675,7 @@ class TestContractive:
             gauge = FunctionalGauge(cone, phi)
             for seed in range(5):
                 T = 2.0 * rng.standard_normal((cone.dim, cone.dim))
-                rep = is_contractive(T, gauge, n_samples=30, seed=seed, tol=1e-8)
+                rep = is_contractive(T, gauge, n_samples=30, seed=seed)
                 expected, n_points = loop_is_contractive(T, gauge, 30, seed, 1e-8)
                 assert expected
                 assert_same_witnesses(rep.witnesses, expected)
