@@ -2,9 +2,10 @@
 
 A :class:`PolyCone` carries both descriptions of the same set -- generating
 rays and inward facet normals.  :meth:`PolyCone.from_generators` finds the
-facets from the unit rays as the vertices of a slice of the dual cone, by
-the one active-set loop of :mod:`~conesemi.numerics` and its singularity
-and feasibility rules; a facet normal must also leave every unit ray at
+facets from the rays, each scaled by the power of two that puts its largest
+entry in [1, 2), as the vertices of a slice of the dual cone, by the one
+active-set loop of :mod:`~conesemi.numerics` and its singularity and
+feasibility rules; a facet normal must also leave every scaled ray at
 least -1e-10.  Cones here are pointed and full-dimensional; pointedness
 makes the induced relation a partial order, full-dimensionality makes
 every vector majorizable and keeps the facet description exact.  Both
@@ -68,13 +69,12 @@ class PolyCone:
         if self.facets.shape[1] != self.dim:
             raise DimensionMismatch("generators and facets live in different spaces")
         # The standard orthant in its standard description: products with
-        # its generators or facets are identity products, which the checks
-        # skip when this is set
+        # its generators or facets are identity products, which margins skips
         eye = np.eye(self.dim)
-        self.is_orthant = bool(
+        self._orthant = bool(
             np.array_equal(self.generators, eye) and np.array_equal(self.facets, eye)
         )
-        if not self.is_orthant:  # judged on unit rows: no length of a ray or normal counts
+        if not self._orthant:  # judged on unit rows: no length of a ray or normal counts
             G, F = (X / np.fmax(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
                     for X in (self.generators, self.facets))
             if np.min(G @ F.T) < -MEMBER_TOL:
@@ -89,9 +89,10 @@ class PolyCone:
     def from_generators(cls, rays) -> "PolyCone":
         """Build the cone spanned by ``rays``; compute facets by enumeration.
 
-        The rays are scaled to unit length once; the facets come from
-        :func:`_enumerate_facets`, and the extreme rays, judged on their
-        directions, are returned at the caller's lengths.
+        Repeated directions merge on unit rays.  The facets come from
+        :func:`_enumerate_facets` on the rays scaled by powers of two to a
+        largest entry in [1, 2), which is exact, so integer rays give exact
+        facets; the extreme rays, judged on those, keep the caller's lengths.
         Pointedness is read off the facets: a full-dimensional cone is pointed
         exactly when its dual is, that is, when the facet normals span the
         space.  Only when they do not (or when no facet exists, or the rays
@@ -123,12 +124,13 @@ class PolyCone:
             facets = np.array([[1.0 if R[0, 0] > 0 else -1.0]])
             return cls(R[:1], facets)
 
-        facets = _enumerate_facets(U)
+        P = np.ldexp(R, 1 - np.frexp(np.max(np.abs(R), axis=1))[1][:, None])
+        facets = _enumerate_facets(P)
         if np.linalg.matrix_rank(facets, tol=1e-10) < n:
             _check_pointed(U)
             if facets.shape[0] == 0:
                 raise NotGenerating("no facet found; rays do not describe a solid cone")
-        return cls(R[_extreme_rays(U, facets)], facets)
+        return cls(R[_extreme_rays(P, facets)], facets)
 
     @classmethod
     def standard_orthant(cls, n: int) -> "PolyCone":
@@ -179,6 +181,15 @@ class PolyCone:
         x = as_vector(x, dim=self.dim)
         coords = linear_solve(self.generators.T, x)
         return self.generators.T @ np.maximum(coords, 0.0)
+
+    def margins(self, M=None) -> np.ndarray:
+        """``<f, M g>`` for every facet ``f`` (rows) and generator ``g``
+        (columns), ``M`` the identity when omitted; on the standard orthant in
+        its standard description, the entries of ``M`` with no product formed."""
+        M = np.eye(self.dim) if M is None else as_matrix(M, square=True)
+        if M.shape[0] != self.dim:
+            raise DimensionMismatch(f"a {M.shape[0]}x{M.shape[0]} matrix on a cone in R^{self.dim}")
+        return M + 0.0 if self._orthant else self.facets @ (M @ self.generators.T)
 
     def is_order_unit(self, u) -> bool:
         """Interior-point test: strictly positive against every facet."""
@@ -273,8 +284,9 @@ def _check_pointed(U: np.ndarray) -> None:
 
 
 def _enumerate_facets(U: np.ndarray) -> np.ndarray:
-    """Facet normals of the solid ``cone(U)``, ``U`` unit rays, at a largest
-    entry of +-1, sorted; an empty (0, n) array when there is none.
+    """Facet normals of the solid ``cone(U)``, ``U`` rays of unit length or
+    largest entry in [1, 2), at a largest entry of +-1, sorted; an empty
+    (0, n) array when there is none.
 
     The rays' sum ``c`` is interior, so the facet normals, rescaled, are the
     vertices of the slice ``{f : U f >= 0, <c, f> = 1}``.  The loop's
@@ -320,7 +332,7 @@ def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list
 
 
 def _extreme_rays(U: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    """A mask of the unit rays whose active facets have rank ``dim - 1``.
+    """A mask of the scaled rays ``U`` whose active facets have rank ``dim - 1``.
 
     A facet is active on a ray within 1e-10, the tolerance of the facet sign
     test in :func:`_enumerate_facets`.  One stacked rank call: ray i's matrix

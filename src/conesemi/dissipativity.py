@@ -261,9 +261,8 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
     ``<g, f> = 0`` and requires ``<A g, f> >= -POINT_TOL``.  Sufficiency of the
     extreme-pair reduction is a property of polyhedral cones validated by a
     sampled LP oracle in the test-suite.  When the domain does not contain
-    the whole cone the check restricts to the rays inside and says so.  On
-    the orthant the pairings are the entries of ``I`` and ``Aᵀ``: no product
-    is formed.
+    the whole cone the check restricts to the rays inside and says so.  The
+    pairings are :meth:`PolyCone.margins` of ``I`` and ``A``.
     """
     A = op.matrix
     if A.shape[0] != cone.dim:
@@ -277,12 +276,8 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
             f"{len(rows)} of {cone.generators.shape[0]} generators"
         )
     gens, facets = cone.generators[rows], cone.facets
-    if cone.is_orthant:  # unit vectors: <g, f> is read off I, <A g, f> off A
-        pairing = np.eye(cone.dim)[rows]
-        image = A.T[rows]
-    else:
-        pairing = gens @ facets.T               # <g, f> for every pair
-        image = (A @ gens.T).T @ facets.T       # <A g, f>
+    pairing = cone.margins().T[rows]  # <g, f> for every pair
+    image = cone.margins(A).T[rows]   # <A g, f>
     witnesses = [
         Witness(
             point=gens[i].copy(),

@@ -4,9 +4,10 @@ Everything downstream (cones, half-norms, dissipativity certificates) reduces
 to the operations in this module: the LP solver, the active-set enumeration
 of vertices and facet normals, dense LU solves, the O(n) tridiagonal solve of
 the Dirichlet stencil, and the matrix exponential.  The LP solver is a
-two-phase dense simplex with Bland's anti-cycling rule: problem sizes here
-are tiny (a few hundred variables at most for the finest Dirichlet grid), so
-a transparent, deterministic tableau beats a sophisticated solver.
+two-phase dense simplex with Bland's anti-cycling rule, started from the
+inequalities' surplus columns: phase 1 runs only for equality rows and rows
+``G_i x >= h_i`` with ``h_i > 0``.  Problem sizes here are tiny, so a
+transparent, deterministic tableau beats a sophisticated solver.
 
 Tolerances: feasibility 1e-9, relative pivot threshold 1e-12.  Downstream
 modules inherit these.  :func:`_active_set_vertices`, the one active-set
@@ -170,12 +171,15 @@ def _bland_iterate(T, basis, n_enter, tol, max_iter):
     raise NumericalFailure("simplex iteration cap exceeded (degenerate pivoting)")
 
 
-def _standard_form_simplex(A, b, c, tol=FEAS_TOL):
+def _standard_form_simplex(A, b, c, slack, tol=FEAS_TOL):
     """min c@z s.t. A z = b, z >= 0 via two-phase tableau simplex.
 
-    Unit columns (surplus variables after sign-flipping) seed the initial
-    basis; artificial variables are added only for the rows left over, so
-    phase 1 is skipped entirely whenever the geometry allows it.
+    ``slack[i]`` is the column of row i's surplus variable, a -1 in that row
+    and 0 elsewhere, or -1 for a row without one.  Every row with ``b <= 0``
+    is negated, which turns its surplus into a +1 unit column at the value
+    ``-b >= 0``: those columns are the initial basis.  Artificial variables,
+    and phase 1, are added only for the rows left over (equality rows and
+    rows with ``b > 0``), so an LP whose origin is feasible starts in phase 2.
     """
     m, n = A.shape
     max_iter = 2000 + 200 * (m + n)
@@ -183,19 +187,9 @@ def _standard_form_simplex(A, b, c, tol=FEAS_TOL):
     T0 = np.empty((m, n + 1))
     T0[:, :n] = A
     T0[:, n] = b
-    flip = b < 0
+    flip = b <= 0
     T0[flip] *= -1.0
-
-    basis = np.full(m, -1, dtype=np.int64)
-    col_nonzeros = np.count_nonzero(T0[:, :n], axis=0)
-    for j in range(n):
-        if col_nonzeros[j] != 1:
-            continue
-        i = int(np.argmax(np.abs(T0[:, j]) > 0))
-        if basis[i] >= 0 or T0[i, j] <= 1e-12:
-            continue
-        T0[i] /= T0[i, j]
-        basis[i] = j
+    basis = np.where(flip, slack, -1)
     free_rows = np.flatnonzero(basis < 0)
 
     if free_rows.size:
@@ -253,9 +247,9 @@ def solve_lp(problem: LpProblem) -> LpResult:
 
     Free variables are split into positive and negative parts, inequalities
     (stacked below the equalities) get surplus variables, and the standard
-    form is handed to the two-phase simplex.  When the status is ``optimal``
-    the returned point is re-checked against every constraint at the
-    feasibility tolerance.
+    form is handed to the two-phase simplex, which starts from the surplus
+    columns.  When the status is ``optimal`` the returned point is re-checked
+    against every constraint at the feasibility tolerance.
     """
     n = problem.dim
     c = problem.objective if problem.sense == "min" else -problem.objective
@@ -268,11 +262,13 @@ def solve_lp(problem: LpProblem) -> LpResult:
     M = np.vstack([mat for mat, _ in blocks])
     b = np.concatenate([rhs for _, rhs in blocks])
     n_ineq = 0 if problem.ineq_constraints is None else problem.ineq_constraints[0].shape[0]
-    surplus = np.vstack([np.zeros((M.shape[0] - n_ineq, n_ineq)), -np.eye(n_ineq)])
+    n_eq = M.shape[0] - n_ineq
+    surplus = np.vstack([np.zeros((n_eq, n_ineq)), -np.eye(n_ineq)])
     A = np.hstack([M, -M, surplus])
     cost = np.concatenate([c, -c, np.zeros(n_ineq)])
+    slack = np.concatenate([np.full(n_eq, -1), 2 * n + np.arange(n_ineq)])
 
-    status, value, z = _standard_form_simplex(A, b, cost)
+    status, value, z = _standard_form_simplex(A, b, cost, slack)
     if status != OPTIMAL:
         return LpResult(status)
 

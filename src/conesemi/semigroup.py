@@ -215,16 +215,13 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     """Exact positivity: T must map every generator into the cone.
 
     Linearity plus conic generation make the generator test complete, so a
-    ``fails`` verdict always carries a generator/facet witness.  On the
-    orthant the margins are the entries of ``T`` themselves.
+    ``fails`` verdict always carries a generator/facet witness.  The
+    margins are :meth:`PolyCone.margins` of ``T``.
     """
     T = as_matrix(T, square=True)
     if T.shape[0] != cone.dim:
         raise MalformedProblem("operator and cone dimensions differ")
-    if cone.is_orthant:
-        margins = T + 0.0  # I @ T @ I, entry for entry
-    else:
-        margins = cone.facets @ (T @ cone.generators.T)  # facet x generator
+    margins = cone.margins(T)  # facet x generator
     worst = np.argmin(margins, axis=0)
     worst_margins = margins[worst, np.arange(margins.shape[1])]
     witnesses = [

@@ -9,6 +9,8 @@ gives up.
 """
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from conesemi.errors import (
     NotPositiveFunctional,
     NumericalFailure,
 )
-from conesemi.numerics import LpProblem, solve_lp
+from conesemi.numerics import OPTIMAL, LpProblem, LpResult, solve_lp
 from conesemi.report import FAILS, HOLDS
 from oracles import loop_distinct_rows, lp_first_ray_on_a_line
 
@@ -246,6 +248,15 @@ class TestConstruction:
         dual = diamond.dual_cone()
         assert directions(dual.generators) == directions(diamond.facets)
         assert directions(dual.facets) == directions(diamond.generators)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0**-30, 2.0**30])
+    def test_integer_rays_give_integer_facets(self, s):
+        """The rays of ``fixtures/canonical_domain.json``: scaled by powers
+        of two, not to unit length, they keep every facet entry exact."""
+        path = Path(__file__).resolve().parent.parent / "fixtures" / "canonical_domain.json"
+        rays = np.array(json.loads(path.read_text())["cone"]["generators"], dtype=float)
+        facets = PolyCone.from_generators(s * rays).facets
+        np.testing.assert_array_equal(facets, np.round(facets))
 
     def test_pyramid_has_four_facets(self, pyramid):
         assert pyramid.facets.shape[0] == 4
@@ -714,24 +725,35 @@ class TestTotality:
                         self.assert_valid_witness(Phi, w, K)
         assert compared >= total // 2
 
-    def test_lp_path_returns_no_refuted_witness(self):
+    def test_lp_path_returns_no_refuted_witness(self, monkeypatch):
         """The per-facet LP run directly on a cone's own facets: each one is
-        in the family, so a returned witness must still satisfy it.  The
-        48-ray cone is one on which the LP's point violates a facet by
-        3e-9; that must raise rather than report ``fails``."""
+        in the family, so the family is total and no facet gives a witness.
+        The 48-ray cone is one on which the LP once returned a point that
+        violates a facet by 3e-9.  A point that a member refutes must raise
+        rather than report ``fails``."""
         rng = np.random.default_rng(38)
         cones = [PolyCone.from_generators(sphere_rays(np.random.default_rng(18), 3, 48))]
         cones += [random_cone(rng, n, n + 2) for n in range(3, 7)]
         for K in cones:
-            F = K.facets
-            try:
-                witnesses = _facet_lp_witnesses(F, F, TOTALITY_TOL)
-            except NumericalFailure:
-                continue
-            for w in witnesses:
-                self.assert_valid_witness(F, w)
-        with pytest.raises(NumericalFailure):
-            _facet_lp_witnesses(cones[0].facets, cones[0].facets, TOTALITY_TOL)
+            assert _facet_lp_witnesses(K.facets, K.facets, TOTALITY_TOL) == []
+        refuted = np.array([1.0, 1.0, -1e-6])
+        monkeypatch.setattr(
+            cone_module, "solve_lp", lambda problem: LpResult(OPTIMAL, -1e-6, refuted)
+        )
+        with pytest.raises(NumericalFailure, match="refuted"):
+            _facet_lp_witnesses(np.eye(3), np.eye(3), TOTALITY_TOL)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_one_facet_short_family_names_that_facet(self, seed):
+        """The benchmark's 16-ray cones in R^6 without their first facet:
+        that facet's LP starts from the slack basis and returns the one
+        witness, where a phase-1 start raised ``NumericalFailure``."""
+        K = PolyCone.from_generators(sphere_rays(np.random.default_rng(seed), 6, 16))
+        report = K.is_total([K.certify_functional(f) for f in K.facets[1:]])
+        assert report.verdict == FAILS
+        assert len(report.witnesses) == 1
+        np.testing.assert_array_equal(report.witnesses[0].functional, K.facets[0])
+        self.assert_valid_witness(K.facets[1:], report.witnesses[0], K)
 
     @pytest.mark.parametrize("n, k, seed", [(6, 16, 0), (3, 48, 18)])
     def test_benchmark_cones_total_without_lps(self, n, k, seed, monkeypatch):

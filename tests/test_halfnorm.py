@@ -936,6 +936,26 @@ class TestDescriptionLps:
             canonical.pairing_extremum(x, c, "min")
             assert len(lp_calls) == 2
 
+    def test_support_lp_starts_in_phase_2(self, monkeypatch):
+        """The support LP's origin is feasible: every right-hand side is at
+        most 0, so the slack basis starts phase 2 and no phase 1 runs."""
+        from conesemi import numerics
+
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return bland_iterate(*args)
+
+        bland_iterate = numerics._bland_iterate
+        monkeypatch.setattr(numerics, "_bland_iterate", counted)
+        rng = np.random.default_rng(130)
+        K = pyramid(rng, 6, 16)
+        for x in rng.standard_normal((4, 6)):
+            runs.clear()
+            assert regularized_norm(K, WeightedNorm.sup(6), x) >= 0.0
+            assert len(runs) == 1
+
 
 class TestPairingBatch:
     """``pairing_extrema`` against the per-row oracles, row for row."""

@@ -11,7 +11,7 @@ import conesemi.semigroup as semigroup
 from conesemi.cone import PolyCone
 from conesemi.dirichlet import Grid, dirichlet_laplacian, run_dirichlet_checks
 from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal
-from conesemi.errors import MalformedProblem, NormTooLarge, SingularMatrix
+from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge, SingularMatrix
 from conesemi.halfnorm import FunctionalGauge, RegularizedGauge, WeightedNorm
 from conesemi.numerics import factorized_solver, matrix_exp
 from conesemi.semigroup import (
@@ -545,7 +545,8 @@ def generic_twin(cone):
     """The same cone with the orthant shortcut off, so that every check
     forms its generator and facet products."""
     twin = PolyCone(cone.generators, cone.facets)
-    twin.is_orthant = False
+    assert "_orthant" in vars(twin)  # the flag PolyCone.margins reads
+    twin._orthant = False
     return twin
 
 
@@ -569,11 +570,24 @@ def orthant_inputs(n, rng):
 
 class TestOrthantShortcut:
     def test_the_flag(self):
-        assert PolyCone.standard_orthant(3).is_orthant
-        assert PolyCone.standard_orthant(3).dual_cone().is_orthant
-        assert not PolyCone.from_generators([[1, 1], [1, -1]]).is_orthant
+        assert PolyCone.standard_orthant(3)._orthant
+        assert PolyCone.standard_orthant(3).dual_cone()._orthant
+        assert not PolyCone.from_generators([[1, 1], [1, -1]])._orthant
         # the orthant with its facets in another order takes the generic path
-        assert not PolyCone(np.eye(3), np.eye(3)[::-1]).is_orthant
+        assert not PolyCone(np.eye(3), np.eye(3)[::-1])._orthant
+
+    def test_margins_are_the_products(self):
+        rng = np.random.default_rng(29)
+        cones = [PolyCone.standard_orthant(3), PolyCone(np.eye(3), np.eye(3)[::-1]),
+                 PolyCone.from_generators([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]])]
+        M = rng.standard_normal((3, 3))
+        for cone in cones:
+            F, G = cone.facets, cone.generators
+            np.testing.assert_allclose(cone.margins(M), F @ M @ G.T, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(cone.margins(), F @ G.T)
+        np.testing.assert_array_equal(cones[0].margins(M), M)
+        with pytest.raises(DimensionMismatch):
+            cones[0].margins(np.eye(2))
 
     def test_positivity_matches_the_generic_products(self):
         rng = np.random.default_rng(30)
