@@ -179,7 +179,7 @@ def _cmd_check_pod(args):
     cone = pf.cone()
     op = pf.operator()
     report = has_positive_off_diagonal(op, cone)
-    code = EXIT_PASS if report.verdict == "holds" else EXIT_FAIL
+    code = EXIT_PASS if report.passed else EXIT_FAIL
     return code, [report], []
 
 
@@ -277,7 +277,7 @@ def _cmd_dirichlet_demo(args):
                 name=f"convergence[{case}]",
                 verdict="fails" if witnesses else "holds",
                 witnesses=witnesses,
-                notes=["sup-error ratio between successive grids must sit near 4"],
+                notes=["sup-error ratio between successive grids must sit near (h_prev/h)^2"],
                 data={"rows": rows},
             )
         )

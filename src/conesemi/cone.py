@@ -36,7 +36,7 @@ from .errors import (
     NumericalFailure,
 )
 from .numerics import (LpProblem, _active_set_vertices, as_matrix, as_vector, distinct_rows,
-                       linear_solve, ordered_rows, solve_lp)
+                       ordered_rows, solve_lp)
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
@@ -167,20 +167,28 @@ class PolyCone:
         return self.contains(y - x)
 
     def is_lattice(self) -> bool:
-        """Simplicial test: exactly dim independent extreme rays."""
-        return self.generators.shape[0] == self.dim
+        """Simplicial test: exactly dim extreme rays and dim facets."""
+        return self.generators.shape[0] == self.facets.shape[0] == self.dim
 
     def positive_part(self, x) -> np.ndarray:
         """Least element above both x and 0, via generator coordinates.
 
         Only simplicial cones admit this: the coordinates of x in the ray
-        basis are clamped at zero and mapped back.
+        basis, ``<f, x> / <f, g_f>`` for each facet ``f`` and its own
+        generator ``g_f``, are clamped at zero and mapped back.
         """
         if not self.is_lattice():
             raise NotLattice("positive parts need a simplicial cone")
         x = as_vector(x, dim=self.dim)
-        coords = linear_solve(self.generators.T, x)
-        return self.generators.T @ np.maximum(coords, 0.0)
+        own, scale = self._facet_partners()
+        return self.generators[own].T @ np.maximum(self.facets @ x / scale, 0.0)
+
+    def _facet_partners(self) -> tuple[np.ndarray, np.ndarray]:
+        """On a simplicial cone, the one generator ``g_f`` that each facet
+        ``f`` does not vanish on, and ``<f, g_f> > 0``, read off :meth:`margins`."""
+        M = self.margins()
+        own = np.argmax(M, axis=1)
+        return own, M[np.arange(own.size), own]
 
     def margins(self, M=None) -> np.ndarray:
         """``<f, M g>`` for every facet ``f`` (rows) and generator ``g``

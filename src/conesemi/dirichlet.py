@@ -298,18 +298,21 @@ def _cross_check_report(grid: Grid) -> Report:
     )
 
 
-def _order_gap(ratio: float | None) -> float:
-    """How far an error ratio under halving ``h`` lies outside
-    ``[3.5, 4.5]``, the window of a second-order scheme: positive outside.
-    A missing ratio (no coarser grid, or an exact finer one) counts as 0."""
-    return abs((0.0 if ratio is None else ratio) - 4.0) - 0.5
+def _order_gap(ratio: float | None, expected: float) -> float:
+    """How far an error ratio lies outside ``[7/8, 9/8] * expected``, the
+    window of a second-order scheme for ``expected = (h_prev / h)^2`` (``[3.5,
+    4.5]`` when ``h`` halves): positive outside.  A missing ratio (no previous
+    grid, or an exact current one) counts as 0."""
+    return abs((0.0 if ratio is None else ratio) - expected) - expected / 8
 
 
 def order_witnesses(case: str, rows: list[dict]) -> list[Witness]:
     """The witness of a convergence study that is not second order: the row
-    whose ratio lies furthest outside the window, with :func:`_order_gap` as
-    its margin.  Empty when every ratio after the first row is near 4."""
-    gaps = [_order_gap(r["ratio"]) for r in rows[1:]]
+    whose ratio lies furthest outside its window, with :func:`_order_gap` as
+    its margin.  Empty when every ratio after the first row is near 4 for a
+    halved ``h``, and near ``(h_prev / h)^2`` in general."""
+    expected = [(prev["h"] / row["h"]) ** 2 for prev, row in zip(rows, rows[1:])]
+    gaps = [_order_gap(r["ratio"], e) for r, e in zip(rows[1:], expected)]
     if not gaps or max(gaps) <= 0.0:
         return []
     k = int(np.argmax(gaps))
@@ -319,6 +322,7 @@ def order_witnesses(case: str, rows: list[dict]) -> list[Witness]:
             point=None,
             functional=None,
             margin=gaps[k],
-            label=f"{case}: error ratio {row['ratio']} at N={row['n_interior']} is not near 4",
+            label=f"{case}: error ratio {row['ratio']} at N={row['n_interior']} "
+                  f"is not near {expected[k]:g}",
         )
     ]

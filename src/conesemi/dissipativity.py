@@ -239,19 +239,14 @@ def certify_dissipative(
 
 def _cone_inside_domain(domain: PolyhedralSet, cone: PolyCone) -> bool:
     """Conic containment: 0 in the domain and every ray direction admissible."""
+    rays, inside = cone.generators.T, True
     if domain.ineq is not None:
         G, h = domain.ineq
-        if np.max(h) > POINT_TOL:
-            return False
-        if np.min(G @ cone.generators.T) < -POINT_TOL:
-            return False
+        inside = np.max(h) <= POINT_TOL and np.min(G @ rays) >= -POINT_TOL
     if domain.eq is not None:
         E, d = domain.eq
-        if np.max(np.abs(d)) > POINT_TOL:
-            return False
-        if np.max(np.abs(E @ cone.generators.T)) > POINT_TOL:
-            return False
-    return True
+        inside = inside and max(np.max(np.abs(d)), np.max(np.abs(E @ rays))) <= POINT_TOL
+    return bool(inside)
 
 
 def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
@@ -261,20 +256,20 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
     ``<g, f> = 0`` and requires ``<A g, f> >= -POINT_TOL``.  Sufficiency of the
     extreme-pair reduction is a property of polyhedral cones validated by a
     sampled LP oracle in the test-suite.  When the domain does not contain
-    the whole cone the check restricts to the rays inside and says so.  The
-    pairings are :meth:`PolyCone.margins` of ``I`` and ``A``.
+    the whole cone the check restricts to the rays inside: a witness there
+    still refutes, but a pass covers only part of ``K`` in the domain, so
+    it is ``inconclusive``.  The pairings are :meth:`PolyCone.margins` of
+    ``I`` and ``A``.
     """
     A = op.matrix
     if A.shape[0] != cone.dim:
         raise DimensionMismatch("operator and cone dimensions differ")
-    notes = []
-    rows = slice(None)
-    if op.domain is not None and not _cone_inside_domain(op.domain, cone):
+    rows, notes = slice(None), ["exact extreme-pair check"]
+    partial = op.domain is not None and not _cone_inside_domain(op.domain, cone)
+    if partial:
         rows = np.flatnonzero(op.domain.contains_rows(cone.generators))
-        notes.append(
-            "partial: domain does not contain the cone; restricted to "
-            f"{len(rows)} of {cone.generators.shape[0]} generators"
-        )
+        notes = ["partial: domain does not contain the cone; restricted to "
+                 f"{len(rows)} of {cone.generators.shape[0]} generators"]
     gens, facets = cone.generators[rows], cone.facets
     pairing = cone.margins().T[rows]  # <g, f> for every pair
     image = cone.margins(A).T[rows]   # <A g, f>
@@ -287,14 +282,14 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
         )
         for i, j in zip(*np.nonzero((pairing <= POD_PAIR_TOL) & (image < -POINT_TOL)))
     ]
-    verdict = FAILS if witnesses else HOLDS
+    verdict = FAILS if witnesses else INCONCLUSIVE if partial else HOLDS
     return Report(
         name="positive_off_diagonal",
         verdict=verdict,
         witnesses=witnesses,
         samples_used=0,
         tolerance=POINT_TOL,
-        notes=notes + ["exact extreme-pair check"],
+        notes=notes,
     )
 
 

@@ -46,9 +46,9 @@ exposes projects onto the subdifferential at ``x``.  Above the guard each
 value is one LP, ``max <x, u>`` over ``S`` (weighted l1/linf ambient norms
 keep it exact, and since ``S`` contains 0, phase 1 starts at a feasible
 point), and each pairing one optimization over ``subdifferential(x)``.  The order-unit gauge
-states its table in closed form, and so does the functional gauge on a
-simplicial cone, which also takes its values from ``phi = F^T c``; the
-Euclidean norm keeps no table.
+states its table in closed form.  The functional gauge on a simplicial cone
+needs none: with ``phi = F^T c`` its value is ``<c, (Fx)^+>`` and its
+subdifferential a box, at any dimension.  The Euclidean norm keeps no table.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .numerics import (
     as_matrix,
     as_vector,
     distinct_rows,
-    linear_solve,
     solve_lp,
     vertex_table,
 )
@@ -93,8 +92,7 @@ LINF = "linf"
 # C(m, w) from 5,005 to 19,600 (linf 11 rays in R^3 and 7 in R^4, l1 44
 # rays in R^3 and 10 in R^5, regularized l1 6 rays and linf 4 rays in R^3)
 # build in 28-59 ms, against 4.5-19 ms, after 2-11 evaluations.  A
-# functional gauge on a simplicial cone states its 2^n corners in closed
-# form instead, up to this many.
+# functional gauge on a simplicial cone builds no table at all.
 VERTEX_SUBSET_GUARD = 20_000
 # Pairing ties: <x, v> within this of the maximum, relative to the size of
 # the vertices, with x at unit scale.
@@ -433,10 +431,10 @@ class FunctionalGauge(HalfNorm):
     ``S = { u in K' : phi - u in K' } = { u : 0 <= G u <= G phi }`` (G the
     generators), so the ``HalfNorm`` rule decides from ``C(2k, n)`` (k rays
     in R^n) between a vertex table and LPs.  On a simplicial cone
-    ``phi = F^T c`` and ``S = { F^T b : 0 <= b <= c }``: the value is
-    ``<c, (F x)^+>`` at any dimension, and the table is the ``2^n`` corners
-    ``F^T b``, ``b_i in {0, c_i}``, in closed form.  On ``K`` (at unit
-    scale) the value is ``<x, phi>`` itself.
+    ``phi = F^T c`` and ``S = { F^T b : 0 <= b <= c }``, with ``c`` read off
+    the facet-generator pairing: the value is ``<c, (F x)^+>`` and a
+    pairing is one corner of a box, at any dimension, with no solve, table
+    or LP.  On ``K`` (at unit scale) the value is ``<x, phi>`` itself.
     """
 
     variant = "functional"
@@ -464,27 +462,12 @@ class FunctionalGauge(HalfNorm):
     @functools.cached_property
     def _simplicial(self) -> np.ndarray | None:
         """``c >= 0`` with ``phi = F^T c`` on a simplicial cone, else
-        ``None``; kept in the cone's memo under ``phi``."""
-        G, F = self.cone.generators, self.cone.facets
-        if G.shape[0] != self.dim or F.shape[0] != self.dim:
+        ``None``: a facet ``f`` vanishes on every generator but its own
+        ``g_f``, so ``c_f = <phi, g_f> / <f, g_f>``."""
+        if not self.cone.is_lattice():
             return None
-        return self.cone.memo(self.phi.tobytes(), self._solve_simplicial)
-
-    def _solve_simplicial(self) -> np.ndarray:
-        c = np.maximum(linear_solve(self.cone.facets.T, self.phi), 0.0)
-        c.flags.writeable = False  # shared by every gauge on this (cone, phi)
-        return c
-
-    @functools.cached_property
-    def _table(self) -> np.ndarray | None:
-        """The corners of ``S`` on a simplicial cone with at most
-        ``VERTEX_SUBSET_GUARD`` of them; elsewhere the ``HalfNorm`` rule."""
-        c, n = self._simplicial, self.dim
-        if c is None or 2**n > VERTEX_SUBSET_GUARD:
-            return HalfNorm._table.func(self)
-        table = (c * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)) @ self.cone.facets
-        table.flags.writeable = False
-        return table
+        own, scale = self.cone._facet_partners()
+        return np.maximum(self.cone.generators[own] @ self.phi, 0.0) / scale
 
     def _unit_values(self, U: np.ndarray) -> np.ndarray:
         FU = U @ self.cone.facets.T
@@ -496,6 +479,20 @@ class FunctionalGauge(HalfNorm):
             else:
                 out[rest] = super()._unit_values(U[rest])
         return out
+
+    def _pairings(self, U: np.ndarray, C: np.ndarray, sense: str):
+        """On a simplicial cone the face at ``x`` is ``{F^T b}`` over the box
+        ``b_f = c_f`` where ``<f, x> > 0``, ``0`` where ``< 0``, and on a tie
+        (``TIE_TOL`` times ``max |f|``) the end of ``[0, c_f]`` that ``<f, c>`` asks for."""
+        c = self._simplicial
+        if c is None:
+            return super()._pairings(U, C, sense)
+        F = self.cone.facets
+        FU, FC = U @ F.T, C @ F.T
+        tie = np.abs(FU) <= TIE_TOL * np.max(np.abs(F), axis=1)
+        top = FC < 0 if sense == "min" else FC > 0
+        B = np.where(np.where(tie, top, FU > 0), c, 0.0)
+        return np.einsum("ij,ij->i", FC, B), B @ F
 
 
 class CanonicalHalfNorm(HalfNorm):
@@ -582,10 +579,6 @@ class EuclideanNorm(HalfNorm):
     variant = "euclidean"
     # the Euclidean ball has no vertices
     _table = None
-
-    def value(self, x) -> float:
-        x = as_vector(x, dim=self.dim)
-        return float(np.linalg.norm(x))
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         return np.linalg.norm(X, axis=1)

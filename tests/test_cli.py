@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, witnesses, JSON reports, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -53,6 +56,16 @@ class TestCheckPod:
     def test_missing_file_exits_2(self):
         assert run(["check-pod", "--file", "/nonexistent.json", "--quiet"]) == 2
 
+    def test_partial_domain_is_inconclusive(self, tmp_path):
+        # the domain leaves out a generator: no witness, but no proof either;
+        # the exit code follows report.passed, as check-dissipative's does
+        out = tmp_path / "report.json"
+        assert run(["check-pod", "--file", FIXTURES / "partial_domain_pod.json",
+                    "--json-out", out, "--quiet"]) == 0
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["verdict"] == "inconclusive" and check["passed"]
+        assert not check["witnesses"] and "partial" in check["notes"][0]
+
 
 class TestCheckDissipative:
     def test_negative_identity_passes(self, tmp_path):
@@ -61,6 +74,25 @@ class TestCheckDissipative:
         payload["operator"] = {"matrix": [[-1, 0], [0, -1]]}
         assert run(["check-dissipative", "--file", write(tmp_path, payload),
                     "--quiet"]) == 0
+
+    def test_functional_gauge_on_an_orthant_leaves_scipy_out(self, tmp_path):
+        # a simplicial cone needs no LU solve, so the run never imports scipy
+        payload = {
+            "schema_version": 1,
+            "cone": {"generators": np.eye(3).tolist()},
+            "halfnorm": {"variant": "functional", "phi": [1, 2, 3]},
+            "operator": {"matrix": [[-2, 1, 0], [0, -2, 1], [1, 0, -2]]},
+        }
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        path = str(write(tmp_path, payload))
+        script = (
+            "import sys, conesemi.cli\n"
+            f"argv = ['check-dissipative', '--file', {path!r}, '--quiet']\n"
+            "assert conesemi.cli.main(argv) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_fixture_one_fails(self):
         code = run(["check-dissipative", "--file",
@@ -210,6 +242,17 @@ class TestDirichletDemo:
             assert [(w["margin"], w["label"].split(":")[1]) for w in check["witnesses"]] == [
                 (1.5, " error ratio 2.0 at N=15 is not near 4")
             ]
+
+    @pytest.mark.parametrize("sizes, expected", [((15, 63), 16.0), ((63, 15), 1 / 16)])
+    def test_grids_that_do_not_halve(self, tmp_path, sizes, expected):
+        # h goes from 1/16 to 1/64 or back: the ratio sits near (h_prev/h)^2
+        out = tmp_path / "report.json"
+        assert run(["dirichlet-demo", "--grid-sizes", *sizes, "--t-grid", 0.1,
+                    "--json-out", out, "--quiet"]) == 0
+        for check in json.loads(out.read_text())["checks"][:2]:
+            assert check["verdict"] == "holds" and not check["witnesses"]
+            ratio = check["data"]["rows"][1]["ratio"]
+            assert abs(ratio - expected) <= expected / 8
 
     def test_negative_time_exits_2(self):
         assert run(["dirichlet-demo", "--grid-sizes", 7, "--t-grid", -1.0,
@@ -436,3 +479,28 @@ class TestProblemFileRoundTrip:
         gauge = pf.halfnorm(cone)
         assert gauge.variant == "functional"
         assert gauge.value([1, 1]) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("section, variant, value", [
+        ({"variant": "order_unit", "unit": [1, 2]}, "order_unit", 1.0),
+        ({"variant": "canonical", "norm": {"kind": "l1", "weights": [1, 2]}}, "canonical", 3.0),
+        ({"variant": "regular_gauge"}, "regular_gauge", 1.0),
+    ])
+    def test_every_gauge_variant_parses(self, section, variant, value):
+        # on the orthant each gauge at (1, 1) is the chosen norm of (1, 1)^+
+        pf = ProblemFile({**BASE, "halfnorm": section})
+        gauge = pf.halfnorm(pf.cone())
+        assert gauge.variant == variant
+        assert gauge.value([1, 1]) == pytest.approx(value)
+        assert gauge.value([-1, -1]) == 0.0
+        if variant != "order_unit":
+            expected = section.get("norm", {"kind": "linf"})
+            assert gauge.norm.kind == expected["kind"]
+            assert gauge.norm.weights.tolist() == expected.get("weights", [1.0, 1.0])
+
+    def test_single_lambda_key(self):
+        assert ProblemFile({**BASE, "lambda": 2.5}).lambdas() == [2.5]
+        assert ProblemFile(BASE).lambdas() == [1.0]
+        with pytest.raises(ProblemFileError, match=r"lambdas\[0\]"):
+            ProblemFile({**BASE, "lambda": 0}).lambdas()
+        with pytest.raises(ProblemFileError, match="lambda"):
+            ProblemFile({**BASE, "lambda": "x"}).lambdas()

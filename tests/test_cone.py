@@ -339,9 +339,11 @@ class TestPointedness:
         def refuse(*args, **kwargs):
             raise AssertionError("pointedness is read off the facets: no LP, no LU")
 
-        for name in ("solve_lp", "linear_solve"):
-            monkeypatch.setattr(numerics, name, refuse)
-            monkeypatch.setattr(cone_module, name, refuse)
+        # every binding of each name that exists: cone.py imports no LU solver
+        for module in (numerics, cone_module):
+            for name in ("solve_lp", "linear_solve"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
         match = None if ray is None else f"ray {ray} and its negative"
         with pytest.raises(error, match=match):
             PolyCone.from_generators(rays)
@@ -590,6 +592,31 @@ class TestLatticeStructure:
                 assert diamond.positive_part(x) == pytest.approx(x, abs=1e-10)
             if diamond.contains(-x):
                 assert diamond.positive_part(x) == pytest.approx([0, 0], abs=1e-10)
+
+    def test_positive_part_matches_the_ray_basis_solve(self):
+        # coordinates read off the facet-generator pairing, against a dense
+        # solve in the ray basis; the rays come in shuffled order
+        rng = np.random.default_rng(34)
+        for n in range(2, 7):
+            rays = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+            K = PolyCone.from_generators(rng.permutation(rays))
+            G = K.generators
+            for x in rng.standard_normal((10, n)):
+                expected = G.T @ np.maximum(np.linalg.solve(G.T, x), 0.0)
+                pp = K.positive_part(x)
+                assert pp == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert K.contains(pp) and K.contains(pp - x)
+
+    @pytest.mark.parametrize("rays, generator, facet", [
+        ([[2.0]], 2.0, 1.0), ([[-0.5]], -0.5, -1.0), ([[2.0], [3.0]], 2.0, 1.0),
+    ])
+    def test_one_dimensional_cones(self, rays, generator, facet):
+        # repeated directions merge: the first ray's length is kept
+        K = PolyCone.from_generators(rays)
+        assert K.generators.tolist() == [[generator]] and K.facets.tolist() == [[facet]]
+        assert K.is_lattice()
+        assert K.positive_part([3.0 * facet]) == pytest.approx([3.0 * facet])
+        assert K.positive_part([-3.0 * facet]) == pytest.approx([0.0])
 
     def test_positive_part_needs_lattice(self, pyramid):
         with pytest.raises(NotLattice):

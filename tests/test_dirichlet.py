@@ -12,6 +12,7 @@ from conesemi.dirichlet import (
     dirichlet_laplacian,
     fd_resolvent,
     format_convergence_table,
+    order_witnesses,
     resolvent_closed_form,
     run_dirichlet_checks,
 )
@@ -153,6 +154,19 @@ class TestConvergence:
         rows = convergence_study([15, 31, 63], lambda t: np.sin(np.pi * t))
         for row in rows[1:]:
             assert 3.5 <= row["ratio"] <= 4.5
+
+    def test_window_follows_the_grids_spacing(self):
+        # a second-order error ratio is (h_prev/h)^2: 16 from N = 15 to 63,
+        # 1/16 back, each judged in its own window [7/8, 9/8] times that
+        for sizes, expected in (([15, 63], 16.0), ([63, 15], 1 / 16)):
+            rows = convergence_study(sizes, lambda t: np.ones_like(t))
+            assert abs(rows[1]["ratio"] - expected) <= expected / 16
+            assert order_witnesses("constant", rows) == []
+            rows[1]["ratio"] = 4.0
+            (w,) = order_witnesses("constant", rows)
+            assert w.margin == pytest.approx(abs(4.0 - expected) - expected / 8)
+            assert w.label == (f"constant: error ratio 4.0 at N={sizes[1]} "
+                               f"is not near {expected:g}")
 
     def test_table_renders(self):
         rows = convergence_study([7, 15], lambda t: np.ones_like(t))

@@ -414,6 +414,35 @@ class TestPod:
     def test_restricted_domain_marks_partial(self, matrix_two_restricted, orthant2):
         rep = has_positive_off_diagonal(matrix_two_restricted, orthant2)
         assert any("partial" in n for n in rep.notes)
+        assert rep.verdict == "inconclusive" and rep.passed
+
+    def test_partial_pass_is_not_a_proof(self):
+        # x1 >= x2 keeps e1 and e3 of the orthant in R^3, and every pair of
+        # those passes; yet x = e1 + e2 lies in D and K, f = e3 vanishes on
+        # it, and <Ax, f> = -1
+        A = np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, -2.0, -1.0]])
+        op = LinOp(A, domain=PolyhedralSet(ineq=([[1.0, -1.0, 0.0]], [0.0])))
+        K = PolyCone.standard_orthant(3)
+        x, f = np.array([1.0, 1.0, 0.0]), np.eye(3)[2]
+        assert op.in_domain(x) and K.contains(x) and x @ f == 0.0 and f @ A @ x == -1.0
+        rep = has_positive_off_diagonal(op, K)
+        assert rep.verdict == "inconclusive" and not rep.witnesses
+        assert rep.notes == ["partial: domain does not contain the cone; "
+                             "restricted to 2 of 3 generators"]
+        # the same check without the domain finds the pair (e2, e3)
+        full = has_positive_off_diagonal(LinOp(A), K)
+        assert full.verdict == "fails" and full.witnesses[0].margin == -2.0
+
+    def test_domain_containing_the_cone_is_exact(self, orthant2):
+        # x1 + x2 >= 0 and x1 >= -1 contain the orthant: the full check runs
+        domain = PolyhedralSet(ineq=([[1.0, 1.0], [1.0, 0.0]], [0.0, -1.0]))
+        for A, verdict in (([[-5.0, 2.0], [3.0, -1.0]], "holds"),
+                           ([[-1.0, -1.0], [1.0, 1.0]], "fails")):
+            rep = has_positive_off_diagonal(LinOp(A, domain=domain), orthant2)
+            bare = has_positive_off_diagonal(LinOp(A), orthant2)
+            assert rep.verdict == bare.verdict == verdict
+            assert rep.notes == bare.notes == ["exact extreme-pair check"]
+            assert [w.to_dict() for w in rep.witnesses] == [w.to_dict() for w in bare.witnesses]
 
     def test_witnesses_match_the_pair_loop(self):
         """Same witnesses, in the same order, as the generator-major pair loop

@@ -288,13 +288,7 @@ class TestClosedFormValues:
     def test_paths_follow_the_cone(self):
         gauges = [FunctionalGauge(K, K.facets.sum(axis=0)) for K in differential_cones()]
         assert [p._simplicial is not None for p in gauges] == [True] * 7 + [False] * 7
-        assert all(p._table is not None for p in gauges)
-        # on simplicial cones the closed-form corners are the vertices of S
-        for p in gauges[:7]:
-            V = vertex_table(p._polar)
-            assert p._table.shape == V.shape
-            for v in V:
-                assert np.min(np.max(np.abs(p._table - v), axis=1)) <= 1e-12 * np.max(np.abs(V))
+        assert all(p._table is not None for p in gauges[7:])
 
     def test_against_lp_path_and_brute_force(self):
         rng = np.random.default_rng(116)
@@ -387,6 +381,79 @@ class TestClosedFormValues:
             assert p.value(x + y) <= p.value(x) + p.value(y) + 1e-12 * size
             assert p.value(minus) == 0.0
             assert np.all(p.values(np.vstack([minus, 2.0 * minus])) == 0.0)
+
+
+def simplicial_cases():
+    """Random simplicial cones in R^2..R^8, then orthants far above the guard."""
+    rng = np.random.default_rng(131)
+    cones = [random_simplicial(rng, n) for n in range(2, 9)]
+    cones += [PolyCone.standard_orthant(n) for n in (15, 20, 40)]
+    for K in cones:
+        p = FunctionalGauge(K, rng.uniform(0.3, 1.5, K.dim) @ K.facets)
+        X = np.vstack(probe_points(K, rng, 4))
+        C = rng.standard_normal(X.shape)
+        C[1::2] = rng.integers(-2, 3, C[1::2].shape)
+        yield p, X, C
+
+
+class TestSimplicialClosedForm:
+    """A functional gauge on a simplicial cone reads ``c`` and the faces of
+    ``S`` off the facet-generator pairing, at any dimension."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import conesemi.cone as cone_module
+        import conesemi.halfnorm as halfnorm
+        from conesemi import numerics
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (numerics, cone_module, halfnorm):
+            for name in ("linear_solve", "solve_lp", "vertex_table"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    def test_no_solve_table_or_lp(self, calls):
+        for p, X, C in simplicial_cases():
+            calls.clear()
+            assert p.values(X)[0] == 0.0 and p.value(X[1]) >= 0.0
+            for sense in ("min", "max"):
+                p.pairing_extrema(X, C, sense)
+                p.pairing_extremum(X[1], C[1], sense)
+            assert calls == [], (p.cone, calls)
+
+    def test_values_match_the_primal_lp(self):
+        for p, X, _ in simplicial_cases():
+            if p.dim <= 8:
+                expected = [lp_functional_gauge(p.cone, p.phi, x) for x in X]
+                assert p.values(X) == pytest.approx(expected, abs=1e-9)
+
+    def test_c_reassembles_phi(self):
+        for p, _, _ in simplicial_cases():
+            assert np.all(p._simplicial >= 0.0)
+            assert p.cone.facets.T @ p._simplicial == pytest.approx(p.phi, rel=1e-12)
+
+    def test_pairings_match_the_box_and_the_vertex_table(self):
+        # the box rule of simplicial_pairing, and below dimension 9 the face
+        # extremum over the enumerated vertices of S
+        for p, X, C in simplicial_cases():
+            V = vertex_table(p._polar)[:, : p.dim] if p.dim <= 8 else None
+            for sense in ("min", "max"):
+                assert_batch_matches_oracle(p, X, C, sense)
+                if V is None:
+                    continue
+                extrema, _ = p.pairing_extrema(X, C, sense)
+                for x, c, got in zip(X, C, extrema):
+                    expected, u = face_extremum(V, unit_row(x), c, sense)
+                    size = np.abs(c).sum() * max(np.max(np.abs(u)), 1.0)
+                    assert got == pytest.approx(expected, rel=0, abs=1e-12 * size)
 
 
 class TestLpFallback:
@@ -804,6 +871,17 @@ class TestSubdifferentials:
         desc = EuclideanNorm(orthant2).subdifferential([1, 0])
         assert desc.kind == "singleton"
         assert desc.point == pytest.approx([1, 0])
+
+    def test_euclidean_values_are_the_2_norm(self, orthant2, diamond):
+        # not zero on -K: every value is the plain norm, at every scale
+        rng = np.random.default_rng(132)
+        for K in (orthant2, diamond, PolyCone.standard_orthant(5)):
+            p = EuclideanNorm(K)
+            X = rng.standard_normal((20, K.dim)) * 10.0 ** rng.integers(-12, 13, (20, 1))
+            X[0], X[1] = 0.0, -K.generators[0]
+            expected = np.linalg.norm(X, axis=1)
+            assert np.array_equal(p.values(X), expected)
+            assert [p.value(x) for x in X] == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_euclidean_ball_at_zero(self, orthant2):
         desc = EuclideanNorm(orthant2).subdifferential([0, 0])
