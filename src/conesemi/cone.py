@@ -1,21 +1,19 @@
 """Polyhedral cone algebra: the order structure every other module builds on.
 
 A :class:`PolyCone` carries both descriptions of the same set -- generating
-rays and inward facet normals.  :meth:`PolyCone.from_generators` finds the
-facets from the rays, each scaled by the power of two that puts its largest
-entry in [1, 2), as the vertices of a slice of the dual cone, by the one
-active-set loop of :mod:`~conesemi.numerics` and its singularity and
-feasibility rules; a facet normal must also leave every scaled ray at
-least -1e-10.  Cones here are pointed and full-dimensional; pointedness
-makes the induced relation a partial order, full-dimensionality makes
-every vector majorizable and keeps the facet description exact.  Both
-restrictions are validated, not assumed: a full-dimensional cone is
-pointed exactly when its facet normals span the space; only a cone that
-fails that test, or whose rays do not span, re-enumerates facets in the
-rays' span to name a ray on a line.
-
-Membership uses the tight tolerance 1e-10 since it is the primitive that all
-other checks compose.
+rays and inward facet normals -- and decides once which facet vanishes on
+which generator: :attr:`PolyCone.incidence` holds ``|<f, g>| <= 1e-10`` with
+every row scaled by the power of two that puts its largest entry in [1, 2).
+That scaling is exact, so the matrix is the same at every ``2^k`` scale; the
+extreme-ray and pointedness tests of :meth:`PolyCone.from_generators`, which
+finds the facets as the vertices of a slice of the dual cone by the one
+active-set loop of :mod:`~conesemi.numerics`, read the same rule.  One sign
+rule goes with it (:meth:`_negative_pairs`): an exact pair check counts
+``<f, M g>`` (:meth:`margins`) as negative only below ``-tol |f|ᵀ|M||g|``,
+which on the orthant is the sign of an entry of ``M``; for a computed ``M``
+the size is the largest over all pairs, which covers its rounding.  Cones
+here are pointed and full-dimensional, validated, not assumed: a solid
+cone is pointed exactly when its facet normals span.  Membership uses 1e-10.
 """
 
 from __future__ import annotations
@@ -71,16 +69,10 @@ class PolyCone:
         # The standard orthant in its standard description: products with
         # its generators or facets are identity products, which margins skips
         eye = np.eye(self.dim)
-        self._orthant = bool(
-            np.array_equal(self.generators, eye) and np.array_equal(self.facets, eye)
-        )
-        if not self._orthant:  # judged on unit rows: no length of a ray or normal counts
-            G, F = (X / np.fmax(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
-                    for X in (self.generators, self.facets))
-            if np.min(G @ F.T) < -MEMBER_TOL:
-                raise MalformedProblem("a generator violates a facet inequality")
-        self.generators.flags.writeable = False
-        self.facets.flags.writeable = False
+        self._orthant = np.array_equal(self.generators, eye) and np.array_equal(self.facets, eye)
+        self.incidence = eye == 0.0 if self._orthant else _incidence(self.facets, self.generators)
+        for table in (self.generators, self.facets, self.incidence):
+            table.flags.writeable = False
         self._memo_slot: tuple[bytes, object] | None = None
 
     # -- construction ------------------------------------------------------
@@ -104,14 +96,14 @@ class PolyCone:
         k, n = R.shape
         if n > 10:
             raise DimensionTooLarge(f"facet enumeration guarded to dim <= 10, got {n}")
-        norms = np.linalg.norm(R, axis=1)
-        if np.any(norms < 1e-14):
+        if not np.all(np.any(R, axis=1)):
             raise MalformedProblem("zero ray among the generators")
 
-        U = R / norms[:, None]
+        P = _pow2_rows(R)
+        U = P / np.linalg.norm(P, axis=1, keepdims=True)
         keep = _dedup_directions(U)
-        R, U = R[keep], U[keep]
-        if np.linalg.matrix_rank(R, tol=1e-10) < n:
+        R, P, U = R[keep], P[keep], U[keep]
+        if np.linalg.matrix_rank(U, tol=1e-10) < n:
             _check_pointed(U)
             raise NotGenerating(
                 "rays do not span the ambient space; the facet description of a "
@@ -124,7 +116,6 @@ class PolyCone:
             facets = np.array([[1.0 if R[0, 0] > 0 else -1.0]])
             return cls(R[:1], facets)
 
-        P = np.ldexp(R, 1 - np.frexp(np.max(np.abs(R), axis=1))[1][:, None])
         facets = _enumerate_facets(P)
         if np.linalg.matrix_rank(facets, tol=1e-10) < n:
             _check_pointed(U)
@@ -185,10 +176,9 @@ class PolyCone:
 
     def _facet_partners(self) -> tuple[np.ndarray, np.ndarray]:
         """On a simplicial cone, the one generator ``g_f`` that each facet
-        ``f`` does not vanish on, and ``<f, g_f> > 0``, read off :meth:`margins`."""
-        M = self.margins()
-        own = np.argmax(M, axis=1)
-        return own, M[np.arange(own.size), own]
+        ``f`` is not incident to, and ``<f, g_f> > 0``, read off :meth:`margins`."""
+        own = np.argmin(self.incidence, axis=1)
+        return own, self.margins()[np.arange(own.size), own]
 
     def margins(self, M=None) -> np.ndarray:
         """``<f, M g>`` for every facet ``f`` (rows) and generator ``g``
@@ -198,6 +188,20 @@ class PolyCone:
         if M.shape[0] != self.dim:
             raise DimensionMismatch(f"a {M.shape[0]}x{M.shape[0]} matrix on a cone in R^{self.dim}")
         return M + 0.0 if self._orthant else self.facets @ (M @ self.generators.T)
+
+    def _negative_pairs(self, M, tol: float, pairs=None, computed: bool = False) -> tuple:
+        """:meth:`margins` of ``M`` and the mask of those among ``pairs`` (all when omitted)
+        below ``-tol |f|ᵀ|M||g|``, the size of the terms each sums: no power-of-two scale of a
+        ray, a facet or ``M`` moves it, and on the orthant it is the sign of an entry of ``M``.
+        A ``computed`` ``M`` may carry a rounding negative where its exact entry is 0, so there
+        the size is the largest over all pairs, and only a common scale leaves the mask."""
+        margins = self.margins(M)
+        negative = margins < 0.0 if pairs is None else pairs & (margins < 0.0)
+        if negative.any():
+            A = np.abs(np.asarray(M, dtype=float))
+            scale = A if self._orthant else np.abs(self.facets) @ (A @ np.abs(self.generators).T)
+            negative &= margins < -tol * (scale.max() if computed else scale)
+        return margins, negative
 
     def is_order_unit(self, u) -> bool:
         """Interior-point test: strictly positive against every facet."""
@@ -274,19 +278,18 @@ def _check_pointed(U: np.ndarray) -> None:
     """No ray's negative may lie in ``cone(U)``, ``U`` unit rays.
 
     In coordinates of the rays' span (SVD, rank at 1e-10 relative), with the
-    rays rescaled to unit length, the cone is solid, and a ray lies on a line
-    of it exactly when every facet normal from :func:`_enumerate_facets`
-    vanishes on it at that enumerator's 1e-10.  With no facet every ray
-    does; in a 1-D span every ray does when their signs are mixed.
+    rays scaled by powers of two, the cone is solid, and a ray lies on a line
+    of it exactly when every facet normal from :func:`_enumerate_facets` is
+    incident to it (:func:`_incidence`).  With no facet every ray does; in a
+    1-D span every ray does when their signs are mixed.
     """
     W, s, _ = np.linalg.svd(U, full_matrices=False)
     span = s > 1e-10 * s[0]
-    C = W[:, span] * s[span]
-    C = C / np.linalg.norm(C, axis=1, keepdims=True)
+    C = _pow2_rows(W[:, span] * s[span])
     if C.shape[1] == 1:
         on_line = np.full(C.shape[0], np.min(C) < 0.0 < np.max(C))
     else:
-        on_line = np.all(np.abs(C @ _enumerate_facets(C).T) <= 1e-10, axis=1)
+        on_line = np.all(_incidence(_enumerate_facets(C), C), axis=0)
     if on_line.any():
         raise NotPointed(f"both ray {int(np.argmax(on_line))} and its negative belong to the cone")
 
@@ -304,6 +307,21 @@ def _enumerate_facets(U: np.ndarray) -> np.ndarray:
     F = F / np.max(np.abs(F), axis=1, keepdims=True) + 0.0
     F = F[np.min(F @ U.T, axis=1) >= -1e-10]
     return ordered_rows(F[distinct_rows(F, 1e-10)])
+
+
+def _pow2_rows(X: np.ndarray) -> np.ndarray:
+    """Each nonzero row scaled by the power of two that puts its largest entry in [1, 2)."""
+    return np.ldexp(X, 1 - np.frexp(np.max(np.abs(X), axis=1))[1][:, None])
+
+
+def _incidence(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Facet ``f`` (rows of ``F``) vanishes on generator ``g`` (rows of ``G``): ``|<f, g>| <=
+    MEMBER_TOL`` on rows scaled by :func:`_pow2_rows`, which is exact, so the matrix is the same at
+    every ``2^k`` scale.  A pair below ``-MEMBER_TOL``: a generator violates a facet inequality."""
+    S = _pow2_rows(F) @ _pow2_rows(G).T
+    if np.any(S < -MEMBER_TOL):
+        raise MalformedProblem("a generator violates a facet inequality")
+    return np.abs(S) <= MEMBER_TOL
 
 
 def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list[Witness]:
@@ -340,13 +358,13 @@ def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list
 
 
 def _extreme_rays(U: np.ndarray, facets: np.ndarray) -> np.ndarray:
-    """A mask of the scaled rays ``U`` whose active facets have rank ``dim - 1``.
+    """A mask of the scaled rays ``U`` whose incident facets have rank ``dim - 1``.
 
-    A facet is active on a ray within 1e-10, the tolerance of the facet sign
-    test in :func:`_enumerate_facets`.  One stacked rank call: ray i's matrix
-    is the facet table with its inactive rows zeroed, which leaves the
-    singular values unchanged."""
-    active = np.abs(U @ facets.T) <= 1e-10
+    Incidence is :func:`_incidence`, at the tolerance of the facet sign test
+    in :func:`_enumerate_facets`.  One stacked rank call: ray i's matrix is
+    the facet table with its other rows zeroed, which leaves the singular
+    values unchanged."""
+    active = _incidence(facets, U).T
     keep = np.linalg.matrix_rank(active[:, :, None] * facets, tol=1e-10) == U.shape[1] - 1
     if not keep.any():
         raise NotGenerating("no extreme ray survived facet reduction")

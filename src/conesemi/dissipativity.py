@@ -10,7 +10,9 @@ and takes all their margins from one ``pairing_extrema`` call.  The POD
 check, by contrast, is exact: for fixed boundary point the orthogonal
 positive functionals form a face of the dual cone, so checking extreme ray
 pairs suffices (a reduction the test-suite validates against a sampled
-face-LP oracle).
+face-LP oracle).  The orthogonal pairs are the cone's incidence matrix and
+their signs follow its sign rule (:mod:`~conesemi.cone`); ``is_metzler`` is
+the exact sign test it reduces to on the orthant.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from .numerics import (
 from .report import FAILS, HOLDS, INCONCLUSIVE, Report, Witness
 
 POINT_TOL = 1e-9
-METZLER_TOL = 1e-12
-# has_positive_off_diagonal: a pair (g, f) is orthogonal when <g, f> <= this
-POD_PAIR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,14 +251,14 @@ def _cone_inside_domain(domain: PolyhedralSet, cone: PolyCone) -> bool:
 def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
     """Exact POD check over extreme pairs.
 
-    Enumerates pairs (generator g of K, generator f of K') with
-    ``<g, f> = 0`` and requires ``<A g, f> >= -POINT_TOL``.  Sufficiency of the
-    extreme-pair reduction is a property of polyhedral cones validated by a
-    sampled LP oracle in the test-suite.  When the domain does not contain
-    the whole cone the check restricts to the rays inside: a witness there
-    still refutes, but a pass covers only part of ``K`` in the domain, so
-    it is ``inconclusive``.  The pairings are :meth:`PolyCone.margins` of
-    ``I`` and ``A``.
+    Enumerates the pairs (generator g of K, generator f of K') orthogonal by
+    :attr:`PolyCone.incidence` and requires ``<A g, f> >= -POINT_TOL |f|ᵀ|A||g|``
+    (:meth:`PolyCone._negative_pairs`), so no scale of K or ``A`` moves the
+    verdict.  Sufficiency of the extreme-pair reduction is a property of
+    polyhedral cones validated by a sampled LP oracle in the test-suite.
+    When the domain does not contain the whole cone the check restricts to
+    the rays inside: a witness there still refutes, but a pass covers only
+    part of ``K`` in the domain, so it is ``inconclusive``.
     """
     A = op.matrix
     if A.shape[0] != cone.dim:
@@ -271,8 +270,7 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
         notes = ["partial: domain does not contain the cone; restricted to "
                  f"{len(rows)} of {cone.generators.shape[0]} generators"]
     gens, facets = cone.generators[rows], cone.facets
-    pairing = cone.margins().T[rows]  # <g, f> for every pair
-    image = cone.margins(A).T[rows]   # <A g, f>
+    image, negative = (m.T[rows] for m in cone._negative_pairs(A, POINT_TOL, cone.incidence))
     witnesses = [
         Witness(
             point=gens[i].copy(),
@@ -280,7 +278,7 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
             margin=float(image[i, j]),
             label=f"pair(g[{i}], f[{j}])",
         )
-        for i, j in zip(*np.nonzero((pairing <= POD_PAIR_TOL) & (image < -POINT_TOL)))
+        for i, j in zip(*np.nonzero(negative))
     ]
     verdict = FAILS if witnesses else INCONCLUSIVE if partial else HOLDS
     return Report(
@@ -294,7 +292,6 @@ def has_positive_off_diagonal(op: LinOp, cone: PolyCone) -> Report:
 
 
 def is_metzler(matrix) -> bool:
-    """Off-diagonal sign test; agrees with the POD check on the orthant."""
+    """Exact off-diagonal sign test; agrees with the POD check on the orthant."""
     A = as_matrix(matrix, square=True)
-    off = A - np.diag(np.diag(A))
-    return bool(np.min(off) >= -METZLER_TOL)
+    return bool(np.all((A >= 0.0) | np.eye(A.shape[0], dtype=bool)))

@@ -128,12 +128,6 @@ class WeightedNorm:
             return np.abs(X) @ self.weights
         return np.max(self.weights * np.abs(X), axis=1)
 
-    def dual_value(self, u) -> float:
-        u = as_vector(u, dim=self.dim)
-        if self.kind == L1:
-            return float(np.max(np.abs(u) / self.weights))
-        return float(np.sum(np.abs(u) / self.weights))
-
     @classmethod
     def sup(cls, n: int) -> "WeightedNorm":
         return cls(LINF, np.ones(n))

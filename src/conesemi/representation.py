@@ -13,11 +13,11 @@ with at most ``dim`` states, exactly and without an LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import DualVector, PolyCone
+from .cone import DualVector, PolyCone, _incidence
 from .errors import NotOrderUnit, NotPositiveFunctional, NotRepresentable
 from .numerics import as_vector
 
@@ -32,11 +32,12 @@ class StateSpace:
     states: np.ndarray  # one state per row
     unit: np.ndarray
     generators: np.ndarray  # one facet normal of K' per row
+    incidence: np.ndarray = field(init=False, repr=False)  # generator x state, by cone._incidence
 
     def __post_init__(self):
-        self.states.flags.writeable = False
-        self.unit.flags.writeable = False
-        self.generators.flags.writeable = False
+        object.__setattr__(self, "incidence", _incidence(self.states, self.generators).T)
+        for table in (self.states, self.unit, self.generators, self.incidence):
+            table.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -88,11 +89,11 @@ def represent_functional(space: StateSpace, phi: DualVector) -> Measure:
     state order, of the smallest face of K' that holds the remainder ``r``
     (the face cut out by the generator rows with ``G r <= 1e-12 ||phi||_inf``),
     and subtracts the largest multiple of it that keeps ``r`` in K'.  That
-    makes a row active that the state was off, so the face shrinks and the
-    walk ends within ``dim`` steps.  Every tolerance is relative to
-    ``||phi||_inf``, so scaling ``phi`` by a power of two scales the weights
-    exactly.  A reproduction residual above ``1e-9 ||phi||_inf`` raises
-    :class:`NotRepresentable`.
+    makes a row active that the state is not incident to (``incidence``), so
+    the face shrinks and the walk ends within ``dim`` steps.  Every tolerance
+    is relative to ``||phi||_inf``, so scaling ``phi`` by a power of two
+    scales the weights exactly.  A reproduction residual above
+    ``1e-9 ||phi||_inf`` raises :class:`NotRepresentable`.
     """
     if not isinstance(phi, DualVector) or not phi.certified_positive:
         raise NotPositiveFunctional("representation needs a certified functional")
@@ -105,16 +106,15 @@ def represent_functional(space: StateSpace, phi: DualVector) -> Measure:
             "is inconsistent"
         )
     GS = G @ space.states.T  # column j: state j on every facet row of K'
-    off = GS > 1e-12 * np.max(np.abs(GS))
     weights = np.zeros(space.size)
     rest = target
     for _ in range(space.dim):
         values = G @ rest
-        face = np.flatnonzero(~off[values <= 1e-12 * scale].any(axis=0))
+        face = np.flatnonzero(space.incidence[values <= 1e-12 * scale].all(axis=0))
         if not face.size:
             break
         j = face[0]
-        rows = off[:, j]
+        rows = ~space.incidence[:, j]
         step = np.min(values[rows] / GS[rows, j])
         weights[j] += step
         rest = rest - step * space.states[j]

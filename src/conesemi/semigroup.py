@@ -215,23 +215,24 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     """Exact positivity: T must map every generator into the cone.
 
     Linearity plus conic generation make the generator test complete, so a
-    ``fails`` verdict always carries a generator/facet witness.  The
-    margins are :meth:`PolyCone.margins` of ``T``.
+    ``fails`` verdict always carries a generator/facet witness.  ``T`` is
+    computed, so a pair is negative below ``-tol`` times the largest
+    ``|f|ᵀ|T||g|`` (:meth:`PolyCone._negative_pairs`), which covers rounding
+    where an exact entry is 0, at every common scale.
     """
     T = as_matrix(T, square=True)
     if T.shape[0] != cone.dim:
         raise MalformedProblem("operator and cone dimensions differ")
-    margins = cone.margins(T)  # facet x generator
-    worst = np.argmin(margins, axis=0)
-    worst_margins = margins[worst, np.arange(margins.shape[1])]
+    margins, negative = cone._negative_pairs(T, tol, computed=True)  # facet x generator
+    worst = np.argmin(margins, axis=0)  # a column with a negative pair has its minimum there
     witnesses = [
         Witness(
             point=cone.generators[j].copy(),
             functional=cone.facets[worst[j]].copy(),
-            margin=float(worst_margins[j]),
+            margin=float(margins[worst[j], j]),
             label=f"T(generator[{j}]) violates facet[{worst[j]}]",
         )
-        for j in np.nonzero(worst_margins < -tol)[0]
+        for j in np.flatnonzero(negative[worst, np.arange(worst.size)])
     ]
     return Report(
         name="positive_operator",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import conesemi.semigroup as semigroup
+from conesemi.cone import PolyCone
 from conesemi.dirichlet import (
     RHS_CASES,
     Grid,
@@ -16,7 +17,7 @@ from conesemi.dirichlet import (
     resolvent_closed_form,
     run_dirichlet_checks,
 )
-from conesemi.dissipativity import is_metzler
+from conesemi.dissipativity import LinOp, has_positive_off_diagonal, is_metzler
 from conesemi.errors import DimensionMismatch, MalformedProblem
 from conesemi.numerics import linear_solve, matrix_exp
 from conesemi.semigroup import SemigroupConfig, propagators
@@ -47,6 +48,20 @@ class TestLaplacian:
 
     def test_metzler(self):
         assert is_metzler(dirichlet_laplacian(Grid(15)).matrix)
+
+    @pytest.mark.parametrize("n", [15, 63, 255])
+    def test_peclet_stencil_is_pod_exactly_up_to_one(self, n):
+        # central differences for u'' - beta u' have off-diagonal entries
+        # (1/h^2)(1 +- Pe): Metzler, so POD on the orthant, exactly when Pe <= 1
+        inv_h2 = 1.0 / Grid(n).h ** 2
+        orthant = PolyCone.standard_orthant(n)
+        for pe, verdict in ((1.0, "holds"), (1.0 + 1e-12, "fails")):
+            A = (np.diag(np.full(n - 1, inv_h2 * (1.0 + pe)), -1) - 2.0 * inv_h2 * np.eye(n)
+                 + np.diag(np.full(n - 1, inv_h2 * (1.0 - pe)), 1))
+            rep = has_positive_off_diagonal(LinOp(A), orthant)
+            assert rep.verdict == verdict and is_metzler(A) == (verdict == "holds")
+            assert [w.label for w in rep.witnesses] == (
+                [f"pair(g[{i + 1}], f[{i}])" for i in range(n - 1)] if verdict == "fails" else [])
 
     def test_row_sums(self):
         g = Grid(8)

@@ -521,6 +521,14 @@ class TestMetzlerCharacterization:
         assert not is_metzler([[-1, -1], [1, 1]])
         assert is_metzler(np.diag([-7.0, -3.0]))
 
+    def test_one_tiny_negative_entry_is_not_metzler(self):
+        # the sign is exact: no absolute threshold lets -1e-13 pass
+        A = np.array([[-1.0, 2.0, 0.0], [0.5, -3.0, -1e-13], [0.0, 1.0, -1.0]])
+        assert not is_metzler(A)
+        rep = has_positive_off_diagonal(LinOp(A), PolyCone.standard_orthant(3))
+        assert rep.verdict == "fails"
+        assert [(w.label, w.margin) for w in rep.witnesses] == [("pair(g[2], f[1])", -1e-13)]
+
     def test_matches_pod_on_orthant(self):
         rng = np.random.default_rng(115)
         for _ in range(200):

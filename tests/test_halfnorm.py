@@ -241,15 +241,6 @@ class TestWeightedNorm:
         with pytest.raises(MalformedProblem):
             WeightedNorm("l2", [1.0, 1.0])
 
-    def test_dual_value_pairs_with_primal(self):
-        rng = np.random.default_rng(99)
-        for kind in ("l1", "linf"):
-            norm = WeightedNorm(kind, rng.uniform(0.5, 2.0, 3))
-            for _ in range(50):
-                x = rng.standard_normal(3)
-                u = rng.standard_normal(3)
-                assert abs(float(x @ u)) <= norm.value(x) * norm.dual_value(u) + 1e-12
-
 
 class TestFunctionalGaugeValues:
     def test_on_cone_equals_pairing(self, orthant2):

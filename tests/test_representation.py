@@ -15,6 +15,7 @@ from conesemi.cone import DualVector, PolyCone
 from conesemi.errors import NotOrderUnit, NotPositiveFunctional, NotRepresentable
 from conesemi.numerics import LpProblem, solve_lp
 from conesemi.representation import (
+    StateSpace,
     build_state_space,
     embed,
     represent_functional,
@@ -58,6 +59,19 @@ class TestBuildStates:
         assert space.generators is diamond.generators
         with pytest.raises(ValueError):
             space.generators[0, 0] = 5.0
+
+    def test_incidence_is_derived_from_the_tables(self):
+        # the three-field constructor stays; incidence follows from its tables
+        rng = np.random.default_rng(7)
+        for K, unit in ((PolyCone.standard_orthant(3), np.ones(3)),
+                        sphere_cone(rng, 3, 6), sphere_cone(rng, 4, 9)):
+            space = build_state_space(K, unit)
+            assert np.array_equal(space.incidence, K.incidence.T)
+            built = StateSpace(space.states.copy(), space.unit.copy(), K.generators.copy())
+            assert np.array_equal(built.incidence, K.incidence.T)
+            assert "incidence" not in repr(built)
+            with pytest.raises(ValueError):
+                built.incidence[0, 0] = True
 
     def test_states_evaluate_one_on_unit(self, diamond):
         space = build_state_space(diamond, [1.5, 0.2])

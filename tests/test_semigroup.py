@@ -10,7 +10,7 @@ import scipy.linalg
 import conesemi.semigroup as semigroup
 from conesemi.cone import PolyCone
 from conesemi.dirichlet import Grid, dirichlet_laplacian, run_dirichlet_checks
-from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal
+from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal, is_metzler
 from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge, SingularMatrix
 from conesemi.halfnorm import FunctionalGauge, RegularizedGauge, WeightedNorm
 from conesemi.numerics import factorized_solver, matrix_exp
@@ -754,6 +754,24 @@ class TestSemigroupPositivityPipeline:
         rep = check_semigroup_positivity(LinOp(np.zeros((2, 2))), phis, orthant2, cfg, 20, 0)
         conclusions = [s for s in rep.subreports if s.data.get("role") == "conclusion"]
         assert conclusions and all(s.verdict == "holds" for s in conclusions)
+
+    def test_dense_euler_rounding_is_not_a_counterexample(self):
+        # trial 261 of this draw: pivoted LU leaves -2.2e-17 in the Euler
+        # matrix where the exact entry of the Metzler resolvent is 0
+        rng = np.random.default_rng(0)
+        for _ in range(262):
+            n = int(rng.integers(3, 7))
+            A = rng.uniform(0, 1, (n, n)) * (rng.random((n, n)) < 0.4)
+            A -= np.diag(A.sum(axis=1) + rng.uniform(0, 2, n))
+        assert n == 5 and is_metzler(A)
+        K = PolyCone.standard_orthant(n)
+        assert is_positive_operator(euler_matrix(A, 1.0, 1), K).verdict == "holds"
+        phis = [K.certify_functional(f) for f in K.facets]
+        cfg = SemigroupConfig(t_grid=(0.5, 1.0), euler_steps=1, method="euler")
+        rep = check_semigroup_positivity(LinOp(A), phis, K, cfg, 20, 0)
+        conclusions = [s for s in rep.subreports if s.data.get("role") == "conclusion"]
+        assert len(conclusions) == 2 and all(s.verdict == "holds" for s in conclusions)
+        assert rep.verdict != "fails"
 
     def test_metzler_all_positive(self, orthant2):
         phis = [orthant2.certify_functional(f) for f in orthant2.facets]
