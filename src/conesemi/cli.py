@@ -5,9 +5,10 @@ dispatch to the certification modules, and print a human-readable report;
 ``--json-out`` additionally writes the machine-readable report, before any
 text.  Exit codes follow the 0/1/2 convention: 0 the checked property
 passed, 1 it failed with a printed witness, 2 the input could not be parsed,
-the report could not be written, or a numerical guard tripped.  Sampled
-passes are always labelled as evidence rather than proof, both in text and
-in the JSON body.
+the report could not be written, a numerical guard tripped, or the program
+hit an internal error, printed as one line and never read as a failed check.
+Sampled passes are always labelled as evidence rather than proof, both in
+text and in the JSON body.
 
 The ``CONESEMI_SEED`` environment variable overrides the file's ``seed``
 field; an explicit ``--seed`` beats both.  Seeds and sample counts must be
@@ -52,6 +53,8 @@ from .semigroup import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+# every sampled point is drawn, labelled and kept at once
+MAX_SAMPLES = 100_000
 
 
 def main(argv=None) -> int:
@@ -65,6 +68,9 @@ def main(argv=None) -> int:
         code, checks, extra_text = args.handler(args)
     except (ProblemFileError, ConesemiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a bug, not a verdict: never exit 1 for it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     wall = time.perf_counter() - started
 
@@ -170,6 +176,8 @@ def _resolve_samples(args, pf: ProblemFile, default: int = 100) -> int:
             raise ProblemFileError("--samples: expected a nonnegative integer")
     else:
         n = pf.samples(default)
+    if n > MAX_SAMPLES:
+        raise ProblemFileError(f"samples: at most {MAX_SAMPLES} points, got {n}")
     args.resolved_samples = n
     return n
 

@@ -7,7 +7,10 @@ every row scaled by the power of two that puts its largest entry in [1, 2).
 That scaling is exact, so the matrix is the same at every ``2^k`` scale; the
 extreme-ray and pointedness tests of :meth:`PolyCone.from_generators`, which
 finds the facets as the vertices of a slice of the dual cone by the one
-active-set loop of :mod:`~conesemi.numerics`, read the same rule.  One sign
+active-set loop of :mod:`~conesemi.numerics`, read the same rule, and so do
+:meth:`PolyCone.certify_functional` and :meth:`PolyCone.is_total`: a family
+is total when each facet has a member that vanishes where the facet does,
+and otherwise a witness follows in closed form, with no LP.  One sign
 rule goes with it (:meth:`_negative_pairs`): an exact pair check counts
 ``<f, M g>`` (:meth:`margins`) as negative only below ``-tol |f|ᵀ|M||g|``,
 which on the orthant is the sign of an entry of ``M``; for a computed ``M``
@@ -18,6 +21,7 @@ cone is pointed exactly when its facet normals span.  Membership uses 1e-10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +35,11 @@ from .errors import (
     NotLattice,
     NotPointed,
     NotPositiveFunctional,
-    NumericalFailure,
 )
-from .numerics import (LpProblem, _active_set_vertices, as_matrix, as_vector, distinct_rows,
-                       ordered_rows, solve_lp)
+from .numerics import _active_set_vertices, as_matrix, as_vector, distinct_rows, ordered_rows
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
-TOTALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +71,10 @@ class PolyCone:
         # its generators or facets are identity products, which margins skips
         eye = np.eye(self.dim)
         self._orthant = np.array_equal(self.generators, eye) and np.array_equal(self.facets, eye)
+        # the generators as every sign rule reads them (see _incidence)
+        self._scaled_generators = self.generators if self._orthant else _pow2_rows(self.generators)
         self.incidence = eye == 0.0 if self._orthant else _incidence(self.facets, self.generators)
-        for table in (self.generators, self.facets, self.incidence):
+        for table in (self.generators, self._scaled_generators, self.facets, self.incidence):
             table.flags.writeable = False
         self._memo_slot: tuple[bytes, object] | None = None
 
@@ -209,10 +212,14 @@ class PolyCone:
         return bool(np.min(self.facets @ u) > MEMBER_TOL)
 
     def certify_functional(self, coords) -> DualVector:
-        """Check dual-cone membership and attach the certificate."""
+        """Check dual-cone membership and attach the certificate: ``<phi, g> >=
+        -MEMBER_TOL`` on rows scaled by :func:`_pow2_rows`, the sign rule of
+        :func:`_incidence`, so no ``2^k`` scale moves it and :meth:`is_total`
+        accepts every member it certifies."""
         v = as_vector(coords, dim=self.dim)
-        worst = float(np.min(self.generators @ v))
-        if worst < -MEMBER_TOL:
+        worst = float((self._scaled_generators @ v).min())
+        # _pow2_rows(v)'s power of two, moved exactly onto the (negative) bound
+        if worst < 0.0 and worst < math.ldexp(-MEMBER_TOL, math.frexp(np.abs(v).max())[1] - 1):
             raise NotPositiveFunctional(
                 f"functional is negative on a generator (margin {worst:.3g})"
             )
@@ -225,16 +232,17 @@ class PolyCone:
         and by bipolarity the family is total exactly when ``cone(phis) = K'``,
         that is, when it contains every facet normal f of K.  Such an f spans
         an extreme ray of K', so it lies in ``cone(phis)`` only as a positive
-        multiple of a member.  Hence a facet passes at once when the member
-        phi most parallel to it satisfies ``||f - c phi||_1 <= tol`` with
-        ``c = max(<f,phi>, 0) / <phi,phi>`` and ``tol = TOTALITY_TOL``: on the
-        box ``||x||_inf <= 1`` that gives ``<x,f> >= c <x,phi> - tol >= -tol``,
-        the verdict the facet's LP reaches.  Only the facets with no such
-        member go to that LP, ``min <x,f>`` over ``{<x,phi> >= 0,
-        ||x||_inf <= 1}``; the family is total exactly when every optimum
-        clears ``-tol``, and the LP point is the witness of a ``fails``.  The
-        box bound is lossless by homogeneity.  This is a complete check, not a
-        sampled one.
+        multiple of a member; a nonzero member of K' is one exactly when it
+        vanishes on every generator incident to f, since those span ``f^⊥``.
+        Vanishing is :func:`_incidence`, the rule of :attr:`incidence`, so one
+        product matches every facet; zero members match nothing.  On the rays
+        scaled by :func:`_pow2_rows`, an unmatched f has the witness ``x =
+        y/d - c``: ``y``, the sum of the rays incident to f, lies inside that
+        face, where every member is positive, and ``c``, the sum of all rays,
+        inside K, so with ``d = min <phi, y> / (2 <phi, c>)`` (infinite with no
+        nonzero member) ``<phi, x> >= <phi, c> > 0`` and ``<f, x> = -<f, c> <
+        0``.  ``x`` is scaled to ``||x||_inf = 1``.  No LP runs, and no ``2^k``
+        scale of a ray or a member changes a bit of the report.
         """
         if not phis:
             raise EmptyPhi("totality asked for an empty functional family")
@@ -244,23 +252,22 @@ class PolyCone:
             if phi.dim != self.dim:
                 raise DimensionMismatch(f"phi[{i}] has dimension {phi.dim}, not {self.dim}")
         Phi = np.vstack([phi.coords for phi in phis])
-        F = self.facets
-        sq = np.sum(Phi * Phi, axis=1)
-        sq[sq == 0.0] = 1.0  # a zero member gets c = 0: its residual is ||f||_1
-        best = np.argmax((F @ Phi.T) / np.sqrt(sq), axis=1)
-        near = Phi[best]
-        c = np.maximum(np.sum(F * near, axis=1), 0.0) / sq[best]
-        matched = np.sum(np.abs(F - c[:, None] * near), axis=1) <= TOTALITY_TOL
-        witnesses = _facet_lp_witnesses(Phi, F[~matched], TOTALITY_TOL)
-        verdict = FAILS if witnesses else HOLDS
-        return Report(
-            name="total_set",
-            verdict=verdict,
-            witnesses=witnesses,
-            samples_used=0,
-            tolerance=TOTALITY_TOL,
-            notes=["exact facet-LP check"],
-        )
+        Phi = Phi[Phi.any(axis=1)]
+        G = self._scaled_generators
+        incidence = self.incidence.astype(float)
+        matched = (incidence @ ~_incidence(Phi, G).T == 0.0).any(axis=1)
+        witnesses = []
+        if not matched.all():
+            c = G.sum(axis=0)
+            Y = incidence[~matched] @ G
+            d = (Phi @ Y.T / (2.0 * (Phi @ c))[:, None]).min(axis=0, initial=np.inf)
+            X = Y / d[:, None] - c
+            X /= np.abs(X).max(axis=1, keepdims=True)
+            label = "nonnegative on every phi yet outside the cone"
+            witnesses = [Witness(x, f.copy(), float(f @ x), label)
+                         for f, x in zip(self.facets[~matched], X)]
+        return Report(name="total_set", verdict=FAILS if witnesses else HOLDS, witnesses=witnesses,
+                      samples_used=0, tolerance=MEMBER_TOL, notes=["exact incidence check"])
 
     def __repr__(self) -> str:
         return (
@@ -311,7 +318,7 @@ def _enumerate_facets(U: np.ndarray) -> np.ndarray:
 
 def _pow2_rows(X: np.ndarray) -> np.ndarray:
     """Each nonzero row scaled by the power of two that puts its largest entry in [1, 2)."""
-    return np.ldexp(X, 1 - np.frexp(np.max(np.abs(X), axis=1))[1][:, None])
+    return np.ldexp(X, 1 - np.frexp(np.abs(X).max(axis=1))[1][:, None])
 
 
 def _incidence(F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -319,42 +326,9 @@ def _incidence(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     MEMBER_TOL`` on rows scaled by :func:`_pow2_rows`, which is exact, so the matrix is the same at
     every ``2^k`` scale.  A pair below ``-MEMBER_TOL``: a generator violates a facet inequality."""
     S = _pow2_rows(F) @ _pow2_rows(G).T
-    if np.any(S < -MEMBER_TOL):
+    if (S < -MEMBER_TOL).any():
         raise MalformedProblem("a generator violates a facet inequality")
     return np.abs(S) <= MEMBER_TOL
-
-
-def _facet_lp_witnesses(Phi: np.ndarray, facets: np.ndarray, tol: float) -> list[Witness]:
-    """The totality LP per facet: ``min <x,f>`` over ``{Phi x >= 0, ||x||_inf <= 1}``.
-
-    Returns a witness for each facet whose optimum falls below ``-tol``.  The
-    LP point is re-checked at the verdict's scale first; a point that the
-    family refutes raises :class:`NumericalFailure` instead of a ``fails``
-    whose own witness contradicts it.
-    """
-    n = Phi.shape[1]
-    eye = np.eye(n)
-    G = np.vstack([Phi, eye, -eye])
-    h = np.concatenate([np.zeros(Phi.shape[0]), -np.ones(2 * n)])
-    witnesses = []
-    for f in facets:
-        res = solve_lp(LpProblem(objective=f, ineq_constraints=(G, h)))
-        if not res.optimal:  # pragma: no cover - box keeps the LP bounded
-            raise MalformedProblem(f"totality LP returned {res.status}")
-        if res.value < -tol:
-            x = res.point
-            slack = tol * (1.0 + float(np.max(np.abs(x))))
-            if np.min(Phi @ x) < -slack or not float(f @ x) < -tol:
-                raise NumericalFailure("totality LP point is refuted by the family it solved")
-            witnesses.append(
-                Witness(
-                    point=x,
-                    functional=f.copy(),
-                    margin=float(res.value),
-                    label="nonnegative on every phi yet outside the cone",
-                )
-            )
-    return witnesses
 
 
 def _extreme_rays(U: np.ndarray, facets: np.ndarray) -> np.ndarray:

@@ -110,8 +110,8 @@ class WeightedNorm:
         if self.kind not in (L1, LINF):
             raise MalformedProblem(f"norm kind must be 'l1' or 'linf', got {self.kind!r}")
         w = as_vector(self.weights)
-        if np.min(w) <= 0:
-            raise MalformedProblem("norm weights must be strictly positive")
+        if not np.min(w) > 1.0 / np.finfo(float).max:
+            raise MalformedProblem("norm weights must be positive, with finite reciprocals")
         object.__setattr__(self, "weights", w)
         self.weights.flags.writeable = False
 

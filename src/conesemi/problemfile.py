@@ -84,9 +84,13 @@ def _require(obj: dict, path: str, key: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(path, "number out of the floating-point range")
     if not np.isfinite(value):
         _fail(path, "numbers must be finite")
-    return float(value)
+    return value
 
 
 def _as_vector(value, path: str) -> np.ndarray:
@@ -149,6 +153,8 @@ class ProblemFile:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+            raise ProblemFileError(f"{path}: invalid JSON ({exc})") from exc
         return cls(raw, source=str(path))
 
     # -- sections ----------------------------------------------------------
@@ -171,6 +177,8 @@ class ProblemFile:
         if not isinstance(section, dict):
             _fail("halfnorm", "expected an object")
         variant = _require(section, "halfnorm", "variant")
+        if not isinstance(variant, str):
+            _fail("halfnorm.variant", f"expected a string, got {type(variant).__name__}")
         variant = _VARIANT_ALIASES.get(variant, variant)
         if variant not in _VARIANTS:
             _fail("halfnorm.variant", f"unknown variant {variant!r}")

@@ -33,9 +33,10 @@ from .numerics import (as_matrix, as_vector, factorized_solver, matrix_exp, requ
 from .report import FAILS, HOLDS, INCONCLUSIVE, VACUOUS, Report, Witness
 
 DEFAULT_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
-# Largest power of the base step that a time-grid chain takes.  A power m of
-# a near-identity T(d) carries about m ulps of rounding (6e-11 measured at
-# m = 1e6), so a time further out gets its own exponential.
+# Largest power of a near-identity step: of the base step in a time-grid
+# chain, and of the resolvent in a backward-Euler power (its step count).  A
+# power m of a near-identity T(d) carries about m ulps of rounding (6e-11
+# measured at m = 1e6), so a time further out gets its own exponential.
 CHAIN_MAX_POWER = 2**20
 CONTRACTIVE_TOL = 1e-8
 
@@ -55,8 +56,8 @@ class SemigroupConfig:
         if list(grid) != sorted(grid):
             raise MalformedProblem("t_grid must be sorted ascending")
         object.__setattr__(self, "t_grid", grid)
-        if self.euler_steps < 1:
-            raise MalformedProblem("euler_steps must be >= 1")
+        if not 1 <= self.euler_steps <= CHAIN_MAX_POWER:
+            raise MalformedProblem(f"euler_steps must be from 1 to {CHAIN_MAX_POWER}")
         if self.method not in ("euler", "expm", "both"):
             raise MalformedProblem(f"unknown method {self.method!r}")
 

@@ -12,7 +12,9 @@ replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``.
 ``dirichlet_exp`` is the scipy-free exponential of the Dirichlet stencil,
 from its closed-form eigenpairs.  ``lp_first_ray_on_a_line`` is the per-ray
 LP loop that ``cone._check_pointed`` replaced by a test on the facets of the
-cone within the rays' span.  ``loop_distinct_rows`` is the one-row-at-a-time
+cone within the rays' span, and ``highs_totality_optima`` the per-facet LP
+that ``PolyCone.is_total`` replaced by a match on the incidence matrix, here
+solved by scipy's HiGHS.  ``loop_distinct_rows`` is the one-row-at-a-time
 greedy loop behind ``numerics.distinct_rows``, which de-duplicates every
 enumerated table.
 """
@@ -21,6 +23,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from conesemi import numerics
 from conesemi.errors import DimensionTooLarge, MalformedProblem
@@ -189,3 +192,20 @@ def lp_first_ray_on_a_line(R) -> int | None:
         if solve_lp(problem).optimal:
             return i
     return None
+
+
+def highs_totality_optima(Phi, facets) -> np.ndarray:
+    """The totality LP per facet solved by scipy's HiGHS: ``min <x, f>`` over
+    ``{Phi x >= 0, ||x||_inf <= 1}`` for each row ``f`` of ``facets``.  The
+    family ``Phi`` of functionals positive on a cone is total exactly when no
+    facet normal of the cone has a negative optimum; the box bound is lossless
+    by homogeneity."""
+    Phi = as_matrix(Phi)
+    optima = []
+    for f in as_matrix(facets):
+        res = linprog(f, A_ub=-Phi, b_ub=np.zeros(Phi.shape[0]), bounds=(-1, 1), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        assert res.status == 0, res.message
+        optima.append(res.fun)
+    return np.array(optima)

@@ -504,3 +504,72 @@ class TestProblemFileRoundTrip:
             ProblemFile({**BASE, "lambda": 0}).lambdas()
         with pytest.raises(ProblemFileError, match="lambda"):
             ProblemFile({**BASE, "lambda": "x"}).lambdas()
+
+
+class TestMalformedInputNeverExitsOne:
+    """Exit 1 means a ``fails`` verdict, so a broken input exits 2 with one
+    stderr line that names its field, and an unexpected exception exits 2
+    with one ``internal error`` line instead of a traceback."""
+
+    def test_integer_beyond_int64_is_a_number(self, tmp_path):
+        payload = {**BASE, "operator": {"matrix": [[-2, 1], [1, 10**30]]}}
+        assert run(["check-pod", "--file", write(tmp_path, payload), "--quiet"]) == 0
+
+    def test_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        payload = {**BASE, "operator": {"matrix": [[-2, 1], [1, 10**400]]}}
+        assert run(["check-pod", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: operator.matrix[1][1]: number out of the floating-point range"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"schema_version": 1, "seed": ' + "9" * 5000 + "}", "integer string conversion"),
+        ('{"schema_version": 1, "cone": ' + "[" * 100000 + "]" * 100000 + "}", "recursion"),
+    ])
+    def test_json_the_parser_refuses_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        assert run(["check-pod", "--file", path, "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: invalid JSON") and message in line
+
+    def test_variant_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        payload = {**BASE, "halfnorm": {"variant": ["functional"]},
+                   "operator": {"matrix": [[-2, 1], [1, -2]]}}
+        assert run(["check-dissipative", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: halfnorm.variant: expected a string, got list"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("samples", 10**30, "samples: at most 100000 points"),
+        ("semigroup", {"euler_steps": 10**400}, "euler_steps must be from 1 to 1048576"),
+    ])
+    def test_counts_beyond_their_bound_exit_2(self, tmp_path, capsys, field, value, message):
+        payload = json.loads((FIXTURES / "metzler_positive.json").read_text())
+        payload[field] = value
+        assert run(["simulate", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert message in line
+
+    def test_flag_samples_beyond_the_bound_exit_2(self, capsys):
+        assert run(["simulate", "--file", FIXTURES / "metzler_positive.json",
+                    "--samples", 10**30, "--quiet"]) == 2
+        assert "samples: at most 100000 points" in capsys.readouterr().err
+
+    def test_weight_with_an_infinite_reciprocal_exits_2(self, tmp_path, capsys):
+        payload = json.loads((FIXTURES / "canonical_domain.json").read_text())
+        payload["halfnorm"]["norm"]["weights"][0] = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check-dissipative", "--file", write(tmp_path, payload), "--quiet"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "finite reciprocals" in line
+
+    def test_unexpected_exception_exits_2_with_one_line(self, monkeypatch, capsys):
+        from conesemi import cli
+
+        def broken(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "has_positive_off_diagonal", broken)
+        assert run(["check-pod", "--file", FIXTURES / "example52_matrix1_pod.json"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["internal error: RuntimeError: boom"]

@@ -3,9 +3,8 @@
 The facet enumeration, which solves for the vertices of the slice
 ``{f : U f >= 0, <c, f> = 1}`` of the dual cone, is checked to 1e-11 against
 the generalized-cross-product loops it replaced, kept here as independent
-oracles.  ``is_total`` is checked against its own
-per-facet LP run on every facet, and against scipy's HiGHS where that LP
-gives up.
+oracles.  ``is_total`` is checked against the per-facet totality LP solved
+by scipy's HiGHS on every facet.
 """
 
 import itertools
@@ -14,18 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from conesemi import cone as cone_module
-from conesemi import numerics
-from conesemi.cone import (
-    TOTALITY_TOL,
-    PolyCone,
-    _check_pointed,
-    _dedup_directions,
-    _enumerate_facets,
-    _facet_lp_witnesses,
-)
+from conesemi import dissipativity, halfnorm, numerics
+from conesemi.cone import PolyCone, _check_pointed, _dedup_directions, _enumerate_facets
 from conesemi.errors import (
     DimensionMismatch,
     EmptyPhi,
@@ -34,11 +25,10 @@ from conesemi.errors import (
     NotLattice,
     NotPointed,
     NotPositiveFunctional,
-    NumericalFailure,
 )
-from conesemi.numerics import OPTIMAL, LpProblem, LpResult, solve_lp
+from conesemi.numerics import LpProblem, solve_lp
 from conesemi.report import FAILS, HOLDS
-from oracles import loop_distinct_rows, lp_first_ray_on_a_line
+from oracles import highs_totality_optima, loop_distinct_rows, lp_first_ray_on_a_line
 
 
 @pytest.fixture
@@ -161,13 +151,16 @@ def loop_dedup_directions(R):
 
 
 def count_lp_calls(monkeypatch):
+    """Record every LP the package solves: each module that binds ``solve_lp``
+    calls the counting wrapper, so an empty list means no LP anywhere."""
     calls = []
 
     def counted(problem):
         calls.append(problem)
         return solve_lp(problem)
 
-    monkeypatch.setattr(cone_module, "solve_lp", counted)
+    for module in (numerics, halfnorm, dissipativity):
+        monkeypatch.setattr(module, "solve_lp", counted)
     return calls
 
 
@@ -675,41 +668,21 @@ class TestTotality:
 
     @staticmethod
     def assert_valid_witness(Phi, witness, K=None):
+        """Nonnegative on every member and strictly negative on its facet."""
         x = witness.point
-        assert np.min(Phi @ x) >= -TOTALITY_TOL * (1.0 + np.max(np.abs(x)))
-        assert witness.functional @ x < -TOTALITY_TOL
+        assert np.max(np.abs(x)) == 1.0
+        assert np.min(Phi @ x) >= 0.0
+        assert witness.margin == witness.functional @ x < 0.0
         if K is not None:
-            assert not np.min(K.facets @ x) >= -TOTALITY_TOL
-
-    @staticmethod
-    def highs_verdict(Phi, facets):
-        """Independent oracle: the per-facet totality LP solved by HiGHS."""
-        worst = np.inf
-        for f in facets:
-            res = linprog(
-                f,
-                A_ub=-Phi,
-                b_ub=np.zeros(Phi.shape[0]),
-                bounds=(-1, 1),
-                method="highs",
-                options={
-                    "primal_feasibility_tolerance": 1e-10,
-                    "dual_feasibility_tolerance": 1e-10,
-                },
-            )
-            assert res.status == 0
-            worst = min(worst, res.fun)
-        return FAILS if worst < -TOTALITY_TOL else HOLDS
+            assert any(np.array_equal(witness.functional, f) for f in K.facets)
 
     def test_matches_facet_lp_oracle(self):
         """Families on random cones in R^2..R^8: the facets shuffled, scaled
         and mixed with other positive functionals; strict subfamilies; one
-        facet moved into the interior of K' by ||delta||_1 just below and
-        well above the tolerance.  Where the per-facet LP over every facet
-        returns, the report equals its own; where the simplex gives up, the
-        report either gives up on the same LP or agrees with HiGHS."""
+        facet moved into the interior of K' by ||delta||_1 = 1e-9 and 1e-7.
+        The verdict is ``fails`` exactly when HiGHS finds a negative optimum
+        on some facet, and the witnesses name exactly those facets."""
         rng = np.random.default_rng(37)
-        compared = total = 0
         for n in range(2, 9):
             for _ in range(2):
                 K = random_cone(rng, n, n + int(rng.integers(0, 3)))
@@ -723,58 +696,43 @@ class TestTotality:
                     F[rng.permutation(m)[: max(1, m // 2)]],
                 ]
                 inward = F.sum(axis=0) / np.sum(np.abs(F.sum(axis=0)))
-                for size in (0.9 * TOTALITY_TOL, 100 * TOTALITY_TOL):
+                for size in (1e-9, 1e-7):
                     moved = F.copy()
                     moved[rng.integers(m)] += size * inward
                     families.append(moved)
                 for Phi in families:
-                    phis = [K.certify_functional(p) for p in Phi]
-                    try:
-                        expected = _facet_lp_witnesses(Phi, F, TOTALITY_TOL)
-                    except NumericalFailure:
-                        expected = None  # the simplex gave up on some facet
-                    try:
-                        report = K.is_total(phis)
-                    except NumericalFailure:
-                        assert expected is None  # only on an LP the oracle cannot solve
-                        continue
-                    total += 1
-                    if expected is None:
-                        assert report.verdict == self.highs_verdict(Phi, F)
-                    else:
-                        compared += 1
-                        assert report.verdict == (FAILS if expected else HOLDS)
-                        assert [w.point.tobytes() for w in report.witnesses] == [
-                            w.point.tobytes() for w in expected
-                        ]
-                        assert [w.margin for w in report.witnesses] == [w.margin for w in expected]
+                    report = K.is_total([K.certify_functional(p) for p in Phi])
+                    refuted = highs_totality_optima(Phi, F) < -1e-12
+                    assert report.verdict == (FAILS if refuted.any() else HOLDS)
+                    assert [w.functional.tobytes() for w in report.witnesses] == [
+                        f.tobytes() for f in F[refuted]
+                    ]
                     for w in report.witnesses:
                         self.assert_valid_witness(Phi, w, K)
-        assert compared >= total // 2
 
-    def test_lp_path_returns_no_refuted_witness(self, monkeypatch):
-        """The per-facet LP run directly on a cone's own facets: each one is
-        in the family, so the family is total and no facet gives a witness.
-        The 48-ray cone is one on which the LP once returned a point that
-        violates a facet by 3e-9.  A point that a member refutes must raise
-        rather than report ``fails``."""
-        rng = np.random.default_rng(38)
-        cones = [PolyCone.from_generators(sphere_rays(np.random.default_rng(18), 3, 48))]
-        cones += [random_cone(rng, n, n + 2) for n in range(3, 7)]
-        for K in cones:
-            assert _facet_lp_witnesses(K.facets, K.facets, TOTALITY_TOL) == []
-        refuted = np.array([1.0, 1.0, -1e-6])
-        monkeypatch.setattr(
-            cone_module, "solve_lp", lambda problem: LpResult(OPTIMAL, -1e-6, refuted)
-        )
-        with pytest.raises(NumericalFailure, match="refuted"):
-            _facet_lp_witnesses(np.eye(3), np.eye(3), TOTALITY_TOL)
+    def test_zero_members_match_nothing(self, orthant2):
+        zero = orthant2.certify_functional([0, 0])
+        report = orthant2.is_total([zero, orthant2.certify_functional([1, 0])])
+        assert report.verdict == FAILS
+        assert [w.functional.tolist() for w in report.witnesses] == [[0.0, 1.0]]
+        report = orthant2.is_total([zero])
+        assert [w.point.tolist() for w in report.witnesses] == [[-1.0, -1.0]] * 2
+
+    def test_certified_members_never_raise(self, orthant2):
+        """``[0.3, -5e-11]`` once passed the certificate at the caller's scale
+        and then made ``is_total`` raise ``MalformedProblem``: on rows scaled
+        by powers of two it is ``[1.2, -2e-10]``, negative beyond the
+        incidence rule.  The certificate now applies that same rule."""
+        with pytest.raises(NotPositiveFunctional):
+            orthant2.certify_functional([0.3, -5e-11])
+        phi = orthant2.certify_functional([0.3, -2e-11])
+        assert orthant2.is_total([phi]).verdict == FAILS
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_one_facet_short_family_names_that_facet(self, seed):
         """The benchmark's 16-ray cones in R^6 without their first facet:
-        that facet's LP starts from the slack basis and returns the one
-        witness, where a phase-1 start raised ``NumericalFailure``."""
+        the one witness names that facet, where the per-facet LP once raised
+        ``NumericalFailure``."""
         K = PolyCone.from_generators(sphere_rays(np.random.default_rng(seed), 6, 16))
         report = K.is_total([K.certify_functional(f) for f in K.facets[1:]])
         assert report.verdict == FAILS
@@ -782,16 +740,20 @@ class TestTotality:
         np.testing.assert_array_equal(report.witnesses[0].functional, K.facets[0])
         self.assert_valid_witness(K.facets[1:], report.witnesses[0], K)
 
-    @pytest.mark.parametrize("n, k, seed", [(6, 16, 0), (3, 48, 18)])
+    @pytest.mark.parametrize("n, k, seed", [(6, 16, 0), (3, 48, 18), (6, 16, 1), (6, 16, 3),
+                                            (6, 16, 4)])
     def test_benchmark_cones_total_without_lps(self, n, k, seed, monkeypatch):
         """Cones on which the all-facet LP check raised ``NumericalFailure``
         (16 rays in R^6) or returned a self-refuting ``fails`` (48 rays in
-        R^3): their own facets are total, decided with no LP at all."""
+        R^3): their own facets are total, and one facet short they are not,
+        both decided with no LP at all."""
         calls = count_lp_calls(monkeypatch)
         K = PolyCone.from_generators(sphere_rays(np.random.default_rng(seed), n, k))
         report = K.is_total([K.certify_functional(f) for f in K.facets])
         assert report.verdict == HOLDS
-        assert report.notes == ["exact facet-LP check"]
+        assert report.notes == ["exact incidence check"]
+        short = K.is_total([K.certify_functional(f) for f in K.facets[1:]])
+        assert short.verdict == FAILS and short.notes == ["exact incidence check"]
         assert calls == []
 
 

@@ -1,11 +1,13 @@
-"""Scale covariance of the exact pair checks.
+"""Scale covariance of the exact pair checks, and totality against HiGHS.
 
 Scaling the rays of a cone, or a matrix, by ``2^k`` is exact in floating
 point, so every exact verdict must come out the same at every such scale:
 the facets, the incidence matrix, the POD verdict and its witness pairs,
-and the positivity verdict.  The pyramid probe is fixed (``default_rng(0)``);
-hypothesis adds pyramids with POD operators by construction, ``GᵀWF - cI``
-with ``W >= 0``, whose pairs all sit on the verdict boundary or above it.
+the positivity verdict, and the totality verdict with its witnesses.  The
+pyramid probe is fixed (``default_rng(0)``); hypothesis adds pyramids with
+POD operators by construction, ``GᵀWF - cI`` with ``W >= 0``, whose pairs
+all sit on the verdict boundary or above it, and functional families on
+cones in R^2..R^8 whose totality scipy's HiGHS decides facet by facet.
 """
 
 import functools
@@ -19,6 +21,7 @@ from conesemi.cone import PolyCone
 from conesemi.dissipativity import LinOp, has_positive_off_diagonal
 from conesemi.numerics import matrix_exp
 from conesemi.semigroup import is_positive_operator
+from oracles import highs_totality_optima
 
 SCALES = (-60, -40, -30, -20, -10, 10, 20, 30, 40, 60)
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -104,3 +107,60 @@ class TestPositivityAtEveryScale:
             want, got = is_positive_operator(T, K), is_positive_operator(T, scaled)
             assert got.verdict == want.verdict
             assert [w.label for w in got.witnesses] == [w.label for w in want.witnesses]
+
+
+def sphere_cone(rng, n: int) -> PolyCone:
+    """n to n + 3 rays ``(1, rho z)``, ``z`` on the unit sphere of R^(n-1),
+    redrawn until they span R^n; every ray is extreme."""
+    k = n + int(rng.integers(0, 4))
+    while True:
+        z = rng.standard_normal((k, n - 1))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        rays = np.hstack([np.ones((k, 1)), z * rng.uniform(0.5, 1.0)])
+        if np.linalg.matrix_rank(rays) == n:
+            return PolyCone.from_generators(rays)
+
+
+def functional_family(rng, K: PolyCone, kind: str, move: float) -> np.ndarray:
+    """Members of K': the facets scaled, with two interior mixes; one facet
+    dropped; half the facets with two interior mixes; or every facet, one of
+    them moved into the interior of K' by ``move`` in the l1 norm."""
+    F = K.facets
+    m = F.shape[0]
+    mixes = rng.uniform(0.0, 1.0, (2, m)) @ F
+    if kind == "scaled":
+        return np.vstack([F * rng.uniform(0.1, 10.0, (m, 1)), mixes])[rng.permutation(m + 2)]
+    if kind == "dropped":
+        return np.delete(F, rng.integers(m), axis=0)
+    if kind == "half":
+        return np.vstack([F[rng.permutation(m)[: max(1, m // 2)]], mixes])
+    inward = F.sum(axis=0) / np.sum(np.abs(F.sum(axis=0)))
+    moved = F.copy()
+    moved[rng.integers(m)] += move * inward
+    return moved
+
+
+class TestTotalityAgainstHighs:
+    @settings(PROPERTY_SETTINGS, max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8),
+           st.sampled_from(["scaled", "dropped", "half", "moved"]), st.floats(0.0, 6.0),
+           st.integers(-40, 40), st.integers(-40, 40))
+    def test_verdict_witnesses_and_scale(self, seed, n, kind, decades, k, j):
+        rng = np.random.default_rng(seed)
+        K = sphere_cone(rng, n)
+        Phi = functional_family(rng, K, kind, 1e-9 * 10.0**decades)
+        report = K.is_total([K.certify_functional(p) for p in Phi])
+        # the verdict is HiGHS's over every facet, and the witnesses name
+        # exactly the facets with a negative optimum
+        refuted = highs_totality_optima(Phi, K.facets) < -1e-12
+        assert report.verdict == ("fails" if refuted.any() else "holds")
+        assert [w.functional.tobytes() for w in report.witnesses] == [
+            f.tobytes() for f in K.facets[refuted]]
+        for w in report.witnesses:
+            assert np.min(Phi @ w.point) >= 0.0 and w.functional @ w.point < 0.0
+        # rays and members scaled by powers of two: the same bits
+        scaled = PolyCone.from_generators(np.ldexp(K.generators, k))
+        again = scaled.is_total([scaled.certify_functional(p) for p in np.ldexp(Phi, j)])
+        assert again.verdict == report.verdict
+        assert [(w.functional.tobytes(), w.point.tobytes()) for w in again.witnesses] == [
+            (w.functional.tobytes(), w.point.tobytes()) for w in report.witnesses]
