@@ -252,8 +252,11 @@ class PolyCone:
             if phi.dim != self.dim:
                 raise DimensionMismatch(f"phi[{i}] has dimension {phi.dim}, not {self.dim}")
         Phi = np.vstack([phi.coords for phi in phis])
-        Phi = Phi[Phi.any(axis=1)]
         G = self._scaled_generators
+        negative = (_pow2_rows(Phi) @ G.T < -MEMBER_TOL).any(axis=1)  # _incidence's sign rule
+        if negative.any():
+            raise NotPositiveFunctional(f"phi[{np.argmax(negative)}] is negative on a generator")
+        Phi = Phi[Phi.any(axis=1)]
         incidence = self.incidence.astype(float)
         matched = (incidence @ ~_incidence(Phi, G).T == 0.0).any(axis=1)
         witnesses = []

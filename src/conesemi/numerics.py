@@ -2,16 +2,18 @@
 
 Everything downstream (cones, half-norms, dissipativity certificates) reduces
 to the operations in this module: the LP solver, the active-set enumeration
-of vertices and facet normals, dense LU solves, the O(n) tridiagonal solve of
-the Dirichlet stencil, and the matrix exponential.  The LP solver is a
-two-phase dense simplex with Bland's anti-cycling rule, started from the
-inequalities' surplus columns: phase 1 runs only for equality rows and rows
-``G_i x >= h_i`` with ``h_i > 0``.  Problem sizes here are tiny, so a
-transparent, deterministic tableau beats a sophisticated solver.
+of vertices and facet normals, dense solves through one guarded inverse,
+the O(n) tridiagonal solve of the Dirichlet stencil, and the matrix
+exponential.  The LP solver is a two-phase dense simplex with Bland's
+anti-cycling rule, started from the inequalities' surplus columns: phase 1
+runs only for equality rows and rows ``G_i x >= h_i`` with ``h_i > 0``.
+Problem sizes here are tiny, so a transparent, deterministic tableau beats
+a sophisticated solver.
 
-Tolerances: feasibility 1e-9, relative pivot threshold 1e-12.  Downstream
-modules inherit these.  :func:`_active_set_vertices`, the one active-set
-loop, skips a set ``[G_S; E]`` whose determinant is 0 or whose unit rows
+Tolerances: feasibility 1e-9, relative pivot threshold 1e-12 (its inverse
+bounds the condition number of a dense solve).  Downstream modules inherit
+these.  :func:`_active_set_vertices`, the one active-set loop, skips a set
+``[G_S; E]`` whose determinant is 0 or whose unit rows
 ``G_S`` span a volume of at most 1e-10, and keeps a solution whose residual
 is within ``1e-8 (1 + max |rhs|)`` and with ``G x >= h - 1e-9 (1 + ||x||_inf)``.
 Every enumerated table keeps the rows that :func:`distinct_rows` keeps, in
@@ -20,16 +22,15 @@ entry +-1, at 1e-10; unit ray directions at 1e-10; vertices, after a
 collapse of 12-decimal repeats, at ``1e-9 (1 + ||x||_inf)``; the vertices of
 a subdifferential at 1e-9.
 
-The LU and tridiagonal solvers import ``scipy.linalg`` on first use: it is
-most of the cost of importing the package, and many runs never factor a
-matrix.
+Dense solves run on numpy alone.  Only the tridiagonal solver imports
+``scipy.linalg``, on first use: it is most of the cost of importing the
+package, and only a tridiagonal generator of size 3 or more needs it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,42 +371,35 @@ def ordered_rows(X: np.ndarray) -> np.ndarray:
 
 
 def linear_solve(A, b) -> np.ndarray:
-    """Solve ``A x = b`` by LU with partial pivoting (scipy backend).
-
-    Raises :class:`SingularMatrix` when the smallest pivot drops below
-    1e-12 relative to the matrix scale.
-    """
-    import scipy.linalg
-
+    """Solve ``A x = b`` as ``A^-1 b``, with the guard of :func:`_checked_inverse`."""
     A = as_matrix(A, square=True)
-    b = as_vector(b, dim=A.shape[0])
-    lu, piv = _lu_factor_checked(A)
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def _lu_factor_checked(A: np.ndarray):
-    import scipy.linalg
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    scale = max(float(np.max(np.abs(A))), np.finfo(float).tiny)
-    if float(np.min(np.abs(np.diag(lu)))) <= PIVOT_REL_TOL * scale:
-        raise SingularMatrix("pivot below 1e-12 relative threshold")
-    return lu, piv
+    return _checked_inverse(A) @ as_vector(b, dim=A.shape[0])
 
 
 def factorized_solver(A):
-    """One LU factorization, many solves; same pivot guard as linear_solve."""
-    A = as_matrix(A, square=True)
-    import scipy.linalg
-
-    lu_piv = _lu_factor_checked(A)
+    """One inverse, many solves; same guard as :func:`linear_solve`."""
+    inverse = _checked_inverse(as_matrix(A, square=True))
 
     def solve(rhs):
-        return scipy.linalg.lu_solve(lu_piv, np.asarray(rhs, dtype=float), check_finite=False)
+        return inverse @ np.asarray(rhs, dtype=float)
 
     return solve
+
+
+def _checked_inverse(M: np.ndarray) -> np.ndarray:
+    """``M^-1`` by numpy (LAPACK), or :class:`SingularMatrix` when LAPACK finds
+    ``M`` singular, the inverse is not finite, or ``||M||_1 ||M^-1||_1 > 1 /
+    PIVOT_REL_TOL``: a condition number read off the inverse at no cost, which
+    no scale of ``M`` moves (Higham, Accuracy and Stability, 2002)."""
+    try:
+        inverse = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("LAPACK reports a singular matrix") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.abs(M).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    if not cond <= 1.0 / PIVOT_REL_TOL:  # a NaN fails the test too
+        raise SingularMatrix(f"condition number {cond:.3g} above {1.0 / PIVOT_REL_TOL:.0e}")
+    return inverse
 
 
 def tridiagonal_solve(sub, diag, sup, b) -> np.ndarray:
@@ -414,9 +408,8 @@ def tridiagonal_solve(sub, diag, sup, b) -> np.ndarray:
     in O(n) work.
 
     ``b`` is a vector or an ``(n, k)`` matrix of right-hand sides; ``n`` must
-    be at least 2.  Same pivot guard as :func:`linear_solve`: raises
-    :class:`SingularMatrix` when a diagonal entry of ``U`` is at most 1e-12
-    relative to the largest entry of ``T``.
+    be at least 2.  Raises :class:`SingularMatrix` when a diagonal entry of
+    ``U`` is at most 1e-12 relative to the largest entry of ``T``.
     """
     from scipy.linalg import lapack
 

@@ -3,8 +3,8 @@ and the contractivity/positivity pipelines.
 
 The exponential formula is realized at finite ``n`` as ``(I - (t/n) A)^-n``.
 :func:`_resolvent` is the one place that forms ``(I - lam A)^-1``: by a
-tridiagonal solve for a tridiagonal ``A`` such as the Dirichlet stencil, by
-a dense LU otherwise.  :func:`euler_power` applies it ``n`` times to a
+tridiagonal solve for a tridiagonal ``A`` from 3 x 3 up (the Dirichlet
+stencil), by a dense inverse otherwise.  :func:`euler_power` applies it to a
 vector, :func:`euler_matrix` takes its ``n``-th power.  :func:`propagators`
 builds ``T(t)`` over a time grid, by backward Euler or from one matrix
 exponential per grid and the semigroup law ``T(s + t) = T(s) T(t)``, and
@@ -51,6 +51,8 @@ class SemigroupConfig:
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.t_grid)
+        if not grid:
+            raise MalformedProblem("t_grid needs at least one finite, nonnegative time")
         if not all(0 <= t < math.inf for t in grid):
             raise MalformedProblem("t_grid entries must be finite and nonnegative")
         if list(grid) != sorted(grid):
@@ -70,14 +72,14 @@ def _op_matrix(op) -> np.ndarray:
 
 
 def _resolvent(A: np.ndarray, lam: float, context: str) -> np.ndarray:
-    """``(I - lam A)^-1``: from :func:`~conesemi.numerics.tridiagonal_solve`
-    when ``A`` has no nonzero entry off its three central diagonals, as the
-    Dirichlet stencil has none, and from a dense LU otherwise.  ``context``
-    names the step in the :class:`SingularMatrix` message."""
+    """``(I - lam A)^-1``: by :func:`~conesemi.numerics.tridiagonal_solve`
+    when ``A`` is tridiagonal, as the Dirichlet stencil is, from 3 x 3 up
+    (every 2 x 2 is), and by a dense inverse otherwise.  ``context`` names
+    the step in the :class:`SingularMatrix` message."""
     dim = A.shape[0]
     eye = np.eye(dim)
     try:
-        if dim >= 2 and _is_tridiagonal(A):
+        if dim >= 3 and _is_tridiagonal(A):
             return tridiagonal_solve(-lam * np.diagonal(A, -1), 1.0 - lam * np.diagonal(A),
                                      -lam * np.diagonal(A, 1), eye)
         return factorized_solver(eye - lam * A)(eye)

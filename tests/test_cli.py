@@ -146,6 +146,19 @@ class TestSimulate:
         assert run(["simulate", "--file", FIXTURES / "resolvent_contractive.json",
                     "--quiet"]) == 0
 
+    @pytest.mark.parametrize("fixture", ["metzler_positive.json", "resolvent_contractive.json"])
+    def test_two_dimensional_run_leaves_scipy_out(self, fixture):
+        # a 2 x 2 resolvent is a dense numpy inverse, so the run never imports scipy
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import sys, conesemi.cli\n"
+            f"argv = ['simulate', '--file', {str(FIXTURES / fixture)!r}, '--quiet']\n"
+            "assert conesemi.cli.main(argv) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
     def test_empty_t_grid_exits_2(self, tmp_path):
         payload = dict(BASE)
         payload["operator"] = {"matrix": [[-1, 0], [0, -1]]}

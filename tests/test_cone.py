@@ -9,6 +9,7 @@ by scipy's HiGHS on every facet.
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -656,6 +657,16 @@ class TestTotality:
 
         with pytest.raises(NotPositiveFunctional):
             orthant2.is_total([DualVector(np.array([1.0, 0.0]))])
+
+    def test_member_negative_on_a_generator_is_named(self, orthant2):
+        # a certificate set by hand, not by certify_functional
+        from conesemi.cone import DualVector
+
+        bad = DualVector(np.array([1.0, -1.0]), certified_positive=True)
+        with pytest.raises(NotPositiveFunctional, match=re.escape("phi[0]")):
+            orthant2.is_total([bad])
+        with pytest.raises(NotPositiveFunctional, match=re.escape("phi[1]")):
+            orthant2.is_total([orthant2.certify_functional([1, 0]), bad])
 
     def test_functional_of_another_dimension_rejected(self, orthant2):
         phi = PolyCone.standard_orthant(3).certify_functional([1, 0, 0])

@@ -24,6 +24,7 @@ from conesemi.errors import (
 from conesemi.numerics import (
     LpProblem,
     distinct_rows,
+    factorized_solver,
     linear_solve,
     matrix_exp,
     ordered_rows,
@@ -323,16 +324,61 @@ class TestLinearSolve:
             linear_solve(np.ones((2, 3)), [1.0, 2.0])
 
     def test_import_leaves_scipy_out(self):
-        # scipy.linalg is loaded by the first LU factorization, not by the import
+        # dense solves run on numpy; only the tridiagonal solve loads scipy.linalg
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         script = (
-            "import sys, conesemi\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "import sys, numpy as np, conesemi\n"
+            "from conesemi.numerics import factorized_solver, tridiagonal_solve\n"
             "assert conesemi.linear_solve([[2.0]], [4.0])[0] == 2.0\n"
+            "assert np.allclose(factorized_solver([[2.0, 1.0], [1.0, 3.0]])([3.0, 4.0]), 1.0)\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "assert np.allclose(tridiagonal_solve([1.0], [2.0, 3.0], [1.0], [3.0, 4.0]), 1.0)\n"
             "assert 'scipy.linalg' in sys.modules\n"
         )
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+# (M, whether the guard refuses it): exactly singular; a condition number of
+# 4e14 and of 1e13, above the 1e12 bound; one of 4e11, below it; a subnormal
+# pivot whose inverse holds inf and NaN; and two well-conditioned matrices
+GUARD_CASES = [
+    (np.ones((2, 2)), True),
+    (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), True),
+    (np.diag([1e-13, 1.0]), True),
+    (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-11]]), False),
+    (np.diag([2.0**-1070, 1.0]), True),
+    (np.array([[2.0, 1.0], [1.0, 3.0]]), False),
+    (np.random.default_rng(37).standard_normal((5, 5)) + 5.0 * np.eye(5), False),
+]
+
+
+class TestInverseGuard:
+    """``SingularMatrix`` exactly when LAPACK finds ``M`` singular, its
+    inverse is not finite, or ``||M||_1 ||M^-1||_1 > 1e12``; no ``2^k``
+    scale of ``M`` changes the verdict."""
+
+    @pytest.mark.parametrize("M, refused", GUARD_CASES)
+    def test_verdict_is_the_same_at_every_scale(self, M, refused):
+        for k in range(-60, 61):
+            try:
+                linear_solve(np.ldexp(M, k), np.ones(M.shape[0]))
+            except SingularMatrix:
+                assert refused, k
+            else:
+                assert not refused, k
+
+    def test_each_reason_is_reached(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(GUARD_CASES[0][0])
+        for M in (GUARD_CASES[1][0], GUARD_CASES[2][0]):
+            inverse = np.linalg.inv(M)
+            assert np.all(np.isfinite(inverse))
+            assert np.abs(M).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max() > 1e12
+        inverse = np.linalg.inv(GUARD_CASES[4][0])
+        assert np.isinf(inverse).any() and np.isnan(inverse).any()
+        with pytest.raises(SingularMatrix):
+            factorized_solver(GUARD_CASES[4][0])
 
 
 def dense_tridiagonal(sub, diag, sup):

@@ -202,7 +202,7 @@ def oracle_cones(rng):
 
 
 class TestConfig:
-    @pytest.mark.parametrize("grid", [(np.nan,), (0.1, np.nan), (1.0, np.inf)])
+    @pytest.mark.parametrize("grid", [(np.nan,), (0.1, np.nan), (1.0, np.inf), ()])
     def test_non_finite_times_rejected(self, grid):
         with pytest.raises(MalformedProblem, match="finite"):
             SemigroupConfig(t_grid=grid)
@@ -360,7 +360,7 @@ def dense_lu_euler(A, t, n):
 
 
 class TestTridiagonalEuler:
-    @pytest.mark.parametrize("n", [2, 15, 255])
+    @pytest.mark.parametrize("n", [3, 15, 255])
     def test_stencil_matches_dense_lu(self, n, monkeypatch):
         A = stencil(n)
         expected = [dense_lu_euler(A, t, 16) for t in DEFAULT_T_GRID]
@@ -436,13 +436,22 @@ def dense_lu_users(A):
 
 class TestOneResolvent:
     """Every user of ``(I - lam A)^-1`` takes the tridiagonal solve for a
-    tridiagonal ``A`` and the dense LU otherwise."""
+    tridiagonal ``A`` from 3 x 3 up and the dense inverse otherwise."""
 
-    @pytest.mark.parametrize("n", [2, 15])
+    @pytest.mark.parametrize("n", [3, 15])
     def test_tridiagonal_generator_skips_the_lu(self, n, monkeypatch):
         A = stencil(n)
         expected = dense_lu_users(A)
         monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        got = resolvent_users(A, monkeypatch)
+        for name, value in got.items():
+            assert_close(value, expected[name])
+
+    def test_two_by_two_generator_takes_the_dense_path(self, monkeypatch):
+        # every 2 x 2 matrix is tridiagonal: the band says nothing there
+        A = stencil(2)
+        expected = dense_lu_users(A)
+        monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
         got = resolvent_users(A, monkeypatch)
         for name, value in got.items():
             assert_close(value, expected[name])
