@@ -140,9 +140,10 @@ def is_strictly_dissipative_at(op: LinOp, halfnorm: HalfNorm, x):
     return _dissipative_at(op, halfnorm, x, "max")
 
 
-def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
-    """Structural points plus seeded samples, all inside the domain: their
-    labels, and a matrix with one point per row.
+def _domain_test_points(domain: PolyhedralSet | None, cone: PolyCone, n_samples: int, seed: int):
+    """Structural points plus seeded samples, all inside the domain (the
+    whole space when ``None``): their labels, and a matrix with one point
+    per row.  The one sampler of the package.
 
     Structural: cone generators that lie in the domain, and the vertices of
     the domain clipped to the unit box (for conic domains these are exactly
@@ -152,24 +153,26 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
     samples are the first domain points of one batch of ``50 * n_samples``
     Gaussian draws, recorded in the returned notes.
     """
+    if n_samples < 0 or seed < 0:
+        raise MalformedProblem(f"n_samples and seed must be nonnegative, got {n_samples}, {seed}")
     rng = np.random.default_rng(seed)
-    n = op.dim
+    n = cone.dim
     notes: list[str] = []
     G = cone.generators
     inside = np.arange(G.shape[0])
-    if op.domain is not None:
-        inside = inside[op.domain.contains_rows(G)]
+    if domain is not None:
+        inside = inside[domain.contains_rows(G)]
     labels = [f"generator[{i}]" for i in inside]
     blocks = [G[inside]]
 
-    if op.domain is None or (op.domain.ineq is None and op.domain.eq is None):
+    if domain is None or (domain.ineq is None and domain.eq is None):
         labels += [f"sample[{k}]" for k in range(n_samples)]
         blocks.append(rng.standard_normal((n_samples, n)))
         return labels, np.vstack(blocks), notes
 
     if n > 10:
         draws = rng.standard_normal((50 * max(n_samples, 1), n))
-        samples = draws[op.domain.contains_rows(draws)][:n_samples]
+        samples = draws[domain.contains_rows(draws)][:n_samples]
         accepted = samples.shape[0]
         labels += [f"sample[{k}]" for k in range(accepted)]
         blocks.append(samples)
@@ -181,11 +184,11 @@ def _domain_test_points(op: LinOp, cone: PolyCone, n_samples: int, seed: int):
 
     rows = [np.eye(n), -np.eye(n)]
     rhs = [-np.ones(n), -np.ones(n)]
-    if op.domain.ineq is not None:
-        rows.append(op.domain.ineq[0])
-        rhs.append(op.domain.ineq[1])
-    if op.domain.eq is not None:
-        E, d = op.domain.eq
+    if domain.ineq is not None:
+        rows.append(domain.ineq[0])
+        rhs.append(domain.ineq[1])
+    if domain.eq is not None:
+        E, d = domain.eq
         rows.extend([E, -E])
         rhs.extend([d, -d])
     V = vertex_table((np.vstack(rows), np.concatenate(rhs)))
@@ -212,7 +215,7 @@ def certify_dissipative(
     otherwise the verdict is an inconclusive pass, since sampling cannot
     prove the universal claim.
     """
-    labels, X, sampler_notes = _domain_test_points(op, halfnorm.cone, n_samples, seed)
+    labels, X, sampler_notes = _domain_test_points(op.domain, halfnorm.cone, n_samples, seed)
     witnesses = []
     if labels:
         margins, functionals = halfnorm.pairing_extrema(X, X @ op.matrix.T, "min")

@@ -27,12 +27,13 @@ exactly 0 on ``-K`` (membership ``MEMBER_TOL`` at that scale; downstream
 positivity logic relies on it), lets the variant evaluate the other rows,
 clamps at 0 and scales back; ``value`` is one row of it.  Each variant
 states ``S`` once as ``{u : G u >= h}``, auxiliary coordinates after the
-first ``dim``.  The subdifferential at ``x`` is the face of ``S`` where
-``<x, u>`` attains ``p(x)``; ``subdifferential`` describes it as a
-:class:`SubdiffDesc`.  ``pairing_extrema`` is the one pairing path, the
-extremum of ``<c, u>`` over that face for paired rows ``x``, ``c``: it takes
-each ``x`` to unit scale and lets the variant answer the whole batch;
-``pairing_extremum`` is one row of it.
+first ``dim``, on the rays scaled by powers of two to a largest entry in
+``[1, 2)``, so no ray length moves a value.  The subdifferential at ``x``
+is the face of ``S`` where ``<x, u>`` attains ``p(x)``; ``subdifferential``
+describes it as a :class:`SubdiffDesc`.  ``pairing_extrema`` is the one
+pairing path, the extremum of ``<c, u>`` over that face for paired rows
+``x``, ``c``: it takes each ``x`` to unit scale and lets the variant answer
+the whole batch; ``pairing_extremum`` is one row of it.
 
 One table-or-LP rule, in :class:`HalfNorm`, serves every polyhedral
 variant.  When ``C(m, w)`` for the ``m x w`` matrix ``G`` is at most
@@ -225,7 +226,8 @@ class HalfNorm:
     """Common interface, and the rules that every half-norm shares.
 
     A variant states ``_polar``, the set ``S = {u : G u >= h}`` whose
-    support function it is.  ``_table`` holds the vertices of ``S`` in the
+    support function it is; ``_rows`` is its ``G`` when it needs no
+    auxiliary coordinates.  ``_table`` holds the vertices of ``S`` in the
     first ``dim`` coordinates, or ``None`` above ``VERTEX_SUBSET_GUARD``.
     ``_unit_values`` (the values at unit-scale rows outside ``-K``) and
     ``_pairings`` (the pairing extrema at unit-scale rows) read the table
@@ -246,6 +248,14 @@ class HalfNorm:
     @property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray | None:
+        """``G`` of ``_polar`` when it has no auxiliary columns, else ``None``:
+        then ``p(-g) <= -h`` on each row, and ``T`` is ``p``-contractive
+        exactly when ``p(-Tg) <= p(-g)`` on every row ``g``."""
+        G = self._polar[0]
+        return G if G.shape[1] == self.dim else None
 
     @functools.cached_property
     def _table(self) -> np.ndarray | None:
@@ -397,11 +407,11 @@ def _dual_ball(cone: PolyCone, norm: WeightedNorm, blocks: int = 1):
     The dual of weighted l1 is a box (pure rows); the dual of weighted linf
     is a weighted l1 ball, which needs the split ``v >= |u_1 + .. + u_b|``.
     """
-    n, w = cone.dim, norm.weights
+    n, w, G = cone.dim, norm.weights, cone._scaled_generators
     split = norm.kind == LINF
     width = (blocks + split) * n
-    in_dual_cone = np.zeros((blocks * cone.generators.shape[0], width))
-    in_dual_cone[:, : blocks * n] = np.kron(np.eye(blocks), cone.generators)
+    in_dual_cone = np.zeros((blocks * G.shape[0], width))
+    in_dual_cone[:, : blocks * n] = np.kron(np.eye(blocks), G)
     total = np.zeros((n, width))
     total[:, : blocks * n] = np.tile(np.eye(n), blocks)
     zeros = np.zeros(in_dual_cone.shape[0])
@@ -423,8 +433,8 @@ class FunctionalGauge(HalfNorm):
     On the cone it equals ``<x, phi>``; on ``-K`` it vanishes.  By LP
     duality it is the support function of
     ``S = { u in K' : phi - u in K' } = { u : 0 <= G u <= G phi }`` (G the
-    generators), so the ``HalfNorm`` rule decides from ``C(2k, n)`` (k rays
-    in R^n) between a vertex table and LPs.  On a simplicial cone
+    scaled generators), so the ``HalfNorm`` rule decides from ``C(2k, n)``
+    (k rays in R^n) between a vertex table and LPs.  On a simplicial cone
     ``phi = F^T c`` and ``S = { F^T b : 0 <= b <= c }``, with ``c`` read off
     the facet-generator pairing: the value is ``<c, (F x)^+>`` and a
     pairing is one corner of a box, at any dimension, with no solve, table
@@ -450,7 +460,7 @@ class FunctionalGauge(HalfNorm):
 
     @functools.cached_property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
-        G = self.cone.generators
+        G = self.cone._scaled_generators
         return np.vstack([G, -G]), np.concatenate([np.zeros(G.shape[0]), -(G @ self.phi)])
 
     @functools.cached_property
@@ -529,7 +539,7 @@ class OrderUnitGauge(HalfNorm):
 
     @functools.cached_property
     def _polar(self) -> tuple[np.ndarray, np.ndarray]:
-        G = self.cone.generators
+        G = self.cone._scaled_generators
         return np.vstack([G, -self.unit[None, :]]), np.concatenate([np.zeros(G.shape[0]), [-1.0]])
 
     @functools.cached_property
@@ -571,8 +581,8 @@ class EuclideanNorm(HalfNorm):
     ball at the origin.  Not zero on ``-K``, so it keeps its own values."""
 
     variant = "euclidean"
-    # the Euclidean ball has no vertices
-    _table = None
+    # the Euclidean ball has no vertices and no rows
+    _table = _rows = None
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         return np.linalg.norm(X, axis=1)

@@ -11,10 +11,10 @@ exponential per grid and the semigroup law ``T(s + t) = T(s) T(t)``, and
 :func:`grid_reports` is the one loop over it: the pipelines here and the
 Dirichlet checks all run their per-propagator checks through it.  Positivity
 of a matrix against a cone is an exact generator/facet check, read straight
-off the matrix on the orthant; contractivity against a half-norm is sampled.
-Pipeline verdicts are three-valued (holds / fails / vacuous), all decided by
-one rule in :func:`_compose`: the hypotheses themselves can only be sampled,
-and the reports keep that asymmetry explicit rather than claiming proofs.
+off the matrix on the orthant; contractivity is exact on a half-norm that
+states its rows, sampled on the others.  Pipeline verdicts are three-valued
+(holds / fails / vacuous), all decided by one rule in :func:`_compose`: the
+dissipativity hypotheses can only be sampled, and the reports say so.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import DualVector, PolyCone
-from .dissipativity import LinOp, certify_dissipative
+from .dissipativity import LinOp, _domain_test_points, certify_dissipative
 from .errors import MalformedProblem, SingularMatrix
 from .halfnorm import FunctionalGauge, HalfNorm
 from .numerics import (as_matrix, as_vector, factorized_solver, matrix_exp, require_finite,
@@ -58,8 +58,10 @@ class SemigroupConfig:
         if list(grid) != sorted(grid):
             raise MalformedProblem("t_grid must be sorted ascending")
         object.__setattr__(self, "t_grid", grid)
-        if not 1 <= self.euler_steps <= CHAIN_MAX_POWER:
-            raise MalformedProblem(f"euler_steps must be from 1 to {CHAIN_MAX_POWER}")
+        n = self.euler_steps
+        integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+        if not (integer and 1 <= n <= CHAIN_MAX_POWER):
+            raise MalformedProblem(f"euler_steps must be from 1 to {CHAIN_MAX_POWER}, an integer")
         if self.method not in ("euler", "expm", "both"):
             raise MalformedProblem(f"unknown method {self.method!r}")
 
@@ -226,6 +228,8 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     T = as_matrix(T, square=True)
     if T.shape[0] != cone.dim:
         raise MalformedProblem("operator and cone dimensions differ")
+    if not 0 <= tol < math.inf:
+        raise MalformedProblem(f"tol must be finite and nonnegative, got {tol}")
     margins, negative = cone._negative_pairs(T, tol, computed=True)  # facet x generator
     worst = np.argmin(margins, axis=0)  # a column with a negative pair has its minimum there
     witnesses = [
@@ -248,43 +252,38 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
 
 
 def is_contractive(T, halfnorm: HalfNorm, n_samples: int = 100, seed: int = 0) -> Report:
-    """Sampled contractivity: ``p(Tx) <= p(x) + CONTRACTIVE_TOL`` on
-    generators, their negatives, and seeded Gaussian points, all evaluated
-    through one :meth:`HalfNorm.values` batch per side."""
+    """``p(Tx) <= p(x) + CONTRACTIVE_TOL``, one :meth:`HalfNorm.values` batch
+    per side.  With rows (``S = {u : G u >= h}`` in the coordinates of
+    ``x``), ``T`` is contractive exactly when ``TᵀS ⊆ S``, i.e. ``p(-Tg) <=
+    -h`` on each row, and as ``p(-g) <= -h`` the points ``x = -g`` decide it
+    (Blanchini, Automatica 35, 1999); ``n_samples`` and ``seed`` are ignored.
+    Otherwise the points are :func:`certify_dissipative`'s on the whole space
+    and the negated generators, and a pass is ``inconclusive``."""
     T = as_matrix(T, square=True)
-    n = halfnorm.dim
-    if T.shape[0] != n:
+    if T.shape[0] != halfnorm.dim:
         raise MalformedProblem("operator and half-norm dimensions differ")
-    G = halfnorm.cone.generators.astype(float)
-    k = G.shape[0]
-    rng = np.random.default_rng(seed)
-    X = np.vstack([G, -G, rng.standard_normal((n_samples, n))])
+    rows = halfnorm._rows
+    exact = rows is not None
+    if exact:
+        labels, X = [f"-row[{i}]" for i in range(rows.shape[0])], -rows
+    else:
+        labels, X, _ = _domain_test_points(None, halfnorm.cone, n_samples, seed)
+        labels += [f"-generator[{i}]" for i in range(halfnorm.cone.generators.shape[0])]
+        X = np.vstack([X, -halfnorm.cone.generators])
     margins = halfnorm.values(X @ T.T) - halfnorm.values(X)
-    worst = float(np.max(margins))
     witnesses = [
-        Witness(point=X[i].copy(), functional=None, margin=float(margins[i]),
-                label=_point_label(i, k))
-        for i in np.nonzero(margins > CONTRACTIVE_TOL)[0]
+        Witness(point=X[i].copy(), functional=None, margin=float(margins[i]), label=labels[i])
+        for i in np.flatnonzero(margins > CONTRACTIVE_TOL)
     ]
     return Report(
         name=f"contractive[{halfnorm.variant}]",
-        verdict=FAILS if witnesses else INCONCLUSIVE,
+        verdict=FAILS if witnesses else HOLDS if exact else INCONCLUSIVE,
         witnesses=witnesses,
-        samples_used=X.shape[0],
+        samples_used=0 if exact else X.shape[0],
         tolerance=CONTRACTIVE_TOL,
-        notes=["sampled check: a pass is evidence, not a proof"],
-        data={"worst_margin": worst},
+        notes=["exact row test" if exact else "sampled check: a pass is evidence, not a proof"],
+        data={"worst_margin": float(np.max(margins))},
     )
-
-
-def _point_label(i: int, k: int) -> str:
-    """Label of row ``i`` of the points of :func:`is_contractive`: ``k``
-    generators, then their negatives, then the samples."""
-    if i < k:
-        return f"generator[{i}]"
-    if i < 2 * k:
-        return f"-generator[{i - k}]"
-    return f"sample[{i - 2 * k}]"
 
 
 def _compose(
@@ -326,19 +325,19 @@ def check_resolvent_contractivity(
     that the resolvent ``(I - lam A)^-1`` is contractive for it.
 
     A hypothesis failure makes the conclusion unasserted: the composite
-    verdict is then ``vacuous`` regardless of what the contractivity
-    sampling finds.
+    verdict is then ``vacuous`` regardless of what the contractivity test
+    finds.
     """
     gauge = FunctionalGauge(cone, phi)
     hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
-    conclusion = is_contractive(_resolvent_matrix(op, lam), gauge, n_samples=n_samples, seed=seed)
+    conclusion = is_contractive(_resolvent_matrix(op, lam), gauge)
     conclusion.name = f"conclusion:contractive[lam={lam:g}]"
     conclusion.data["lambda"] = float(lam)
     return _compose(f"resolvent_contractivity[lam={lam:g}]", [hypothesis], [conclusion],
                     conclusion.tolerance, {
         VACUOUS: "hypothesis (dissipativity) failed on a sample; conclusion not asserted",
-        FAILS: "resolvent contractivity violated despite sampled dissipativity",
-        HOLDS: "hypothesis sampled-pass; resolvent contractive on all test points",
+        FAILS: "resolvent not contractive; a sampled hypothesis does not contradict the theorem",
+        HOLDS: "hypothesis sampled-pass; resolvent contractive (exact)",
     })
 
 
@@ -350,18 +349,18 @@ def check_semigroup_contractivity(
     n_samples: int = 100,
     seed: int = 0,
 ) -> Report:
-    """Pipeline: dissipativity hypothesis, then sampled contractivity of
+    """Pipeline: dissipativity hypothesis, then exact contractivity of
     T(t) built by the configured methods on the whole time grid."""
     cfg = cfg or SemigroupConfig()
     gauge = FunctionalGauge(cone, phi)
     hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
     conclusions = grid_reports(op, cfg, [
-        ("contractive", lambda T: is_contractive(T, gauge, n_samples=n_samples, seed=seed)),
+        ("contractive", lambda T: is_contractive(T, gauge)),
     ])
     return _compose("semigroup_contractivity", [hypothesis], conclusions, CONTRACTIVE_TOL, {
         VACUOUS: "dissipativity hypothesis failed on a sample",
-        FAILS: "T(t) contractivity violated despite sampled hypothesis",
-        HOLDS: "hypothesis sampled-pass; T(t) contractive on all test points",
+        FAILS: "T(t) not contractive; a sampled hypothesis does not contradict the theorem",
+        HOLDS: "hypothesis sampled-pass; T(t) contractive at every grid time (exact)",
     })
 
 

@@ -297,7 +297,7 @@ class TestBatchedCertificate:
              PolyCone.standard_orthant(3), 0, 8),
         ]
         for op, K, n_samples, seed in cases:
-            labels, X, _ = _domain_test_points(op, K, n_samples, seed)
+            labels, X, _ = _domain_test_points(op.domain, K, n_samples, seed)
             expected = domain_points_loop(op, K, n_samples, seed)
             assert labels == [label for label, _ in expected]
             assert X.shape == (len(expected), op.dim)
@@ -313,7 +313,7 @@ class TestBatchedCertificate:
         short = []
         for k, n_samples, seed in ((3, 20, 9), (6, 20, 10), (6, 0, 11)):
             op = LinOp(np.zeros((n, n)), domain=PolyhedralSet(ineq=(np.eye(n)[:k], np.zeros(k))))
-            labels, X, notes = _domain_test_points(op, K, n_samples, seed)
+            labels, X, notes = _domain_test_points(op.domain, K, n_samples, seed)
             expected = domain_points_loop(op, K, n_samples, seed)
             assert labels == [label for label, _ in expected]
             assert X.shape == (len(expected), n)
@@ -570,6 +570,12 @@ class TestDomainValidation:
     def test_empty_domain_rejected(self):
         with pytest.raises(MalformedProblem):
             PolyhedralSet(ineq=(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])))
+
+    @pytest.mark.parametrize("n_samples, seed", [(-1, 0), (10, -1)])
+    def test_negative_sample_count_or_seed_rejected(self, orthant2, n_samples, seed):
+        gauge = FunctionalGauge(orthant2, [1.0, 1.0])
+        with pytest.raises(MalformedProblem, match="nonnegative"):
+            certify_dissipative(LinOp(-np.eye(2)), gauge, n_samples, seed)
 
     def test_domain_dimension_checked(self):
         domain = PolyhedralSet(ineq=(np.array([[1.0, 0.0]]), np.array([0.0])))

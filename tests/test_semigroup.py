@@ -12,7 +12,8 @@ from conesemi.cone import PolyCone
 from conesemi.dirichlet import Grid, dirichlet_laplacian, run_dirichlet_checks
 from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal, is_metzler
 from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge, SingularMatrix
-from conesemi.halfnorm import FunctionalGauge, RegularizedGauge, WeightedNorm
+from conesemi.halfnorm import (CanonicalHalfNorm, EuclideanNorm, FunctionalGauge,
+                               RegularizedGauge, WeightedNorm)
 from conesemi.numerics import factorized_solver, matrix_exp
 from conesemi.semigroup import (
     DEFAULT_T_GRID,
@@ -659,6 +660,12 @@ class TestPositiveOperator:
         assert is_positive_operator(rot, diamond).verdict == "fails"
         assert is_positive_operator(np.eye(2) * 0.5, diamond).verdict == "holds"
 
+    @pytest.mark.parametrize("tol", [-1e-9, np.nan, np.inf])
+    def test_tolerance_outside_zero_to_infinity_rejected(self, orthant2, tol):
+        # nan and inf would pass this matrix, which fails at the default tol
+        with pytest.raises(MalformedProblem, match="tol"):
+            is_positive_operator([[1.0, -1.0], [0.0, 1.0]], orthant2, tol=tol)
+
     def test_witnesses_match_the_loop_oracle(self):
         rng = np.random.default_rng(25)
         failing = 0
@@ -677,8 +684,9 @@ class TestPositiveOperator:
 
 class TestContractive:
     def test_identity_margins_zero(self, orthant2):
+        # the functional gauge states its rows: the verdict is exact, from no sample
         rep = is_contractive(np.eye(2), FunctionalGauge(orthant2, [1, 1]), 50, 0)
-        assert rep.verdict == "inconclusive"
+        assert rep.verdict == "holds" and rep.samples_used == 0
         assert rep.data["worst_margin"] == pytest.approx(0.0, abs=1e-12)
 
     def test_half_identity(self, orthant2):
@@ -691,17 +699,25 @@ class TestContractive:
         assert rep.witnesses
 
     def test_witnesses_match_the_loop_oracle(self):
+        # the gauges with no rows are sampled: the same points, labels and
+        # margins as the loop, which puts the negated generators before the
+        # samples, so they compare as sets
         rng = np.random.default_rng(26)
         kinds = set()
         for cone in oracle_cones(rng):
-            phi = rng.uniform(0.5, 1.5, cone.facets.shape[0]) @ cone.facets
-            gauge = FunctionalGauge(cone, phi)
-            for seed in range(5):
+            norm = WeightedNorm(rng.choice(["l1", "linf"]), rng.uniform(0.5, 2.0, cone.dim))
+            gauges = [RegularizedGauge(cone, norm), EuclideanNorm(cone),
+                      CanonicalHalfNorm(cone, WeightedNorm("linf", norm.weights))]
+            for seed, gauge in enumerate(gauges):
                 T = 2.0 * rng.standard_normal((cone.dim, cone.dim))
                 rep = is_contractive(T, gauge, n_samples=30, seed=seed)
                 expected, n_points = loop_is_contractive(T, gauge, 30, seed, 1e-8)
-                assert expected
-                assert_same_witnesses(rep.witnesses, expected)
+                assert expected and rep.verdict == "fails"
+                key = {w.label: w for w in expected}
+                assert {(w.label, w.point.tobytes()) for w in rep.witnesses} == {
+                    (w.label, w.point.tobytes()) for w in expected}
+                for w in rep.witnesses:
+                    assert w.margin == pytest.approx(key[w.label].margin, rel=1e-12, abs=1e-12)
                 assert rep.samples_used == n_points
                 kinds.update(w.label.split("[")[0] for w in expected)
         assert kinds == {"generator", "-generator", "sample"}
@@ -837,6 +853,14 @@ class TestConfigValidation:
     def test_negative_time_rejected(self):
         with pytest.raises(MalformedProblem):
             SemigroupConfig(t_grid=(-1.0,))
+
+    @pytest.mark.parametrize("steps", [0, 2**20 + 1, 2.5, True])
+    def test_euler_steps_must_be_an_integer_in_range(self, steps):
+        with pytest.raises(MalformedProblem, match="euler_steps"):
+            SemigroupConfig(euler_steps=steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert SemigroupConfig(euler_steps=np.int64(4)).euler_steps == 4
 
     def test_bad_method_rejected(self):
         with pytest.raises(MalformedProblem):
