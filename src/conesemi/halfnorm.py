@@ -382,8 +382,11 @@ def _face_extrema(V: np.ndarray, U: np.ndarray, C: np.ndarray, sense: str):
 
 def _projected_vertices(G: np.ndarray, h: np.ndarray, dim: int) -> np.ndarray:
     """The vertices of ``{w : G w >= h}`` in their first ``dim`` coordinates,
-    exact repeats after the projection dropped (ties keep the first), read-only."""
-    P = vertex_table((G, h))[:, :dim]
+    exact repeats after the projection dropped (ties keep the first), read-only,
+    found at ``h`` scaled by a power of two to ``max |h|`` in ``[1/2, 1)`` and
+    scaled back, so no size of ``phi``, ``u`` or the weights moves a vertex."""
+    e = math.frexp(float(np.max(np.abs(h), initial=0.0)))[1]
+    P = np.ldexp(vertex_table((G, np.ldexp(h, -e)))[:, :dim], e)
     table = np.ascontiguousarray(P[distinct_rows(P, 0.0)])
     table.flags.writeable = False
     return table

@@ -252,34 +252,36 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
 
 
 def is_contractive(T, halfnorm: HalfNorm, n_samples: int = 100, seed: int = 0) -> Report:
-    """``p(Tx) <= p(x) + CONTRACTIVE_TOL``, one :meth:`HalfNorm.values` batch
-    per side.  With rows (``S = {u : G u >= h}`` in the coordinates of
-    ``x``), ``T`` is contractive exactly when ``TᵀS ⊆ S``, i.e. ``p(-Tg) <=
-    -h`` on each row, and as ``p(-g) <= -h`` the points ``x = -g`` decide it
-    (Blanchini, Automatica 35, 1999); ``n_samples`` and ``seed`` are ignored.
-    Otherwise the points are :func:`certify_dissipative`'s on the whole space
-    and the negated generators, and a pass is ``inconclusive``."""
+    """``p(Tx) <= p(x) + tol``, one :meth:`HalfNorm.values` batch per side.
+    With rows ``g`` (``S = {u : G u >= h}`` in the coordinates of ``x``),
+    ``T`` is contractive exactly when ``p(-Tg) <= -h`` on each row, and as
+    ``p(-g) <= -h`` the points ``-g`` decide it (Blanchini, Automatica 35,
+    1999; ``n_samples`` and ``seed`` are ignored).  As ``p`` scales with
+    ``phi`` or ``u``, ``tol`` is then ``CONTRACTIVE_TOL ||g||_inf`` times the
+    widest ``(p(g) + p(-g)) / ||g||_inf``.  Otherwise the points are
+    :func:`certify_dissipative`'s on the whole space and the negated
+    generators, ``tol = CONTRACTIVE_TOL``, and a pass is ``inconclusive``."""
     T = as_matrix(T, square=True)
     if T.shape[0] != halfnorm.dim:
         raise MalformedProblem("operator and half-norm dimensions differ")
     rows = halfnorm._rows
     exact = rows is not None
     if exact:
-        labels, X = [f"-row[{i}]" for i in range(rows.shape[0])], -rows
+        labels, X, size = [f"-row[{i}]" for i in range(len(rows))], -rows, np.max(np.abs(rows), 1)
+        at_x, at_minus_x = halfnorm.values(np.vstack([X, rows])).reshape(2, -1)
+        tol = CONTRACTIVE_TOL * np.max((at_x + at_minus_x) / size) * size
     else:
         labels, X, _ = _domain_test_points(None, halfnorm.cone, n_samples, seed)
         labels += [f"-generator[{i}]" for i in range(halfnorm.cone.generators.shape[0])]
         X = np.vstack([X, -halfnorm.cone.generators])
-    margins = halfnorm.values(X @ T.T) - halfnorm.values(X)
-    witnesses = [
-        Witness(point=X[i].copy(), functional=None, margin=float(margins[i]), label=labels[i])
-        for i in np.flatnonzero(margins > CONTRACTIVE_TOL)
-    ]
+        at_x, tol = halfnorm.values(X), CONTRACTIVE_TOL
+    margins = halfnorm.values(X @ T.T) - at_x
+    witnesses = [Witness(point=X[i].copy(), functional=None, margin=float(margins[i]),
+                         label=labels[i]) for i in np.flatnonzero(margins > tol)]
     return Report(
         name=f"contractive[{halfnorm.variant}]",
         verdict=FAILS if witnesses else HOLDS if exact else INCONCLUSIVE,
-        witnesses=witnesses,
-        samples_used=0 if exact else X.shape[0],
+        witnesses=witnesses, samples_used=0 if exact else X.shape[0],
         tolerance=CONTRACTIVE_TOL,
         notes=["exact row test" if exact else "sampled check: a pass is evidence, not a proof"],
         data={"worst_margin": float(np.max(margins))},
@@ -354,9 +356,7 @@ def check_semigroup_contractivity(
     cfg = cfg or SemigroupConfig()
     gauge = FunctionalGauge(cone, phi)
     hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
-    conclusions = grid_reports(op, cfg, [
-        ("contractive", lambda T: is_contractive(T, gauge)),
-    ])
+    conclusions = grid_reports(op, cfg, [("contractive", lambda T: is_contractive(T, gauge))])
     return _compose("semigroup_contractivity", [hypothesis], conclusions, CONTRACTIVE_TOL, {
         VACUOUS: "dissipativity hypothesis failed on a sample",
         FAILS: "T(t) not contractive; a sampled hypothesis does not contradict the theorem",
@@ -382,12 +382,9 @@ def check_semigroup_positivity(
             VACUOUS: "the functional family is not total; "
                      "the positivity implication is not asserted",
         })
-    hypotheses = [
-        _dissipativity_hypothesis(
-            op, FunctionalGauge(cone, phi), n_samples, seed + i, name=f"dissipative[phi[{i}]]"
-        )
-        for i, phi in enumerate(phi_set)
-    ]
+    hypotheses = [_dissipativity_hypothesis(op, FunctionalGauge(cone, phi), n_samples, seed + i,
+                                            name=f"dissipative[phi[{i}]]")
+                  for i, phi in enumerate(phi_set)]
     conclusions = grid_reports(op, cfg, [("positive", lambda T: is_positive_operator(T, cone))])
     return _compose("semigroup_positivity", [totality, *hypotheses], conclusions, 1e-9, {
         VACUOUS: "a dissipativity hypothesis failed; positivity results are informational",

@@ -284,26 +284,49 @@ class TestContractivityByRows:
     @settings(PROPERTY_SETTINGS, max_examples=20)
     @given(st.integers(0, 2**32 - 1), st.integers(-40, 40))
     def test_scaled_rays_change_no_bit(self, seed, k):
+        # 2^k on the rays moves no bit; 2^k on phi or the l1 weights scales
+        # p, so every margin by exactly 2^k, and 2^|k| on u scales p by
+        # 2^-|k| off the u row (is_order_unit still reads MEMBER_TOL on the
+        # caller's scale, so u only grows): no verdict, label or point moves
         rng = np.random.default_rng(seed)
         R = pyramid_rays(rng) if seed % 2 else np.eye(3) * rng.uniform(0.5, 4.0, (3, 1))
         K, scaled = PolyCone.from_generators(R), PolyCone.from_generators(np.ldexp(R, k))
         phi = rng.uniform(0.5, 2.0, K.facets.shape[0]) @ K.facets
         u = rng.uniform(0.5, 2.0, K.generators.shape[0]) @ K.generators
-        norm = WeightedNorm("l1", rng.uniform(0.5, 2.0, 3))
+        w = rng.uniform(0.5, 2.0, 3)
         X = 10.0 ** rng.uniform(-3, 3, (40, 1)) * rng.standard_normal((40, 3))
         T = rng.standard_normal((3, 3)) if k % 2 else positive_map(rng, K) / 4.0
-        for make in (lambda C: FunctionalGauge(C, phi), lambda C: OrderUnitGauge(C, u),
-                     lambda C: CanonicalHalfNorm(C, norm)):
-            want, got = make(K), make(scaled)
+        for make, margin_exponent in (
+                (lambda C, j: FunctionalGauge(C, np.ldexp(phi, j)), k),
+                (lambda C, j: OrderUnitGauge(C, np.ldexp(u, abs(j))), None),
+                (lambda C, j: CanonicalHalfNorm(C, WeightedNorm("l1", np.ldexp(w, j))), k)):
+            want, got = make(K, 0), make(scaled, 0)
             assert np.array_equal(got.values(X), want.values(X))
-            a, b = is_contractive(T, want), is_contractive(T, got)
+            a, b, c = is_contractive(T, want), is_contractive(T, got), is_contractive(T, make(K, k))
             assert (b.verdict, b.samples_used, b.data["worst_margin"]) == (
                 a.verdict, 0, a.data["worst_margin"])
             assert [(w.label, w.point.tobytes(), w.margin) for w in b.witnesses] == [
                 (w.label, w.point.tobytes(), w.margin) for w in a.witnesses]
-        for make in (lambda C: CanonicalHalfNorm(C, WeightedNorm("linf", norm.weights)),
-                     lambda C: RegularizedGauge(C, norm)):
+            assert (c.verdict, c.samples_used) == (a.verdict, 0)
+            assert [w.label for w in c.witnesses] == [w.label for w in a.witnesses]
+            if margin_exponent is not None:
+                assert [(w.point.tobytes(), w.margin) for w in c.witnesses] == [
+                    (w.point.tobytes(), np.ldexp(w.margin, k)) for w in a.witnesses]
+        for make in (lambda C: CanonicalHalfNorm(C, WeightedNorm("linf", w)),
+                     lambda C: RegularizedGauge(C, WeightedNorm("l1", w))):
             assert np.array_equal(make(scaled).values(X), make(K).values(X))
+
+    @pytest.mark.parametrize("make", [
+        lambda K: OrderUnitGauge(K, [1e9, 1e9]), lambda K: FunctionalGauge(K, [1e-12, 1e-12]),
+        lambda K: OrderUnitGauge(K, [1.0, 1.0]), lambda K: FunctionalGauge(K, [1.0, 1.0])])
+    def test_a_violation_fails_at_every_gauge_scale(self, make):
+        # x = -e_1 gives p(Tx) = p((1/2, -1/2)) > 0 = p(x), whatever the
+        # size of u or phi; the tolerance follows that size
+        gauge = make(PolyCone.standard_orthant(2))
+        rep = is_contractive([[1.0, -0.5], [0.0, 0.5]], gauge)
+        assert rep.verdict == "fails" and rep.samples_used == 0
+        assert [w.label for w in rep.witnesses] == ["-row[1]"]
+        assert rep.witnesses[0].margin == gauge.value([0.5, -0.5])
 
     def test_the_dirichlet_unit_gauge_rule_is_the_row_test(self):
         # _unit_gauge_report reads the rows of ||x^+||_inf off column minima
