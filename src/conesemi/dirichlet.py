@@ -4,7 +4,8 @@ scale: the worked example that feeds every pipeline.
 The interior-node discretization is the tridiagonal stencil
 ``(1/h^2) * (1, -2, 1)``; boundary values are implicitly zero.  Its
 resolvent is solved as the tridiagonal system it is, in O(N) work with no
-N x N matrix (:func:`~conesemi.numerics.tridiagonal_solve`).  The
+N x N matrix (the LAPACK ``gtsv`` of
+:func:`~conesemi.numerics.tridiagonal_solve`).  The
 continuum resolvent ``(I - A)^-1`` has a variation-of-parameters closed
 form whose two integrals are evaluated by composite trapezoid quadrature --
 second order, matching the stencil, so the finite-difference/closed-form
@@ -15,20 +16,22 @@ failure, for the checks here and for the ``dirichlet-demo`` command alike.
 :func:`run_dirichlet_checks` runs its per-propagator checks through
 :func:`~conesemi.semigroup.grid_reports`, the one loop over
 :func:`~conesemi.semigroup.propagators` that the semigroup pipelines use
-too -- the backward-Euler step as a tridiagonal solve, and every ``expm``
-propagator of the grid from one exponential at its smallest time, so the
-``matrix_exp`` guard bounds only that step and ``T(5)`` is within reach at
-N = 255.  It checks their positivity with
-:func:`~conesemi.semigroup.is_positive_operator` on the orthant, which
-reads the margins off ``T(t)``, so a ``fails`` carries generator/facet
-witnesses.  The positive-part sup-norm ``||x^+||_inf`` is
-the order-unit gauge of ``1`` on the orthant, so its two checks are finite
-tests (Arendt, Chernoff and Kato, J. Operator Theory 8, 1982; for the
-Metzler case, the inf-logarithmic norm of Soderlind, BIT 46, 2006): ``T(t)``
-contracts it exactly when ``T(t) >= 0`` and ``T(t)1 <= 1``, and the
-maximum principle (``A`` dissipative for it) holds exactly when ``A`` is
-Metzler and ``A1 <= 0``.  Both read the column minima and row sums of one
-matrix, so every check here is exact and a pass says ``holds``.
+too -- the backward-Euler step as a tridiagonal solve set up once per
+grid, and every ``expm`` propagator of the grid from one exponential at its
+smallest time, so the ``matrix_exp`` guard bounds only that step and
+``T(5)`` is within reach at N = 255.  The positive-part sup-norm
+``||x^+||_inf`` is the order-unit gauge of ``1`` on the orthant, so its two
+checks are finite tests (Arendt, Chernoff and Kato, J. Operator Theory 8,
+1982; for the Metzler case, the inf-logarithmic norm of Soderlind, BIT 46,
+2006): ``T(t)`` contracts it exactly when ``T(t) >= 0`` and ``T(t)1 <= 1``,
+and the maximum principle (``A`` dissipative for it) holds exactly when
+``A`` is Metzler and ``A1 <= 0``.  Both read the column minima and row sums
+of one matrix.  So does positivity on the orthant, whose margins are the
+entries of ``T(t)``: :func:`_propagator_reports` makes one pass over each
+propagator for its positivity (the report of
+:func:`~conesemi.semigroup.is_positive_operator`, with generator/facet
+witnesses) and its positive-part contractivity.  Every check here is exact
+and a pass says ``holds``.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ import numpy as np
 from .cone import PolyCone
 from .dissipativity import LinOp, has_positive_off_diagonal
 from .errors import DimensionMismatch, MalformedProblem
-from .numerics import as_matrix, as_vector, tridiagonal_solve
+from .numerics import _gtsv, as_matrix, as_vector
 from .report import FAILS, HOLDS, Report, Witness
-from .semigroup import SemigroupConfig, grid_reports, is_positive_operator
+from .semigroup import SemigroupConfig, grid_reports
 
 # right-hand sides of the resolvent cross-check, evaluated at the nodes
 RHS_CASES = {
@@ -90,7 +93,7 @@ def fd_resolvent(grid: Grid, y) -> np.ndarray:
     y = _rhs(grid, y)
     scale = 1.0 / grid.h**2
     off = np.full(n - 1, -scale)
-    return tridiagonal_solve(off, np.full(n, 1.0 + 2.0 * scale), off, y)
+    return _gtsv(off, np.full(n, 1.0 + 2.0 * scale), off, y)
 
 
 def resolvent_closed_form(grid: Grid, y) -> np.ndarray:
@@ -200,7 +203,8 @@ def run_dirichlet_checks(
     discrete maximum principle, the resolvent cross-check (against the
     refined grid for the order estimate), then per propagator its
     positivity (``worst_margin`` is the smallest entry of ``T(t)``) and its
-    contractivity for the positive-part sup-norm.
+    contractivity for the positive-part sup-norm, both from one pass over
+    ``T(t)`` (:func:`_propagator_reports`).
 
     ``n_samples`` and ``seed`` are ignored: nothing here is sampled.  They
     stay in the signature only because the benchmark workloads in
@@ -216,10 +220,7 @@ def run_dirichlet_checks(
         pod,
         _unit_gauge_report("discrete_maximum_principle", op.matrix, 0.0, 1e-9, True),
         _cross_check_report(grid),
-        *grid_reports(op, cfg, [
-            ("positive", lambda T: is_positive_operator(T, orthant, tol=1e-12)),
-            ("positive_part_contractive", lambda T: _unit_gauge_report("", T, 1.0, 1e-8, False)),
-        ]),
+        *grid_reports(op, cfg, [(("positive", "positive_part_contractive"), _propagator_reports)]),
     ]
     return Report(
         name=f"dirichlet_checks[N={grid.n_interior}]",
@@ -228,6 +229,41 @@ def run_dirichlet_checks(
         notes=["every check is exact"],
         subreports=parts,
     )
+
+
+def _propagator_reports(T: np.ndarray) -> tuple[Report, Report]:
+    """Positivity of a propagator ``T`` on the orthant, and its contractivity
+    for ``||x^+||_inf``, from one pass over ``T``: its column minima and row
+    sums.  Field for field, the reports of ``is_positive_operator(T,
+    orthant, tol=1e-12)`` and ``_unit_gauge_report("", T, 1.0, 1e-8,
+    False)``; ``T`` is finite, as :func:`~conesemi.semigroup.propagators`
+    makes sure.
+
+    On the orthant the margins of the positivity check are the entries of
+    ``T`` (``-0.0`` read as ``0.0``), a column is negative where its minimum
+    is, and for a computed ``T`` that means below ``-1e-12`` times the
+    largest ``|T_ij|``, which is the larger of ``max T`` and ``-min T``."""
+    n = T.shape[0]
+    rows = T.argmin(axis=0)
+    mins = T[rows, np.arange(n)]
+    margins = mins + 0.0
+    negative = margins < 0.0
+    if negative.any():
+        negative &= margins < -1e-12 * max(float(T.max()), -float(margins.min()))
+    witnesses = [
+        Witness(point=np.eye(1, n, j)[0], functional=np.eye(1, n, rows[j])[0],
+                margin=float(margins[j]), label=f"T(generator[{j}]) violates facet[{rows[j]}]")
+        for j in negative.nonzero()[0]
+    ]
+    positive = Report(
+        name="positive_operator",
+        verdict=FAILS if witnesses else HOLDS,
+        witnesses=witnesses,
+        tolerance=1e-12,
+        notes=["exact generator/facet check"],
+        data={"worst_margin": float(margins.min())},
+    )
+    return positive, _unit_gauge_verdict("", rows, mins, T.sum(axis=1), 1.0, 1e-8, False)
 
 
 def _unit_gauge_report(
@@ -250,13 +286,23 @@ def _unit_gauge_report(
     n = M.shape[0]
     cols = np.where(np.eye(n, dtype=bool), np.inf, M) if exempt_diagonal else M
     rows = np.argmin(cols, axis=0)
-    sums = M.sum(axis=1)
-    top = int(np.argmax(sums))
-    margins = np.append(-cols[rows, np.arange(n)], sums[top] - bound)
+    return _unit_gauge_verdict(name, rows, cols[rows, np.arange(n)], M.sum(axis=1), bound, tol,
+                               exempt_diagonal)
+
+
+def _unit_gauge_verdict(
+    name: str, rows: np.ndarray, mins: np.ndarray, sums: np.ndarray, bound: float, tol: float,
+    exempt_diagonal: bool,
+) -> Report:
+    """The report of :func:`_unit_gauge_report` from the column minima
+    ``mins``, found in ``rows``, and the row sums ``sums`` of ``M``."""
+    n = mins.size
+    top = int(sums.argmax())
+    margins = np.append(-mins, sums[top] - bound)
     witnesses = [
         Witness(point=-np.eye(n)[j], functional=None, margin=float(margins[j]),
                 label=f"x = -e[{j}]: entry ({rows[j]}, {j}) is negative")
-        for j in np.flatnonzero(margins[:n] > tol)
+        for j in (margins[:n] > tol).nonzero()[0]
     ]
     if margins[n] > tol:
         witnesses.append(Witness(point=np.ones(n), functional=None, margin=float(margins[n]),
@@ -268,7 +314,7 @@ def _unit_gauge_report(
         witnesses=witnesses,
         tolerance=tol,
         notes=[f"exact: nonnegative {sign}, row sums at most {bound:g}"],
-        data={"worst_margin": float(np.max(margins))},
+        data={"worst_margin": float(margins.max())},
     )
 
 

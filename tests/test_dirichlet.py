@@ -1,5 +1,7 @@
 """Grid example: stencil, closed-form resolvent, convergence, pipelines."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from conesemi.cone import PolyCone
 from conesemi.dirichlet import (
     RHS_CASES,
     Grid,
+    _propagator_reports,
     _unit_gauge_report,
     convergence_study,
     dirichlet_laplacian,
@@ -18,9 +21,9 @@ from conesemi.dirichlet import (
     run_dirichlet_checks,
 )
 from conesemi.dissipativity import LinOp, has_positive_off_diagonal, is_metzler
-from conesemi.errors import DimensionMismatch, MalformedProblem
+from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge
 from conesemi.numerics import linear_solve, matrix_exp
-from conesemi.semigroup import SemigroupConfig, propagators
+from conesemi.semigroup import SemigroupConfig, grid_reports, is_positive_operator, propagators
 from oracles import (
     max_principle_loop,
     max_principle_margin,
@@ -408,3 +411,98 @@ class TestExactChecks:
                 else:
                     counts["exact fails only" if rep.witnesses else "both hold"] += 1
         assert min(counts.values()) > 20, counts
+
+
+def separate_reports(T):
+    """The two per-propagator reports as separate checks make them."""
+    orthant = PolyCone.standard_orthant(T.shape[0])
+    return (is_positive_operator(T, orthant, tol=1e-12),
+            _unit_gauge_report("", T, 1.0, 1e-8, False))
+
+
+def assert_same_reports(got, expected):
+    """Field for field and bit for bit; ``json`` tells ``-0.0`` from ``0.0``."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+        for v, w in zip(a.witnesses, b.witnesses):
+            for x, y in ((v.point, w.point), (v.functional, w.functional)):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert x.dtype == y.dtype and x.shape == y.shape
+
+
+def crafted_propagators() -> dict:
+    """Propagators at the edges of the one-pass reports."""
+    T = matrix_exp(dirichlet_laplacian(Grid(7)).matrix, 0.1)
+    top = float(np.max(np.abs(T)))
+    cases = {"stencil": T}
+    cases["negative entry"] = T.copy()
+    cases["negative entry"][2, 5] = -1e-6
+    for name, value in (("at the threshold", -1e-12 * top),
+                        ("an ulp below it", np.nextafter(-1e-12 * top, -1.0))):
+        cases[name] = T.copy()
+        cases[name][4, 1] = value
+    # the threshold is 3e-12: -2e-12 two columns over is rounding, not a witness
+    cases["largest magnitude negative"] = T.copy()
+    cases["largest magnitude negative"][0, 3] = -3.0
+    cases["largest magnitude negative"][6, 5] = -2e-12
+    cases["row sum above 1"] = np.eye(7)
+    cases["row sum above 1"][3, 2] = 0.25
+    # every column's first smallest entry is -0.0
+    cases["-0.0"] = np.eye(7)
+    cases["-0.0"][0, 1:] = -0.0
+    cases["-0.0"][1, 0] = -0.0
+    cases["-0.0 column"] = np.eye(7)
+    cases["-0.0 column"][:, 4] = -0.0
+    return cases
+
+
+class TestOnePassPerPropagator:
+    """``run_dirichlet_checks`` reads positivity and positive-part
+    contractivity off one pass over each propagator; the reports are those
+    of the two separate checks, field for field."""
+
+    @pytest.mark.parametrize("n", [15, 31])
+    @pytest.mark.parametrize("method", ["euler", "expm"])
+    def test_every_propagator_of_the_grid(self, n, method):
+        grid = Grid(n)
+        cfg = SemigroupConfig(t_grid=(0.0, *SemigroupConfig().t_grid), method=method)
+        for _, _, T in propagators(dirichlet_laplacian(grid), cfg):
+            assert_same_reports(_propagator_reports(T), separate_reports(T))
+        got = run_dirichlet_checks(grid, cfg).subreports[3:]
+        expected = grid_reports(dirichlet_laplacian(grid), cfg, [
+            ("positive", lambda T: separate_reports(T)[0]),
+            ("positive_part_contractive", lambda T: separate_reports(T)[1]),
+        ])
+        assert [s.name for s in got] == [s.name for s in expected]
+        assert_same_reports(got, expected)
+
+    @pytest.mark.parametrize("name", list(crafted_propagators()))
+    def test_crafted_propagators(self, name):
+        T = crafted_propagators()[name]
+        got = _propagator_reports(T)
+        assert_same_reports(got, separate_reports(T))
+        verdicts = {
+            "stencil": ("holds", "holds"),
+            "negative entry": ("fails", "fails"),
+            "at the threshold": ("holds", "holds"),
+            "an ulp below it": ("fails", "holds"),
+            "largest magnitude negative": ("fails", "fails"),
+            "row sum above 1": ("holds", "fails"),
+            "-0.0": ("holds", "holds"),
+            "-0.0 column": ("holds", "holds"),
+        }
+        assert tuple(r.verdict for r in got) == verdicts[name]
+        if name == "largest magnitude negative":
+            assert [w.label for w in got[0].witnesses] == ["T(generator[3]) violates facet[0]"]
+
+    def test_normtoolarge_surfaces_at_the_first_expm_propagator(self):
+        # ||0.5 A||_inf = 2 * 256^2 exceeds the guard of matrix_exp
+        with pytest.raises(NormTooLarge):
+            run_dirichlet_checks(Grid(255), SemigroupConfig(t_grid=(0.5, 1.0), method="expm"))
+        it = propagators(dirichlet_laplacian(Grid(255)), SemigroupConfig(t_grid=(0.0, 0.5, 1.0),
+                                                                         method="expm"))
+        assert next(it)[:2] == (0.0, "expm")
+        with pytest.raises(NormTooLarge):
+            next(it)

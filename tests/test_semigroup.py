@@ -14,7 +14,7 @@ from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagon
 from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge, SingularMatrix
 from conesemi.halfnorm import (CanonicalHalfNorm, EuclideanNorm, FunctionalGauge,
                                RegularizedGauge, WeightedNorm)
-from conesemi.numerics import factorized_solver, matrix_exp
+from conesemi.numerics import factorized_solver, matrix_exp, tridiagonal_solve
 from conesemi.semigroup import (
     DEFAULT_T_GRID,
     SemigroupConfig,
@@ -365,7 +365,7 @@ class TestTridiagonalEuler:
     def test_stencil_matches_dense_lu(self, n, monkeypatch):
         A = stencil(n)
         expected = [dense_lu_euler(A, t, 16) for t in DEFAULT_T_GRID]
-        monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        monkeypatch.setattr(semigroup, "_checked_inverse", refuse)
         for t, E in zip(DEFAULT_T_GRID, expected):
             T = euler_matrix(LinOp(A), t, 16)
             assert np.max(np.abs(T - E)) <= 1e-12 * np.max(np.abs(E)), (n, t)
@@ -379,7 +379,7 @@ class TestTridiagonalEuler:
                  + np.diag(rng.standard_normal(n - 1), 1)
                  + np.diag(rng.standard_normal(n - 1), -1))
             cases.append((A, dense_lu_euler(A, 1.0, 8)))
-        monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        monkeypatch.setattr(semigroup, "_checked_inverse", refuse)
         for A, E in cases:
             T = euler_matrix(LinOp(A), 1.0, 8)
             assert np.max(np.abs(T - E)) <= 1e-12 * np.max(np.abs(E))
@@ -394,8 +394,74 @@ class TestTridiagonalEuler:
     def test_an_entry_off_the_band_keeps_the_lu_path(self, monkeypatch):
         A = stencil(15).copy()
         A[0, 5] = 1.0
-        monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
+        monkeypatch.setattr(semigroup, "_gtsv", refuse)
         assert np.array_equal(euler_matrix(LinOp(A), 1.0, 16), dense_lu_euler(A, 1.0, 16))
+
+
+class TestEulerSetUpPerGrid:
+    """``propagators`` sets the backward-Euler step up once per grid; each
+    time pays one solve, the power and the finiteness check."""
+
+    @staticmethod
+    def reference(A, t, n, tridiagonal):
+        """``(I - (t/n) A)^-n`` from a fresh public solve of each step."""
+        eye, lam = np.eye(A.shape[0]), t / n
+        if tridiagonal:
+            R = tridiagonal_solve(-lam * np.diagonal(A, -1), 1.0 - lam * np.diagonal(A),
+                                  -lam * np.diagonal(A, 1), eye)
+        else:
+            R = np.linalg.inv(eye - lam * A)
+        return np.linalg.matrix_power(R, n)
+
+    @pytest.mark.parametrize("tridiagonal", [True, False], ids=["tridiagonal", "dense"])
+    def test_bit_identical_to_euler_matrix(self, tridiagonal):
+        A = stencil(15) if tridiagonal else (
+            np.random.default_rng(44).uniform(0.0, 1.0, (6, 6)) - 4.0 * np.eye(6))
+        cfg = SemigroupConfig(t_grid=(0.0, 0.1, 0.5, 1.0, 2.0, 5.0), method="euler")
+        got = list(propagators(A, cfg))
+        assert [t for t, _, _ in got] == list(cfg.t_grid)
+        for t, _, T in got:
+            assert np.array_equal(T, euler_matrix(A, t, cfg.euler_steps)), t
+        for t, _, T in got[1:]:
+            assert np.array_equal(T, self.reference(A, t, cfg.euler_steps, tridiagonal)), t
+
+    def test_one_band_test_per_grid(self, monkeypatch):
+        calls = []
+        band = semigroup._is_tridiagonal
+        monkeypatch.setattr(semigroup, "_is_tridiagonal", lambda A: calls.append(1) or band(A))
+        list(propagators(stencil(15), SemigroupConfig(method="both")))
+        assert len(calls) == 1
+        list(propagators(stencil(15), SemigroupConfig(method="expm")))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["euler", "expm"])
+    def test_time_zero_is_a_fresh_writable_identity(self, method):
+        A = stencil(15)
+        cfg = SemigroupConfig(t_grid=(0.0, 0.0, 1.0), method=method)
+        (_, _, first), (_, _, second), (_, _, T) = propagators(A, cfg)
+        assert first is not second
+        for I in (first, second):
+            assert np.array_equal(I, np.eye(15)) and I.flags.writeable
+        first[:] = 7.0
+        assert np.array_equal(second, np.eye(15))
+        (_, _, E), = propagators(A, SemigroupConfig(t_grid=(1.0,), method=method))
+        assert np.array_equal(T, E)
+
+    def test_written_propagators_leave_the_next_step_alone(self):
+        A = stencil(15)
+        cfg = SemigroupConfig(t_grid=(0.0, 0.5, 1.0), method="euler")
+        for t, _, T in propagators(A, cfg):
+            assert np.array_equal(T, euler_matrix(A, t, cfg.euler_steps))
+            T[:] = -1.0
+
+    @pytest.mark.parametrize("A", [np.eye(4), np.ones((3, 3)) / 3.0], ids=["tridiagonal", "dense"])
+    def test_singular_step_has_the_euler_message(self, A):
+        cfg = SemigroupConfig(t_grid=(0.5, 2.0), euler_steps=2, method="euler")
+        it = propagators(A, cfg)
+        next(it)
+        message = "(I - 1 A) is singular (euler step for t=2, n=2)"
+        with pytest.raises(SingularMatrix, match=re.escape(message)):
+            next(it)
 
 
 def dense_lu_resolvent(A, lam):
@@ -443,7 +509,7 @@ class TestOneResolvent:
     def test_tridiagonal_generator_skips_the_lu(self, n, monkeypatch):
         A = stencil(n)
         expected = dense_lu_users(A)
-        monkeypatch.setattr(semigroup, "factorized_solver", refuse)
+        monkeypatch.setattr(semigroup, "_checked_inverse", refuse)
         got = resolvent_users(A, monkeypatch)
         for name, value in got.items():
             assert_close(value, expected[name])
@@ -452,7 +518,7 @@ class TestOneResolvent:
         # every 2 x 2 matrix is tridiagonal: the band says nothing there
         A = stencil(2)
         expected = dense_lu_users(A)
-        monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
+        monkeypatch.setattr(semigroup, "_gtsv", refuse)
         got = resolvent_users(A, monkeypatch)
         for name, value in got.items():
             assert_close(value, expected[name])
@@ -461,7 +527,7 @@ class TestOneResolvent:
         A = stencil(15).copy()
         A[0, 5] = 1.0
         expected = dense_lu_users(A)
-        monkeypatch.setattr(semigroup, "tridiagonal_solve", refuse)
+        monkeypatch.setattr(semigroup, "_gtsv", refuse)
         got = resolvent_users(A, monkeypatch)
         for name, value in got.items():
             assert_close(value, expected[name])
