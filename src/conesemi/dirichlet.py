@@ -46,7 +46,7 @@ from .dissipativity import LinOp, has_positive_off_diagonal
 from .errors import DimensionMismatch, MalformedProblem
 from .numerics import _gtsv, as_matrix, as_vector
 from .report import FAILS, HOLDS, Report, Witness
-from .semigroup import SemigroupConfig, grid_reports
+from .semigroup import SemigroupConfig, _positivity_report, grid_reports
 
 # right-hand sides of the resolvent cross-check, evaluated at the nodes
 RHS_CASES = {
@@ -220,7 +220,8 @@ def run_dirichlet_checks(
         pod,
         _unit_gauge_report("discrete_maximum_principle", op.matrix, 0.0, 1e-9, True),
         _cross_check_report(grid),
-        *grid_reports(op, cfg, [(("positive", "positive_part_contractive"), _propagator_reports)]),
+        *grid_reports(op, cfg, ("positive", "positive_part_contractive"),
+                      lambda T: _propagator_reports(T, orthant)),
     ]
     return Report(
         name=f"dirichlet_checks[N={grid.n_interior}]",
@@ -231,39 +232,28 @@ def run_dirichlet_checks(
     )
 
 
-def _propagator_reports(T: np.ndarray) -> tuple[Report, Report]:
-    """Positivity of a propagator ``T`` on the orthant, and its contractivity
-    for ``||x^+||_inf``, from one pass over ``T``: its column minima and row
-    sums.  Field for field, the reports of ``is_positive_operator(T,
-    orthant, tol=1e-12)`` and ``_unit_gauge_report("", T, 1.0, 1e-8,
-    False)``; ``T`` is finite, as :func:`~conesemi.semigroup.propagators`
-    makes sure.
+def _propagator_reports(T: np.ndarray, orthant: PolyCone) -> tuple[Report, Report]:
+    """Positivity of a propagator ``T`` on ``orthant``, the standard orthant,
+    and its contractivity for ``||x^+||_inf``, from one pass over ``T``: its
+    column minima and row sums.  Field for field, the reports of
+    ``is_positive_operator(T, orthant, tol=1e-12)`` and
+    ``_unit_gauge_report("", T, 1.0, 1e-8, False)``; ``T`` is finite, as
+    :func:`~conesemi.semigroup.propagators` makes sure.
 
     On the orthant the margins of the positivity check are the entries of
-    ``T`` (``-0.0`` read as ``0.0``), a column is negative where its minimum
-    is, and for a computed ``T`` that means below ``-1e-12`` times the
-    largest ``|T_ij|``, which is the larger of ``max T`` and ``-min T``."""
-    n = T.shape[0]
+    ``T`` (``-0.0`` read as ``0.0``, as :meth:`PolyCone.margins` reads it),
+    and :meth:`PolyCone._negative_pairs` counts an entry of a computed ``T``
+    negative below ``-1e-12`` times the largest ``|T_ij|``: a column is
+    negative where its minimum is, and the largest ``|T_ij|`` is the larger
+    of ``max T`` and ``-min T``."""
     rows = T.argmin(axis=0)
-    mins = T[rows, np.arange(n)]
+    mins = T[rows, np.arange(T.shape[0])]
     margins = mins + 0.0
     negative = margins < 0.0
     if negative.any():
         negative &= margins < -1e-12 * max(float(T.max()), -float(margins.min()))
-    witnesses = [
-        Witness(point=np.eye(1, n, j)[0], functional=np.eye(1, n, rows[j])[0],
-                margin=float(margins[j]), label=f"T(generator[{j}]) violates facet[{rows[j]}]")
-        for j in negative.nonzero()[0]
-    ]
-    positive = Report(
-        name="positive_operator",
-        verdict=FAILS if witnesses else HOLDS,
-        witnesses=witnesses,
-        tolerance=1e-12,
-        notes=["exact generator/facet check"],
-        data={"worst_margin": float(margins.min())},
-    )
-    return positive, _unit_gauge_verdict("", rows, mins, T.sum(axis=1), 1.0, 1e-8, False)
+    return (_positivity_report(orthant, rows, margins, negative, 1e-12),
+            _unit_gauge_verdict("", rows, mins, T.sum(axis=1), 1.0, 1e-8, False))
 
 
 def _unit_gauge_report(

@@ -181,23 +181,16 @@ def propagators(op, cfg: SemigroupConfig):
             yield t, method, chains[method](t)
 
 
-def grid_reports(op, cfg: SemigroupConfig, checks) -> list[Report]:
-    """For each propagator ``(t, method, T)`` of :func:`propagators` and each
-    ``(label, check)`` of ``checks``, in that order, the report ``check(T)``
-    named ``label[t=...,method]`` with ``t`` and ``method`` in its data.  A
-    check that reads several properties off one pass over ``T`` has a tuple
-    of labels and returns one report per label, in the same order."""
+def grid_reports(op, cfg: SemigroupConfig, labels: tuple[str, ...], check) -> list[Report]:
+    """For each propagator ``(t, method, T)`` of :func:`propagators`, in that
+    order, the reports of ``check(T)``, one per label of ``labels``, each
+    named ``label[t=...,method]`` with ``t`` and ``method`` in its data."""
     reports = []
     for t, method, T in propagators(op, cfg):
-        for labels, check in checks:
-            if isinstance(labels, str):
-                labels, found = (labels,), (check(T),)
-            else:
-                found = check(T)
-            for label, rep in zip(labels, found, strict=True):
-                rep.name = f"{label}[t={t:g},{method}]"
-                rep.data.update({"t": t, "method": method})
-                reports.append(rep)
+        for label, rep in zip(labels, check(T), strict=True):
+            rep.name = f"{label}[t={t:g},{method}]"
+            rep.data.update({"t": t, "method": method})
+            reports.append(rep)
     return reports
 
 
@@ -262,14 +255,24 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
         raise MalformedProblem(f"tol must be finite and nonnegative, got {tol}")
     margins, negative = cone._negative_pairs(T, tol, computed=True)  # facet x generator
     worst = np.argmin(margins, axis=0)  # a column with a negative pair has its minimum there
+    cols = np.arange(worst.size)
+    return _positivity_report(cone, worst, margins[worst, cols], negative[worst, cols], tol)
+
+
+def _positivity_report(
+    cone: PolyCone, worst: np.ndarray, col_margins: np.ndarray, negative: np.ndarray, tol: float
+) -> Report:
+    """The report of :func:`is_positive_operator` from each generator's
+    smallest margin ``col_margins[j]``, at facet ``worst[j]``, and the mask
+    ``negative`` of the generators whose pair there is negative."""
     witnesses = [
         Witness(
             point=cone.generators[j].copy(),
             functional=cone.facets[worst[j]].copy(),
-            margin=float(margins[worst[j], j]),
+            margin=float(col_margins[j]),
             label=f"T(generator[{j}]) violates facet[{worst[j]}]",
         )
-        for j in np.flatnonzero(negative[worst, np.arange(worst.size)])
+        for j in np.flatnonzero(negative)
     ]
     return Report(
         name="positive_operator",
@@ -277,7 +280,7 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
         witnesses=witnesses,
         tolerance=tol,
         notes=["exact generator/facet check"],
-        data={"worst_margin": float(np.min(margins))},
+        data={"worst_margin": float(np.min(col_margins))},
     )
 
 
@@ -386,7 +389,7 @@ def check_semigroup_contractivity(
     cfg = cfg or SemigroupConfig()
     gauge = FunctionalGauge(cone, phi)
     hypothesis = _dissipativity_hypothesis(op, gauge, n_samples, seed)
-    conclusions = grid_reports(op, cfg, [("contractive", lambda T: is_contractive(T, gauge))])
+    conclusions = grid_reports(op, cfg, ("contractive",), lambda T: (is_contractive(T, gauge),))
     return _compose("semigroup_contractivity", [hypothesis], conclusions, CONTRACTIVE_TOL, {
         VACUOUS: "dissipativity hypothesis failed on a sample",
         FAILS: "T(t) not contractive; a sampled hypothesis does not contradict the theorem",
@@ -415,7 +418,7 @@ def check_semigroup_positivity(
     hypotheses = [_dissipativity_hypothesis(op, FunctionalGauge(cone, phi), n_samples, seed + i,
                                             name=f"dissipative[phi[{i}]]")
                   for i, phi in enumerate(phi_set)]
-    conclusions = grid_reports(op, cfg, [("positive", lambda T: is_positive_operator(T, cone))])
+    conclusions = grid_reports(op, cfg, ("positive",), lambda T: (is_positive_operator(T, cone),))
     return _compose("semigroup_positivity", [totality, *hypotheses], conclusions, 1e-9, {
         VACUOUS: "a dissipativity hypothesis failed; positivity results are informational",
         FAILS: "T(t) left the cone on the grid despite sampled hypotheses",

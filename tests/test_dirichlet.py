@@ -420,6 +420,11 @@ def separate_reports(T):
             _unit_gauge_report("", T, 1.0, 1e-8, False))
 
 
+def one_pass_reports(T):
+    """The two per-propagator reports from one pass over ``T``."""
+    return _propagator_reports(T, PolyCone.standard_orthant(T.shape[0]))
+
+
 def assert_same_reports(got, expected):
     """Field for field and bit for bit; ``json`` tells ``-0.0`` from ``0.0``."""
     assert len(got) == len(expected)
@@ -469,19 +474,17 @@ class TestOnePassPerPropagator:
         grid = Grid(n)
         cfg = SemigroupConfig(t_grid=(0.0, *SemigroupConfig().t_grid), method=method)
         for _, _, T in propagators(dirichlet_laplacian(grid), cfg):
-            assert_same_reports(_propagator_reports(T), separate_reports(T))
+            assert_same_reports(one_pass_reports(T), separate_reports(T))
         got = run_dirichlet_checks(grid, cfg).subreports[3:]
-        expected = grid_reports(dirichlet_laplacian(grid), cfg, [
-            ("positive", lambda T: separate_reports(T)[0]),
-            ("positive_part_contractive", lambda T: separate_reports(T)[1]),
-        ])
+        expected = grid_reports(dirichlet_laplacian(grid), cfg,
+                                ("positive", "positive_part_contractive"), separate_reports)
         assert [s.name for s in got] == [s.name for s in expected]
         assert_same_reports(got, expected)
 
     @pytest.mark.parametrize("name", list(crafted_propagators()))
     def test_crafted_propagators(self, name):
         T = crafted_propagators()[name]
-        got = _propagator_reports(T)
+        got = one_pass_reports(T)
         assert_same_reports(got, separate_reports(T))
         verdicts = {
             "stencil": ("holds", "holds"),

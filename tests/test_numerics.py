@@ -513,8 +513,10 @@ class TestMatrixExp:
         assert checked == 13
 
     @pytest.mark.parametrize("n", [15, 31, 63, 127, 255])
-    def test_stencil_bit_identical_to_the_unflushed_squarings(self, n):
-        # the flush only removes entries whose products vanish in every sum
+    def test_stencil_bit_identical_to_the_unflushed_squarings(self, n, monkeypatch):
+        # the flush only removes entries whose products vanish in every sum;
+        # it runs at every size here, not only where it pays
+        monkeypatch.setattr(numerics, "FLUSH_MIN_DIM", 0)
         A = (n + 1) ** 2 * (-2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
         for t in (0.01, 0.3, *DEFAULT_T_GRID):
             if t * 4 * (n + 1) ** 2 > numerics.EXP_MAX_NORM:
@@ -523,7 +525,8 @@ class TestMatrixExp:
             assert np.array_equal(E, unflushed_exp(A, t)), (n, t)
             assert np.min(E) >= 0.0
 
-    def test_random_bit_identical_to_the_unflushed_squarings(self):
+    def test_random_bit_identical_to_the_unflushed_squarings(self, monkeypatch):
+        monkeypatch.setattr(numerics, "FLUSH_MIN_DIM", 0)
         rng = np.random.default_rng(17)
         for i in range(300):
             n = int(rng.integers(2, 40))
@@ -534,18 +537,20 @@ class TestMatrixExp:
             t = float(rng.uniform(0.0, 3.0))
             assert np.array_equal(matrix_exp(A, t), unflushed_exp(A, t)), i
 
-    def test_tiny_exponential_keeps_its_relative_accuracy(self):
+    def test_tiny_exponential_keeps_its_relative_accuracy(self, monkeypatch):
         # every entry of exp(A) is below 2e-306: a flush threshold of 2^-511
         # taken absolutely, not relative to the largest entry, zeroes factors
         # that carry half of the result
+        monkeypatch.setattr(numerics, "FLUSH_MIN_DIM", 0)
         A = -np.diag(np.linspace(712.0, 716.0, 10))
         A += np.triu(np.random.default_rng(1).uniform(0.0, 10.0, (10, 10)), 1)
         ref = math.exp(-712.0) * scipy.linalg.expm(A + 712.0 * np.eye(10))
         assert 1e-306 < np.max(ref) < 2e-306
         assert np.max(np.abs(matrix_exp(A, 1.0) - ref)) <= 1e-12 * np.max(ref)
 
-    def test_flushed_metzler_exponential_stays_nonnegative(self):
+    def test_flushed_metzler_exponential_stays_nonnegative(self, monkeypatch):
         # strong decay on a sparse pattern drives entries through the flush
+        monkeypatch.setattr(numerics, "FLUSH_MIN_DIM", 0)
         rng = np.random.default_rng(11)
         for _ in range(40):
             n = int(rng.integers(2, 30))
