@@ -11,7 +11,9 @@ form whose two integrals are evaluated by composite trapezoid quadrature --
 second order, matching the stencil, so the finite-difference/closed-form
 comparison displays a clean O(h^2) decay.  :data:`RHS_CASES` and
 :func:`order_witnesses` define that comparison, and the witness of its
-failure, for the checks here and for the ``dirichlet-demo`` command alike.
+failure, for the checks here and for the ``dirichlet-demo`` command alike;
+the cross-check evaluates the refined grid once, as every other refined node
+is a coarse node, bit for bit.
 
 :func:`run_dirichlet_checks` runs its per-propagator checks through
 :func:`~conesemi.semigroup.grid_reports`, the one loop over
@@ -30,7 +32,8 @@ of one matrix.  So does positivity on the orthant, whose margins are the
 entries of ``T(t)``: :func:`_propagator_reports` makes one pass over each
 propagator for its positivity (the report of
 :func:`~conesemi.semigroup.is_positive_operator`, with generator/facet
-witnesses) and its positive-part contractivity.  Every check here is exact
+witnesses) and its positive-part contractivity, both decided from the
+smallest column minimum and the largest row sum.  Every check here is exact
 and a pass says ``holds``.
 """
 
@@ -62,8 +65,10 @@ class Grid:
     n_interior: int
 
     def __post_init__(self):
-        if self.n_interior < 2:
-            raise MalformedProblem("need at least 2 interior nodes")
+        n = self.n_interior  # the rule of SemigroupConfig.euler_steps: no bool, no float
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 2):
+            raise MalformedProblem(f"need at least 2 interior nodes, an integer, got {n!r}")
+        object.__setattr__(self, "n_interior", int(n))  # a numpy uint8 would wrap in 2 n + 1
 
     @property
     def h(self) -> float:
@@ -89,8 +94,12 @@ def fd_resolvent(grid: Grid, y) -> np.ndarray:
     """Finite-difference solve of ``(I - A) x = y`` on the interior nodes,
     as the tridiagonal system it is.  ``y`` is a vector or an ``(n, k)``
     block with one right-hand side per column."""
+    return _fd_solve(grid, _rhs(grid, y))
+
+
+def _fd_solve(grid: Grid, y: np.ndarray) -> np.ndarray:
+    """:func:`fd_resolvent` of a checked ``y``."""
     n = grid.n_interior
-    y = _rhs(grid, y)
     scale = 1.0 / grid.h**2
     off = np.full(n - 1, -scale)
     return _gtsv(off, np.full(n, 1.0 + 2.0 * scale), off, y)
@@ -106,16 +115,25 @@ def resolvent_closed_form(grid: Grid, y) -> np.ndarray:
     then fixes the two free coefficients from ``x(0) = x(1) = 0``.
     """
     y = _rhs(grid, y)
-    # the nodes run down the first axis, the right-hand sides across
-    s = np.concatenate([[0.0], grid.nodes, [1.0]]).reshape((-1,) + (1,) * (y.ndim - 1))
-    zero = np.zeros((1,) + y.shape[1:])
+    return _closed_form(*_closed_form_terms(grid.nodes, y.reshape(y.shape[0], -1))).reshape(y.shape)
+
+
+def _closed_form_terms(nodes: np.ndarray, y: np.ndarray) -> tuple:
+    """The arguments of :func:`_closed_form` for the block ``y`` on ``nodes``: ``s``, the nodes
+    padded with 0 and 1 as a column, ``e^s``, ``e^-s`` and ``[e^-s y | e^s y]``, 0 at the ends."""
+    s = np.concatenate([[0.0], nodes, [1.0]])[:, None]
+    zero = np.zeros((1, y.shape[1]))
     vals = np.concatenate([zero, y, zero])
-
     grow, fall = np.exp(s), np.exp(-s)
-    tail_decay = _right_cumulative_trapezoid(s, fall * vals)
-    tail_growth = _right_cumulative_trapezoid(s, grow * vals)
+    return s, grow, fall, np.concatenate([fall * vals, grow * vals], axis=1)
 
-    particular = 0.5 * (grow * tail_decay - fall * tail_growth)
+
+def _closed_form(s, grow, fall, weighted) -> np.ndarray:
+    """:func:`resolvent_closed_form` from :func:`_closed_form_terms`, with
+    both tail integrals in one cumulative sum."""
+    tails = _right_cumulative_trapezoid(s, weighted)
+    k = weighted.shape[1] // 2
+    particular = 0.5 * (grow * tails[:, :k] - fall * tails[:, k:])
     # x(0) = x(1) = 0 fixes a, b in a e^s + b e^-s: Cramer's rule on
     # [[1, 1], [e, 1/e]] (a, b) = -(particular[0], particular[-1])
     e = math.e
@@ -137,16 +155,19 @@ def _rhs(grid: Grid, y) -> np.ndarray:
 def _right_cumulative_trapezoid(s: np.ndarray, f: np.ndarray) -> np.ndarray:
     """tail[j] = composite-trapezoid integral of f from s[j] to s[-1],
     along the first axis."""
-    panels = 0.5 * np.diff(s, axis=0) * (f[:-1] + f[1:])
+    panels = 0.5 * (s[1:] - s[:-1]) * (f[:-1] + f[1:])
     tail = np.zeros_like(f)
     tail[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
     return tail
 
 
-def _sup_errors(grid: Grid, y) -> np.ndarray:
-    """Sup-error of the FD resolvent against the closed form for ``y``, one
-    per column of a block: one solve and one closed form for all of them."""
-    return np.max(np.abs(fd_resolvent(grid, y) - resolvent_closed_form(grid, y)), axis=0)
+def _sup_errors(grid: Grid, y, terms: tuple | None = None) -> np.ndarray:
+    """Sup-error of the FD solve against the closed form per column of the block ``y`` (a vector
+    is one column); ``terms``, the :func:`_closed_form_terms` of a checked ``y``, skip the check."""
+    if terms is None:
+        y = _rhs(grid, y).reshape(grid.n_interior, -1)
+        terms = _closed_form_terms(grid.nodes, y)
+    return np.max(np.abs(_fd_solve(grid, y) - _closed_form(*terms)), axis=0)
 
 
 def _convergence_rows(n_values, errors) -> list[dict]:
@@ -177,7 +198,7 @@ def convergence_study(n_values, rhs) -> list[dict]:
     a second-order method shows ratios near 4.
     """
     grids = [Grid(n) for n in n_values]
-    return _convergence_rows(n_values, [_sup_errors(g, rhs(g.nodes)) for g in grids])
+    return _convergence_rows(n_values, [_sup_errors(g, rhs(g.nodes)).item() for g in grids])
 
 
 def format_convergence_table(rows: list[dict], label: str = "") -> str:
@@ -249,9 +270,10 @@ def _propagator_reports(T: np.ndarray, orthant: PolyCone) -> tuple[Report, Repor
     rows = T.argmin(axis=0)
     mins = T[rows, np.arange(T.shape[0])]
     margins = mins + 0.0
-    negative = margins < 0.0
-    if negative.any():
-        negative &= margins < -1e-12 * max(float(T.max()), -float(margins.min()))
+
+    def negative():  # asked for only when some margin is negative
+        return margins < -1e-12 * max(float(T.max()), -float(margins.min()))
+
     return (_positivity_report(orthant, rows, margins, negative, 1e-12),
             _unit_gauge_verdict("", rows, mins, T.sum(axis=1), 1.0, 1e-8, False))
 
@@ -288,14 +310,17 @@ def _unit_gauge_verdict(
     ``mins``, found in ``rows``, and the row sums ``sums`` of ``M``."""
     n = mins.size
     top = int(sums.argmax())
-    margins = np.append(-mins, sums[top] - bound)
-    witnesses = [
-        Witness(point=-np.eye(n)[j], functional=None, margin=float(margins[j]),
+    over = float(sums[top] - bound)
+    worst = max(-float(mins.min()), over)
+    if worst == 0.0:  # the sign of a tie of zeros is numpy's, and it varies with the length
+        worst = float(np.append(-mins, over).max())
+    witnesses = [] if worst <= tol else [
+        Witness(point=-np.eye(n)[j], functional=None, margin=float(-mins[j]),
                 label=f"x = -e[{j}]: entry ({rows[j]}, {j}) is negative")
-        for j in (margins[:n] > tol).nonzero()[0]
+        for j in (-mins > tol).nonzero()[0]
     ]
-    if margins[n] > tol:
-        witnesses.append(Witness(point=np.ones(n), functional=None, margin=float(margins[n]),
+    if over > tol:
+        witnesses.append(Witness(point=np.ones(n), functional=None, margin=over,
                                  label=f"x = 1: row sum {top} exceeds {bound:g}"))
     sign = "off the diagonal" if exempt_diagonal else "entrywise"
     return Report(
@@ -304,20 +329,23 @@ def _unit_gauge_verdict(
         witnesses=witnesses,
         tolerance=tol,
         notes=[f"exact: nonnegative {sign}, row sums at most {bound:g}"],
-        data={"worst_margin": float(margins.max())},
+        data={"worst_margin": worst},
     )
 
 
 def _cross_check_report(grid: Grid) -> Report:
     """FD vs closed form on this grid and the once-refined grid, with every
     case of :data:`RHS_CASES` in one block per grid."""
-    sizes = [grid.n_interior, 2 * grid.n_interior + 1]
-    errors = [_sup_errors(g, np.column_stack([rhs(g.nodes) for rhs in RHS_CASES.values()]))
-              for g in map(Grid, sizes)]
+    fine = Grid(2 * grid.n_interior + 1)
+    # refined node 2i is node i here, bit for bit: h/2 is exact, (h/2)(2i) rounds as h i does
+    nodes = fine.nodes
+    y = np.column_stack([rhs(nodes) for rhs in RHS_CASES.values()])
+    terms = _closed_form_terms(nodes, y)
+    errors = [_sup_errors(grid, y[1::2], [t[::2] for t in terms]), _sup_errors(fine, y, terms)]
     data = {}
     witnesses = []
     for label, case_errors in zip(RHS_CASES, np.transpose(errors)):
-        rows = _convergence_rows(sizes, case_errors)
+        rows = _convergence_rows([grid.n_interior, fine.n_interior], case_errors)
         data[label] = {
             "sup_error": rows[0]["sup_error"],
             "refined_sup_error": rows[1]["sup_error"],

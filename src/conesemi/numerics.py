@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,7 +435,7 @@ def _gtsv(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, b: np.ndarray) -> 
     from scipy.linalg import lapack
 
     _, u, _, x, info = lapack.dgtsv(sub, diag, sup, b)
-    scale = max(float(np.abs(np.concatenate([sub, diag, sup])).max()), np.finfo(float).tiny)
+    scale = max(float(np.abs(np.concatenate([sub, diag, sup])).max()), sys.float_info.min)
     if info > 0 or not float(np.abs(u).min()) > PIVOT_REL_TOL * scale:
         raise SingularMatrix("pivot below 1e-12 relative threshold")
     return x

@@ -256,23 +256,24 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     margins, negative = cone._negative_pairs(T, tol, computed=True)  # facet x generator
     worst = np.argmin(margins, axis=0)  # a column with a negative pair has its minimum there
     cols = np.arange(worst.size)
-    return _positivity_report(cone, worst, margins[worst, cols], negative[worst, cols], tol)
+    return _positivity_report(cone, worst, margins[worst, cols], lambda: negative[worst, cols], tol)
 
 
 def _positivity_report(
-    cone: PolyCone, worst: np.ndarray, col_margins: np.ndarray, negative: np.ndarray, tol: float
+    cone: PolyCone, worst: np.ndarray, col_margins: np.ndarray, negative, tol: float
 ) -> Report:
     """The report of :func:`is_positive_operator` from each generator's
-    smallest margin ``col_margins[j]``, at facet ``worst[j]``, and the mask
-    ``negative`` of the generators whose pair there is negative."""
-    witnesses = [
+    smallest margin ``col_margins[j]``, at facet ``worst[j]``, and ``negative()``, the mask of
+    the generators whose pair there is negative, asked for only when some margin is negative."""
+    lo = float(col_margins.min())
+    witnesses = [] if lo >= 0.0 else [
         Witness(
             point=cone.generators[j].copy(),
             functional=cone.facets[worst[j]].copy(),
             margin=float(col_margins[j]),
             label=f"T(generator[{j}]) violates facet[{worst[j]}]",
         )
-        for j in np.flatnonzero(negative)
+        for j in np.flatnonzero(negative())
     ]
     return Report(
         name="positive_operator",
@@ -280,7 +281,7 @@ def _positivity_report(
         witnesses=witnesses,
         tolerance=tol,
         notes=["exact generator/facet check"],
-        data={"worst_margin": float(np.min(col_margins))},
+        data={"worst_margin": lo},
     )
 
 

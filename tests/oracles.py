@@ -8,7 +8,11 @@ Taylor loop that ``numerics.matrix_exp`` replaced by a fixed-degree
 Paterson-Stockmeyer evaluation, and ``unflushed_exp`` its squaring loop from
 before it zeroed sub-threshold entries.  ``max_principle_loop`` and
 ``positive_part_loop`` are the sampled Dirichlet checks that the package
-replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``.
+replaced by exact tests on the entries and row sums of ``A`` and ``T(t)``,
+and ``array_propagator_reports``, ``array_unit_gauge_report`` and
+``per_grid_cross_check`` the array-at-a-time forms of those exact tests and
+of the resolvent cross-check that the package replaced by reports decided
+from two scalars and one evaluation of the refined grid.
 ``dirichlet_exp`` is the scipy-free exponential of the Dirichlet stencil,
 from its closed-form eigenpairs.  ``lp_first_ray_on_a_line`` is the per-ray
 LP loop that ``cone._check_pointed`` replaced by a test on the facets of the
@@ -28,7 +32,7 @@ from scipy.optimize import linprog
 from conesemi import numerics
 from conesemi.errors import DimensionTooLarge, MalformedProblem
 from conesemi.numerics import FEAS_TOL, LpProblem, as_matrix, as_vector, solve_lp
-from conesemi.report import Witness
+from conesemi.report import FAILS, HOLDS, Report, Witness
 
 
 def enumerate_vertices(
@@ -209,3 +213,105 @@ def highs_totality_optima(Phi, facets) -> np.ndarray:
         assert res.status == 0, res.message
         optima.append(res.fun)
     return np.array(optima)
+
+
+def array_positivity_report(cone, worst, col_margins, negative, tol) -> Report:
+    """The report of ``is_positive_operator`` from each generator's smallest
+    margin, at facet ``worst[j]``, and the mask ``negative``, built whole."""
+    witnesses = [
+        Witness(point=cone.generators[j].copy(), functional=cone.facets[worst[j]].copy(),
+                margin=float(col_margins[j]), label=f"T(generator[{j}]) violates facet[{worst[j]}]")
+        for j in np.flatnonzero(negative)
+    ]
+    return Report(name="positive_operator", verdict=FAILS if witnesses else HOLDS,
+                  witnesses=witnesses, tolerance=tol, notes=["exact generator/facet check"],
+                  data={"worst_margin": float(np.min(col_margins))})
+
+
+def array_unit_gauge_verdict(name, rows, mins, sums, bound, tol, exempt_diagonal) -> Report:
+    """The ``||x^+||_inf`` report from the column minima and row sums, with
+    every candidate's margin in one array and ``worst_margin`` its maximum."""
+    n = mins.size
+    top = int(sums.argmax())
+    margins = np.append(-mins, sums[top] - bound)
+    witnesses = [
+        Witness(point=-np.eye(n)[j], functional=None, margin=float(margins[j]),
+                label=f"x = -e[{j}]: entry ({rows[j]}, {j}) is negative")
+        for j in (margins[:n] > tol).nonzero()[0]
+    ]
+    if margins[n] > tol:
+        witnesses.append(Witness(point=np.ones(n), functional=None, margin=float(margins[n]),
+                                 label=f"x = 1: row sum {top} exceeds {bound:g}"))
+    sign = "off the diagonal" if exempt_diagonal else "entrywise"
+    return Report(name=name, verdict=FAILS if witnesses else HOLDS, witnesses=witnesses,
+                  tolerance=tol, notes=[f"exact: nonnegative {sign}, row sums at most {bound:g}"],
+                  data={"worst_margin": float(margins.max())})
+
+
+def array_unit_gauge_report(name, M, bound, tol, exempt_diagonal) -> Report:
+    """:func:`array_unit_gauge_verdict` of the matrix ``M``."""
+    n = M.shape[0]
+    cols = np.where(np.eye(n, dtype=bool), np.inf, M) if exempt_diagonal else M
+    rows = np.argmin(cols, axis=0)
+    return array_unit_gauge_verdict(name, rows, cols[rows, np.arange(n)], M.sum(axis=1), bound,
+                                    tol, exempt_diagonal)
+
+
+def array_propagator_reports(T, orthant) -> tuple[Report, Report]:
+    """Positivity on the standard ``orthant`` and ``||x^+||_inf``
+    contractivity of ``T``, each from whole arrays of margins and masks."""
+    rows = T.argmin(axis=0)
+    mins = T[rows, np.arange(T.shape[0])]
+    margins = mins + 0.0
+    negative = margins < 0.0
+    if negative.any():
+        negative &= margins < -1e-12 * max(float(T.max()), -float(margins.min()))
+    return (array_positivity_report(orthant, rows, margins, negative, 1e-12),
+            array_unit_gauge_verdict("", rows, mins, T.sum(axis=1), 1.0, 1e-8, False))
+
+
+def two_pass_closed_form(grid, y) -> np.ndarray:
+    """The continuum resolvent of ``y`` on the nodes of ``grid``, each tail
+    integral its own cumulative sum, ``e^s`` and ``e^-s`` from the grid's
+    own nodes."""
+    s = np.concatenate([[0.0], grid.nodes, [1.0]]).reshape((-1,) + (1,) * (y.ndim - 1))
+    zero = np.zeros((1,) + y.shape[1:])
+    vals = np.concatenate([zero, y, zero])
+    grow, fall = np.exp(s), np.exp(-s)
+
+    def tail(f):
+        panels = 0.5 * np.diff(s, axis=0) * (f[:-1] + f[1:])
+        out = np.zeros_like(f)
+        out[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
+        return out
+
+    particular = 0.5 * (grow * tail(fall * vals) - fall * tail(grow * vals))
+    e = math.e
+    det = 1.0 / e - e
+    a = (particular[-1] - particular[0] / e) / det
+    b = (e * particular[0] - particular[-1]) / det
+    return (particular + a * grow + b * fall)[1:-1]
+
+
+def per_grid_cross_check(grid) -> Report:
+    """The resolvent cross-check with each grid's nodes, right-hand sides and
+    closed form evaluated on that grid alone."""
+    from conesemi.dirichlet import RHS_CASES, Grid, fd_resolvent, order_witnesses
+
+    grids = [grid, Grid(2 * grid.n_interior + 1)]
+    errors = []
+    for g in grids:
+        y = np.column_stack([rhs(g.nodes) for rhs in RHS_CASES.values()])
+        errors.append(np.max(np.abs(fd_resolvent(g, y) - two_pass_closed_form(g, y)), axis=0))
+    data, witnesses = {}, []
+    for label, (coarse, fine) in zip(RHS_CASES, np.transpose(errors)):
+        coarse, fine = float(coarse), float(fine)
+        ratio = coarse / fine if fine > 0 else None
+        data[label] = {"sup_error": coarse, "refined_sup_error": fine, "ratio": ratio}
+        rows = [{"n_interior": g.n_interior, "h": g.h, "sup_error": err, "ratio": r}
+                for g, err, r in zip(grids, (coarse, fine), (None, ratio))]
+        witnesses += order_witnesses(label, rows)
+    return Report(name="resolvent_cross_check", verdict=FAILS if witnesses else HOLDS,
+                  witnesses=witnesses, tolerance=0.0,
+                  notes=["second-order agreement between stencil solve and closed form"],
+                  data=data)

@@ -10,6 +10,7 @@ from conesemi.cone import PolyCone
 from conesemi.dirichlet import (
     RHS_CASES,
     Grid,
+    _cross_check_report,
     _propagator_reports,
     _unit_gauge_report,
     convergence_study,
@@ -25,10 +26,15 @@ from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge
 from conesemi.numerics import linear_solve, matrix_exp
 from conesemi.semigroup import SemigroupConfig, grid_reports, is_positive_operator, propagators
 from oracles import (
+    array_positivity_report,
+    array_propagator_reports,
+    array_unit_gauge_report,
     max_principle_loop,
     max_principle_margin,
     positive_part_growth,
     positive_part_loop,
+    per_grid_cross_check,
+    two_pass_closed_form,
 )
 
 
@@ -41,6 +47,27 @@ class TestGrid:
     def test_too_small_rejected(self):
         with pytest.raises(MalformedProblem):
             Grid(1)
+
+    @pytest.mark.parametrize("n", [15.0, 2.5, np.float64(7), True, "15", None])
+    def test_non_integer_sizes_rejected(self, n):
+        with pytest.raises(MalformedProblem, match="an integer"):
+            Grid(n)
+
+    def test_non_integer_sizes_rejected_by_the_studies(self):
+        with pytest.raises(MalformedProblem):
+            convergence_study([15.0, 31.0], RHS_CASES["sine"])
+
+    @pytest.mark.parametrize("n", [np.int64(7), np.int32(7), np.uint8(7)])
+    def test_numpy_integers_accepted(self, n):
+        g = Grid(n)
+        assert type(g.n_interior) is int and g == Grid(7)
+        assert g.h == Grid(7).h and np.array_equal(g.nodes, Grid(7).nodes)
+        cfg = SemigroupConfig(t_grid=(0.1,))
+        assert run_dirichlet_checks(g, cfg).to_dict() == run_dirichlet_checks(Grid(7), cfg).to_dict()
+
+    def test_a_narrow_integer_does_not_wrap_in_the_refined_grid(self):
+        rep = _cross_check_report(Grid(np.uint8(200)))
+        assert json.dumps(rep.to_dict()) == json.dumps(_cross_check_report(Grid(200)).to_dict())
 
 
 class TestLaplacian:
@@ -486,6 +513,7 @@ class TestOnePassPerPropagator:
         T = crafted_propagators()[name]
         got = one_pass_reports(T)
         assert_same_reports(got, separate_reports(T))
+        assert_identical(got, oracle_reports(T))
         verdicts = {
             "stencil": ("holds", "holds"),
             "negative entry": ("fails", "fails"),
@@ -509,3 +537,107 @@ class TestOnePassPerPropagator:
         assert next(it)[:2] == (0.0, "expm")
         with pytest.raises(NormTooLarge):
             next(it)
+
+
+def assert_identical(got, expected):
+    """:func:`assert_same_reports`, and the sign of every float margin and
+    ``worst_margin`` checked with ``np.signbit``."""
+    assert_same_reports(got, expected)
+    for a, b in zip(got, expected):
+        floats = [(a.data.get("worst_margin"), b.data.get("worst_margin"))]
+        floats += [(v.margin, w.margin) for v, w in zip(a.witnesses, b.witnesses)]
+        for x, y in floats:
+            assert type(x) is type(y)
+            if isinstance(x, float):
+                assert x == y and np.signbit(x) == np.signbit(y)
+        for v, w in zip(a.witnesses, b.witnesses):
+            for x, y in ((v.point, w.point), (v.functional, w.functional)):
+                if x is not None:
+                    assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def oracle_reports(T):
+    return array_propagator_reports(T, PolyCone.standard_orthant(T.shape[0]))
+
+
+class TestReportsFromTwoScalars:
+    """The per-propagator and maximum-principle reports are decided from the
+    smallest column minimum and the largest row sum; whole arrays of margins
+    are built only for a witness.  Each report is the array-at-a-time
+    oracle's, bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 31, 63])
+    @pytest.mark.parametrize("method", ["euler", "expm"])
+    def test_every_propagator(self, n, method):
+        cfg = SemigroupConfig(t_grid=(0.0, 0.1, 1.0, 5.0), method=method)
+        for _, _, T in propagators(dirichlet_laplacian(Grid(n)), cfg):
+            assert_identical(one_pass_reports(T), oracle_reports(T))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_identity_and_reversal(self, n):
+        # numpy gives the maximum of n copies of -0.0 and one 0.0 a sign
+        # that depends on n: T = I, at t = 0, ties at exactly that
+        for T in (np.eye(n), np.eye(n)[::-1].copy()):
+            got = one_pass_reports(T)
+            assert_identical(got, oracle_reports(T))
+            assert [r.verdict for r in got] == ["holds", "holds"]
+
+    def test_signed_zero_ties(self):
+        for n in (2, 5, 17, 33):
+            for sign in (0.0, -0.0):
+                T = np.full((n, n), sign)
+                T[:, 0] = 1.0 / n  # row sums exactly 1
+                assert_identical(one_pass_reports(T), oracle_reports(T))
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 64])
+    def test_maximum_principle(self, n):
+        A = dirichlet_laplacian(Grid(n)).matrix
+        cases = {"stencil": A, "zero": np.zeros((n, n)), "-0.0": np.full((n, n), -0.0)}
+        if n >= 15:
+            cases.update(generator_mutants(n))
+        for M in cases.values():
+            assert_identical([_unit_gauge_report("max", M, 0.0, 1e-9, exempt_diagonal=True)],
+                             [array_unit_gauge_report("max", M, 0.0, 1e-9, True)])
+
+    def test_positivity_on_a_pyramid(self):
+        cone = PolyCone.from_generators([[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]])
+        for T in (np.eye(3), np.diag([0.5, 0.5, 1.0]), np.diag([2.0, 1.0, 1.0]),
+                  np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.1, 0.0, 1.0]])):
+            margins, negative = cone._negative_pairs(T, 1e-9, computed=True)
+            worst = np.argmin(margins, axis=0)
+            cols = np.arange(worst.size)
+            expected = array_positivity_report(cone, worst, margins[worst, cols],
+                                               negative[worst, cols], 1e-9)
+            assert_identical([is_positive_operator(T, cone)], [expected])
+
+
+class TestCrossCheckReadsTheRefinedGridOnce:
+    """This grid's nodes, right-hand sides and closed-form terms are every
+    other row of the refined grid's; the report is the per-grid oracle's."""
+
+    def test_every_size_up_to_300(self):
+        for n in range(2, 301):
+            got, expected = _cross_check_report(Grid(n)), per_grid_cross_check(Grid(n))
+            assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict()), n
+
+    def test_coarse_nodes_are_every_other_refined_node(self):
+        for n in range(2, 301):
+            assert np.array_equal(Grid(2 * n + 1).nodes[1::2], Grid(n).nodes), n
+
+    @pytest.mark.parametrize("n", [2, 7, 15, 255])
+    def test_closed_form_and_study_match_the_two_pass_form(self, n):
+        g = Grid(n)
+        y = np.column_stack([rhs(g.nodes) for rhs in RHS_CASES.values()])
+        assert np.array_equal(resolvent_closed_form(g, y), two_pass_closed_form(g, y))
+        assert np.array_equal(resolvent_closed_form(g, y[:, 1]), two_pass_closed_form(g, y[:, 1]))
+        rows = convergence_study([n, 2 * n + 1], RHS_CASES["sine"])
+        for row in rows:
+            g = Grid(row["n_interior"])
+            y = np.sin(np.pi * g.nodes)
+            assert row["sup_error"] == float(np.max(np.abs(fd_resolvent(g, y)
+                                                            - two_pass_closed_form(g, y))))
+
+    def test_run_carries_the_oracle_cross_check(self):
+        rep = run_dirichlet_checks(Grid(31), SemigroupConfig(t_grid=(0.1,)))
+        cross = next(s for s in rep.subreports if s.name == "resolvent_cross_check")
+        assert json.dumps(cross.to_dict()) == json.dumps(per_grid_cross_check(Grid(31)).to_dict())

@@ -1,6 +1,7 @@
 """Kernel tests: simplex vs brute-force vertex enumeration, LU, tridiagonal
 solves, expm."""
 
+import importlib
 import itertools
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import conesemi as cs
 from conesemi import numerics
 from conesemi.errors import (
     DimensionMismatch,
@@ -33,7 +35,7 @@ from conesemi.numerics import (
     tridiagonal_solve,
     vertex_table,
 )
-from conesemi.semigroup import DEFAULT_T_GRID, SemigroupConfig, propagators
+from conesemi.semigroup import DEFAULT_T_GRID, SemigroupConfig, euler_matrix, propagators
 from oracles import adaptive_taylor_exp, enumerate_vertices, loop_distinct_rows, unflushed_exp
 
 
@@ -379,6 +381,65 @@ class TestInverseGuard:
         assert np.isinf(inverse).any() and np.isnan(inverse).any()
         with pytest.raises(SingularMatrix):
             factorized_solver(GUARD_CASES[4][0])
+
+
+class TestNoSolveOnTheConesPath:
+    """Cone builds, totality, representations and POD make no linear solve.
+    The traced cones benchmark asserts this through its ``numerics.lu``
+    counter, which wraps only ``linear_solve`` and ``factorized_solver``;
+    here every dense and tridiagonal solve counts, under each name a module
+    binds it to."""
+
+    SOLVERS = {"numerics": ("_checked_inverse", "_gtsv", "linear_solve", "factorized_solver"),
+               "semigroup": ("_checked_inverse", "_gtsv"), "dirichlet": ("_gtsv",)}
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        for module_name, names in self.SOLVERS.items():
+            module = importlib.import_module(f"conesemi.{module_name}")
+            for name in names:
+                def counted(*args, _solve=getattr(module, name), _name=f"{module_name}.{name}",
+                            **kwargs):
+                    calls.append(_name)
+                    return _solve(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
+    def pyramid_item(n, k, rng):
+        """The calls of one cones benchmark item on a pyramid of ``k`` rays
+        ``(1, rho z)`` in R^n, ``|z| = 1``, with a positive map shifted down."""
+        z = rng.standard_normal((k, n - 1))
+        rays = np.hstack([np.ones((k, 1)), z / np.linalg.norm(z, axis=1, keepdims=True)
+                          * rng.uniform(0.5, 1.0)])
+        y = rng.standard_normal((k, n - 1))
+        duals = np.hstack([np.ones((k, 1)), 0.5 * y / np.linalg.norm(y, axis=1, keepdims=True)])
+        op = cs.LinOp((rays.T * rng.uniform(0.0, 1.0, k)) @ duals - 1.5 * np.eye(n))
+        cone = cs.PolyCone.from_generators(rays)
+        total = cone.is_total([cone.certify_functional(f) for f in cone.facets])
+        space = cs.build_state_space(cone, rays.sum(axis=0))
+        measure = cs.represent_functional(space, cone.certify_functional(duals[:3].mean(axis=0)))
+        pod = cs.has_positive_off_diagonal(op, cone)
+        return cone, total, measure, pod
+
+    @pytest.mark.parametrize("n, k", [(3, 16), (4, 8), (5, 10), (6, 8), (7, 8), (8, 8)])
+    def test_pyramids_make_no_solve(self, solves, n, k):
+        cone, total, measure, pod = self.pyramid_item(n, k, np.random.default_rng([n, k]))
+        assert cone.generators.shape[0] == k
+        assert total.verdict == "holds" and pod.verdict == "holds" and measure.total_mass > 0
+        assert solves == []
+
+    def test_a_dense_euler_matrix_counts(self, solves):
+        A = np.array([[-2.0, 1.0, 0.5], [1.0, -2.0, 1.0], [0.5, 1.0, -2.0]])
+        euler_matrix(A, 0.5, 4)
+        assert "semigroup._checked_inverse" in solves
+        solves.clear()
+        numerics.linear_solve(np.eye(3), np.ones(3))
+        numerics.factorized_solver(np.eye(3))
+        numerics.tridiagonal_solve(np.ones(2), np.full(3, 4.0), np.ones(2), np.ones(3))
+        assert {"numerics.linear_solve", "numerics.factorized_solver", "numerics._gtsv"} <= set(solves)
 
 
 def dense_tridiagonal(sub, diag, sup):
