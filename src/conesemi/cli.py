@@ -271,8 +271,6 @@ def _cmd_represent(args):
 
 
 def _cmd_dirichlet_demo(args):
-    if any(n < 2 for n in args.grid_sizes):
-        raise ProblemFileError("--grid-sizes entries must be >= 2")
     cfg = SemigroupConfig(t_grid=tuple(sorted(args.t_grid)), method="expm")
     lines = []
     checks = []

@@ -10,11 +10,11 @@ finds the facets as the vertices of a slice of the dual cone by the one
 active-set loop of :mod:`~conesemi.numerics`, read the same rule, and so do
 :meth:`PolyCone.certify_functional` and :meth:`PolyCone.is_total`: a family
 is total when each facet has a member that vanishes where the facet does,
-and otherwise a witness follows in closed form, with no LP.  One sign
-rule goes with it (:meth:`_negative_pairs`): an exact pair check counts
-``<f, M g>`` (:meth:`margins`) as negative only below ``-tol |f|ᵀ|M||g|``,
-which on the orthant is the sign of an entry of ``M``; for a computed ``M``
-the size is the largest over all pairs, which covers its rounding.  Cones
+and otherwise a witness follows in closed form, with no LP.  A margin
+``<f, M g>`` (:meth:`margins`) sums terms of size ``|f|ᵀ|M||g|``
+(:meth:`_pair_sizes`); the exact pair check counts it as negative only below
+``-tol`` times that size (:meth:`_negative_pairs`), on the orthant the sign
+of an entry of ``M``.  Cones
 here are pointed and full-dimensional, validated, not assumed: a solid
 cone is pointed exactly when its facet normals span.  Membership uses 1e-10.
 """
@@ -36,7 +36,8 @@ from .errors import (
     NotPointed,
     NotPositiveFunctional,
 )
-from .numerics import _active_set_vertices, as_matrix, as_vector, distinct_rows, ordered_rows
+from .numerics import (_active_set_vertices, as_count, as_matrix, as_vector, distinct_rows,
+                       ordered_rows)
 from .report import FAILS, HOLDS, Report, Witness
 
 MEMBER_TOL = 1e-10
@@ -129,7 +130,7 @@ class PolyCone:
     @classmethod
     def standard_orthant(cls, n: int) -> "PolyCone":
         """The coordinatewise order on R^n; self-dual."""
-        eye = np.eye(n)
+        eye = np.eye(as_count(n, "orthant dimension", 1))
         return cls(eye.copy(), eye.copy())
 
     def dual_cone(self) -> "PolyCone":
@@ -192,18 +193,20 @@ class PolyCone:
             raise DimensionMismatch(f"a {M.shape[0]}x{M.shape[0]} matrix on a cone in R^{self.dim}")
         return M + 0.0 if self._orthant else self.facets @ (M @ self.generators.T)
 
-    def _negative_pairs(self, M, tol: float, pairs=None, computed: bool = False) -> tuple:
+    def _pair_sizes(self, M) -> np.ndarray:
+        """``|f|ᵀ|M||g|``, the size of the terms each of :meth:`margins` sums, which no power-of-two
+        scale of a ray, a facet or ``M`` moves; ``|M|`` on the standard orthant."""
+        A = np.abs(np.asarray(M, dtype=float))
+        return A if self._orthant else np.abs(self.facets) @ (A @ np.abs(self.generators).T)
+
+    def _negative_pairs(self, M, tol: float, pairs=None) -> tuple:
         """:meth:`margins` of ``M`` and the mask of those among ``pairs`` (all when omitted)
-        below ``-tol |f|ᵀ|M||g|``, the size of the terms each sums: no power-of-two scale of a
-        ray, a facet or ``M`` moves it, and on the orthant it is the sign of an entry of ``M``.
-        A ``computed`` ``M`` may carry a rounding negative where its exact entry is 0, so there
-        the size is the largest over all pairs, and only a common scale leaves the mask."""
+        below ``-tol`` times their own :meth:`_pair_sizes`: the exact-pair rule of the POD
+        check, which on the orthant is the sign of an entry of ``M``."""
         margins = self.margins(M)
         negative = margins < 0.0 if pairs is None else pairs & (margins < 0.0)
         if negative.any():
-            A = np.abs(np.asarray(M, dtype=float))
-            scale = A if self._orthant else np.abs(self.facets) @ (A @ np.abs(self.generators).T)
-            negative &= margins < -tol * (scale.max() if computed else scale)
+            negative &= margins < -tol * self._pair_sizes(M)
         return margins, negative
 
     def is_order_unit(self, u) -> bool:

@@ -47,7 +47,7 @@ import numpy as np
 from .cone import PolyCone
 from .dissipativity import LinOp, has_positive_off_diagonal
 from .errors import DimensionMismatch, MalformedProblem
-from .numerics import _gtsv, as_matrix, as_vector
+from .numerics import _gtsv, as_count, as_matrix, as_vector
 from .report import FAILS, HOLDS, Report, Witness
 from .semigroup import SemigroupConfig, _positivity_report, grid_reports
 
@@ -65,10 +65,8 @@ class Grid:
     n_interior: int
 
     def __post_init__(self):
-        n = self.n_interior  # the rule of SemigroupConfig.euler_steps: no bool, no float
-        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 2):
-            raise MalformedProblem(f"need at least 2 interior nodes, an integer, got {n!r}")
-        object.__setattr__(self, "n_interior", int(n))  # a numpy uint8 would wrap in 2 n + 1
+        # an int: a numpy uint8 would wrap in 2 n + 1
+        object.__setattr__(self, "n_interior", as_count(self.n_interior, "n_interior", 2))
 
     @property
     def h(self) -> float:
@@ -193,12 +191,15 @@ def _convergence_rows(n_values, errors) -> list[dict]:
 def convergence_study(n_values, rhs) -> list[dict]:
     """Sup-error of the FD resolvent against the closed form per grid.
 
-    ``rhs`` is a callable evaluated at the interior nodes.  Rows carry the
+    ``rhs`` maps the interior nodes to one value per node.  Rows carry the
     error ratio against the previous (coarser) grid; for doubled resolution
     a second-order method shows ratios near 4.
     """
     grids = [Grid(n) for n in n_values]
-    return _convergence_rows(n_values, [_sup_errors(g, rhs(g.nodes)).item() for g in grids])
+    values = [rhs(g.nodes) for g in grids]
+    if any(np.shape(y) != g.nodes.shape for g, y in zip(grids, values)):
+        raise MalformedProblem("a right-hand side gives one value per interior node")
+    return _convergence_rows(n_values, [_sup_errors(g, y).item() for g, y in zip(grids, values)])
 
 
 def format_convergence_table(rows: list[dict], label: str = "") -> str:
@@ -256,25 +257,18 @@ def run_dirichlet_checks(
 def _propagator_reports(T: np.ndarray, orthant: PolyCone) -> tuple[Report, Report]:
     """Positivity of a propagator ``T`` on ``orthant``, the standard orthant,
     and its contractivity for ``||x^+||_inf``, from one pass over ``T``: its
-    column minima and row sums.  Field for field, the reports of
-    ``is_positive_operator(T, orthant, tol=1e-12)`` and
+    column minima and row sums (and ``|T|`` when an entry is negative).
+    Field for field, the reports of ``is_positive_operator(T, orthant, tol=1e-12)`` and
     ``_unit_gauge_report("", T, 1.0, 1e-8, False)``; ``T`` is finite, as
     :func:`~conesemi.semigroup.propagators` makes sure.
 
     On the orthant the margins of the positivity check are the entries of
     ``T`` (``-0.0`` read as ``0.0``, as :meth:`PolyCone.margins` reads it),
-    and :meth:`PolyCone._negative_pairs` counts an entry of a computed ``T``
-    negative below ``-1e-12`` times the largest ``|T_ij|``: a column is
-    negative where its minimum is, and the largest ``|T_ij|`` is the larger
-    of ``max T`` and ``-min T``."""
+    so each column's smallest margin is its minimum, and
+    :func:`~conesemi.semigroup._positivity_report` decides the signs."""
     rows = T.argmin(axis=0)
     mins = T[rows, np.arange(T.shape[0])]
-    margins = mins + 0.0
-
-    def negative():  # asked for only when some margin is negative
-        return margins < -1e-12 * max(float(T.max()), -float(margins.min()))
-
-    return (_positivity_report(orthant, rows, margins, negative, 1e-12),
+    return (_positivity_report(orthant, T, rows, mins + 0.0, 1e-12),
             _unit_gauge_verdict("", rows, mins, T.sum(axis=1), 1.0, 1e-8, False))
 
 

@@ -30,6 +30,7 @@ from .errors import (
 from .halfnorm import HalfNorm
 from .numerics import (
     LpProblem,
+    as_count,
     as_matrix,
     as_vector,
     solve_lp,
@@ -153,9 +154,8 @@ def _domain_test_points(domain: PolyhedralSet | None, cone: PolyCone, n_samples:
     samples are the first domain points of one batch of ``50 * n_samples``
     Gaussian draws, recorded in the returned notes.
     """
-    if n_samples < 0 or seed < 0:
-        raise MalformedProblem(f"n_samples and seed must be nonnegative, got {n_samples}, {seed}")
-    rng = np.random.default_rng(seed)
+    n_samples = as_count(n_samples, "n_samples", 0)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     n = cone.dim
     notes: list[str] = []
     G = cone.generators

@@ -92,6 +92,23 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     return m
 
 
+def as_count(n, what: str, lo: int, hi: int | None = None) -> int:
+    """``n`` as an ``int``: a Python or numpy integer, no ``bool``, from ``lo`` to ``hi``."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+            and lo <= n <= (n if hi is None else hi)):
+        span = f"from {lo} to {hi}" if hi is not None else f"at least {lo}" if lo else "nonnegative"
+        raise MalformedProblem(f"{what} must be {span}, an integer")
+    return int(n)
+
+
+def as_nonnegative(x, what: str) -> float:
+    """``x`` as a ``float``: a finite real number ``>= 0``, numpy scalars included."""
+    v = float(a) if (a := np.asarray(x)).ndim == 0 and a.dtype.kind in "biuf" else math.nan
+    if not 0 <= v < math.inf:
+        raise MalformedProblem(f"{what} must be finite and nonnegative, got {x!r}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """min/max ``objective @ x`` subject to ``A_eq x = b_eq`` and ``G x >= h``,
@@ -490,9 +507,7 @@ def _scaled_exp(A, t: float) -> tuple[np.ndarray, int]:
     """``exp(tA / 2^k)`` and ``k``: the guard, shift, scaling and Taylor
     phase of :func:`matrix_exp`, which squares the result ``k`` times."""
     A = as_matrix(A, square=True)
-    if not 0 <= t < math.inf:
-        raise MalformedProblem(f"matrix_exp requires a finite t >= 0, got {t}")
-    B = t * A
+    B = as_nonnegative(t, "matrix_exp's t") * A
     norm = float(np.max(np.abs(B).sum(axis=1), initial=0.0))
     if norm > EXP_MAX_NORM:
         raise NormTooLarge(f"||tA||_inf = {norm:.3g} exceeds guard {EXP_MAX_NORM:.3g}")

@@ -46,7 +46,7 @@ import numpy as np
 
 from .cone import DualVector, PolyCone
 from .dissipativity import LinOp, PolyhedralSet
-from .errors import ConesemiError, ProblemFileError, VariantPreconditionFailed
+from .errors import ConesemiError, MalformedProblem, ProblemFileError, VariantPreconditionFailed
 from .halfnorm import (
     CanonicalHalfNorm,
     EuclideanNorm,
@@ -56,6 +56,7 @@ from .halfnorm import (
     RegularizedGauge,
     WeightedNorm,
 )
+from .numerics import as_count
 from .semigroup import SemigroupConfig
 
 SCHEMA_VERSION = 1
@@ -91,6 +92,13 @@ def _as_number(value, path: str) -> float:
     if not np.isfinite(value):
         _fail(path, "numbers must be finite")
     return value
+
+
+def _count(value, path: str) -> int:
+    try:
+        return as_count(value, path, 0)
+    except MalformedProblem:
+        _fail(path, "expected a nonnegative integer")
 
 
 def _as_vector(value, path: str) -> np.ndarray:
@@ -285,10 +293,7 @@ class ProblemFile:
                 _as_number(t, f"semigroup.t_grid[{i}]") for i, t in enumerate(grid)
             )
         if "euler_steps" in section:
-            steps = section["euler_steps"]
-            if not isinstance(steps, int) or isinstance(steps, bool):
-                _fail("semigroup.euler_steps", "expected an integer")
-            kwargs["euler_steps"] = steps
+            kwargs["euler_steps"] = section["euler_steps"]
         if "method" in section:
             kwargs["method"] = section["method"]
         try:
@@ -315,16 +320,10 @@ class ProblemFile:
         return values
 
     def seed(self, default: int = 0) -> int:
-        value = self.raw.get("seed", default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            _fail("seed", "expected a nonnegative integer")
-        return value
+        return _count(self.raw.get("seed", default), "seed")
 
     def samples(self, default: int = 100) -> int:
-        value = self.raw.get("samples", default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            _fail("samples", "expected a nonnegative integer")
-        return value
+        return _count(self.raw.get("samples", default), "samples")
 
     def to_dict(self) -> dict:
         """Canonical form whose JSON round-trip reproduces the same inputs."""

@@ -30,7 +30,8 @@ from .cone import DualVector, PolyCone
 from .dissipativity import LinOp, _domain_test_points, certify_dissipative
 from .errors import MalformedProblem, SingularMatrix
 from .halfnorm import FunctionalGauge, HalfNorm
-from .numerics import _checked_inverse, _gtsv, as_matrix, as_vector, matrix_exp, require_finite
+from .numerics import (_checked_inverse, _gtsv, as_count, as_matrix, as_nonnegative, as_vector,
+                       matrix_exp, require_finite)
 from .report import FAILS, HOLDS, INCONCLUSIVE, VACUOUS, Report, Witness
 
 DEFAULT_T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -51,18 +52,14 @@ class SemigroupConfig:
     method: str = "both"  # euler | expm | both
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.t_grid)
+        grid = tuple(as_nonnegative(t, "t_grid entries") for t in self.t_grid)
         if not grid:
             raise MalformedProblem("t_grid needs at least one finite, nonnegative time")
-        if not all(0 <= t < math.inf for t in grid):
-            raise MalformedProblem("t_grid entries must be finite and nonnegative")
         if list(grid) != sorted(grid):
             raise MalformedProblem("t_grid must be sorted ascending")
         object.__setattr__(self, "t_grid", grid)
-        n = self.euler_steps
-        integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-        if not (integer and 1 <= n <= CHAIN_MAX_POWER):
-            raise MalformedProblem(f"euler_steps must be from 1 to {CHAIN_MAX_POWER}, an integer")
+        object.__setattr__(self, "euler_steps", as_count(self.euler_steps, "euler_steps", 1,
+                                                         CHAIN_MAX_POWER))
         if self.method not in ("euler", "expm", "both"):
             raise MalformedProblem(f"unknown method {self.method!r}")
 
@@ -103,8 +100,8 @@ def _resolvent(A: np.ndarray):
 
 
 def _resolvent_matrix(op, lam: float) -> np.ndarray:
-    if lam <= 0:
-        raise MalformedProblem(f"resolvent parameter must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise MalformedProblem(f"resolvent parameter must be positive and finite, got {lam}")
     return _resolvent(_op_matrix(op))(lam, "resolvent")
 
 
@@ -119,10 +116,7 @@ def euler_power(op, t: float, n: int, x) -> np.ndarray:
     """Backward-Euler approximation ``(I - (t/n) A)^-n x``; t = 0 returns x."""
     A = _op_matrix(op)
     x = as_vector(x, dim=A.shape[0])
-    if t < 0:
-        raise MalformedProblem(f"time must be nonnegative, got {t}")
-    if n < 1:
-        raise MalformedProblem(f"step count must be >= 1, got {n}")
+    t, n = as_nonnegative(t, "time"), as_count(n, "step count", 1, CHAIN_MAX_POWER)
     if t == 0:
         return x.copy()
     R = _resolvent(A)(t / n, f"euler step for t={t:g}, n={n}")
@@ -136,10 +130,7 @@ def euler_matrix(op, t: float, n: int) -> np.ndarray:
     """Matrix form of the backward-Euler approximation of T(t): the ``n``-th
     power of :func:`_resolvent` at ``t/n``."""
     A = _op_matrix(op)
-    if t < 0:
-        raise MalformedProblem(f"time must be nonnegative, got {t}")
-    if n < 1:
-        raise MalformedProblem(f"step count must be >= 1, got {n}")
+    t, n = as_nonnegative(t, "time"), as_count(n, "step count", 1, CHAIN_MAX_POWER)
     return _euler_chain(A, n)(t)
 
 
@@ -245,26 +236,26 @@ def is_positive_operator(T, cone: PolyCone, tol: float = 1e-9) -> Report:
     Linearity plus conic generation make the generator test complete, so a
     ``fails`` verdict always carries a generator/facet witness.  ``T`` is
     computed, so a pair is negative below ``-tol`` times the largest
-    ``|f|ᵀ|T||g|`` (:meth:`PolyCone._negative_pairs`), which covers rounding
+    ``|f|ᵀ|T||g|`` (:func:`_positivity_report`), which covers rounding
     where an exact entry is 0, at every common scale.
     """
     T = as_matrix(T, square=True)
     if T.shape[0] != cone.dim:
         raise MalformedProblem("operator and cone dimensions differ")
-    if not 0 <= tol < math.inf:
-        raise MalformedProblem(f"tol must be finite and nonnegative, got {tol}")
-    margins, negative = cone._negative_pairs(T, tol, computed=True)  # facet x generator
+    tol = as_nonnegative(tol, "tol")
+    margins = cone.margins(T)  # facet x generator
     worst = np.argmin(margins, axis=0)  # a column with a negative pair has its minimum there
-    cols = np.arange(worst.size)
-    return _positivity_report(cone, worst, margins[worst, cols], lambda: negative[worst, cols], tol)
+    return _positivity_report(cone, T, worst, margins[worst, np.arange(worst.size)], tol)
 
 
 def _positivity_report(
-    cone: PolyCone, worst: np.ndarray, col_margins: np.ndarray, negative, tol: float
+    cone: PolyCone, T: np.ndarray, worst: np.ndarray, col_margins: np.ndarray, tol: float
 ) -> Report:
     """The report of :func:`is_positive_operator` from each generator's
-    smallest margin ``col_margins[j]``, at facet ``worst[j]``, and ``negative()``, the mask of
-    the generators whose pair there is negative, asked for only when some margin is negative."""
+    smallest margin ``col_margins[j]`` of ``T``, at facet ``worst[j]``.  The
+    one sign rule of a computed ``T``: a margin is negative below ``-tol``
+    times the largest :meth:`PolyCone._pair_sizes` of ``T``, read only when
+    some margin is negative."""
     lo = float(col_margins.min())
     witnesses = [] if lo >= 0.0 else [
         Witness(
@@ -273,7 +264,7 @@ def _positivity_report(
             margin=float(col_margins[j]),
             label=f"T(generator[{j}]) violates facet[{worst[j]}]",
         )
-        for j in np.flatnonzero(negative())
+        for j in np.flatnonzero(col_margins < -tol * cone._pair_sizes(T).max())
     ]
     return Report(
         name="positive_operator",

@@ -555,6 +555,7 @@ class TestMalformedInputNeverExitsOne:
     @pytest.mark.parametrize("field, value, message", [
         ("samples", 10**30, "samples: at most 100000 points"),
         ("semigroup", {"euler_steps": 10**400}, "euler_steps must be from 1 to 1048576"),
+        ("semigroup", {"euler_steps": 16.5}, "euler_steps must be from 1 to 1048576"),
     ])
     def test_counts_beyond_their_bound_exit_2(self, tmp_path, capsys, field, value, message):
         payload = json.loads((FIXTURES / "metzler_positive.json").read_text())

@@ -213,6 +213,13 @@ class TestConvergence:
             assert w.label == (f"constant: error ratio 4.0 at N={sizes[1]} "
                                f"is not near {expected:g}")
 
+    @pytest.mark.parametrize("rhs", [lambda t: np.column_stack([t, t]), lambda t: 1.0],
+                             ids=["block", "scalar"])
+    def test_one_value_per_node(self, rhs):
+        # an (n, k) block or a constant is not a right-hand side of the study
+        with pytest.raises(MalformedProblem, match="one value per interior node"):
+            convergence_study([7, 15], rhs)
+
     def test_table_renders(self):
         rows = convergence_study([7, 15], lambda t: np.ones_like(t))
         text = format_convergence_table(rows, label="demo")
@@ -603,7 +610,8 @@ class TestReportsFromTwoScalars:
         cone = PolyCone.from_generators([[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]])
         for T in (np.eye(3), np.diag([0.5, 0.5, 1.0]), np.diag([2.0, 1.0, 1.0]),
                   np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.1, 0.0, 1.0]])):
-            margins, negative = cone._negative_pairs(T, 1e-9, computed=True)
+            margins = cone.margins(T)
+            negative = margins < -1e-9 * cone._pair_sizes(T).max()
             worst = np.argmin(margins, axis=0)
             cols = np.arange(worst.size)
             expected = array_positivity_report(cone, worst, margins[worst, cols],

@@ -566,6 +566,19 @@ class TestExampleIndependence:
         assert has_positive_off_diagonal(bare, orthant2).verdict == "fails"
 
 
+class TestScale:
+    @pytest.mark.parametrize("gauge, margin", [(FunctionalGauge, 2**-25), (OrderUnitGauge, 2**-24)],
+                             ids=["functional", "order_unit"])
+    def test_a_small_dilation_is_not_dissipative(self, gauge, margin):
+        # 2^-25 I is non-dissipative at every scale; on the square pyramid with
+        # phi or u = e_3 each generator is a witness with a margin far below 1e-6
+        pyramid = PolyCone.from_generators([[1, 1, 1], [-1, 1, 1], [1, -1, 1], [-1, -1, 1]])
+        rep = certify_dissipative(LinOp(2**-25 * np.eye(3)), gauge(pyramid, [0.0, 0.0, 1.0]))
+        assert rep.verdict == "fails"
+        at_generators = [w.margin for w in rep.witnesses if w.label.startswith("generator")]
+        assert at_generators == [margin] * 4
+
+
 class TestDomainValidation:
     def test_empty_domain_rejected(self):
         with pytest.raises(MalformedProblem):

@@ -13,7 +13,7 @@ from conesemi.dirichlet import Grid, dirichlet_laplacian, run_dirichlet_checks
 from conesemi.dissipativity import LinOp, PolyhedralSet, has_positive_off_diagonal, is_metzler
 from conesemi.errors import DimensionMismatch, MalformedProblem, NormTooLarge, SingularMatrix
 from conesemi.halfnorm import (CanonicalHalfNorm, EuclideanNorm, FunctionalGauge,
-                               RegularizedGauge, WeightedNorm)
+                               OrderUnitGauge, RegularizedGauge, WeightedNorm)
 from conesemi.numerics import factorized_solver, matrix_exp, tridiagonal_solve
 from conesemi.semigroup import (
     DEFAULT_T_GRID,
@@ -28,7 +28,7 @@ from conesemi.semigroup import (
     propagators,
     resolvent_apply,
 )
-from conesemi.report import Witness
+from conesemi.report import Report, Witness
 from oracles import dirichlet_exp
 
 
@@ -616,6 +616,14 @@ class TestOneVerdictRule:
         assert [s.data["role"] for s in rep.subreports] == ["hypothesis"]
         assert rep.tolerance == 0.0 and rep.samples_used == 0
 
+    def test_every_conclusion_is_read(self):
+        # a failed conclusion fails the implication wherever it stands in the list
+        notes = {"vacuous": "v", "fails": "f", "holds": "h"}
+        for verdicts in (["fails", "holds"], ["holds", "fails"]):
+            rep = semigroup._compose("x", [Report(name="hypothesis", verdict="holds")],
+                                     [Report(name=v, verdict=v) for v in verdicts], 0.0, notes)
+            assert rep.verdict == "fails" and rep.notes == ["f"], verdicts
+
 
 def generic_twin(cone):
     """The same cone with the orthant shortcut off, so that every check
@@ -758,6 +766,14 @@ class TestContractive:
     def test_half_identity(self, orthant2):
         rep = is_contractive(0.5 * np.eye(2), FunctionalGauge(orthant2, [1, 1]), 50, 0)
         assert rep.passed
+
+    @pytest.mark.parametrize("gauge", [FunctionalGauge, OrderUnitGauge])
+    def test_a_margin_just_above_the_tolerance_fails(self, gauge):
+        # on the rows of the R^3 orthant with phi or u = 1 the tolerance is CONTRACTIVE_TOL
+        g = gauge(PolyCone.standard_orthant(3), np.ones(3))
+        for scale, verdict in ((1 + 2 * semigroup.CONTRACTIVE_TOL, "fails"),
+                               (1 + semigroup.CONTRACTIVE_TOL / 2, "holds")):
+            assert is_contractive(scale * np.eye(3), g).verdict == verdict, scale
 
     def test_expansion_fails_with_witness(self, orthant2):
         rep = is_contractive(2.0 * np.eye(2), FunctionalGauge(orthant2, [1, 1]), 50, 0)
